@@ -16,6 +16,7 @@ from .charpoly import (
     jacobi_char_poly,
     k_constant,
     k_constant_recursive,
+    k_constants,
     mixed_char_poly,
     omega_poly,
     poly_roots,
@@ -26,6 +27,7 @@ from .orthopoly import (
     Parity,
     apply_derivative,
     gegenbauer_at_one,
+    gegenbauer_at_one_upto,
     gegenbauer_derivative_matrix,
     gegenbauer_eval,
     gegenbauer_norm,
@@ -52,7 +54,6 @@ from .tau_operator import (
     apply_double_integration,
     build_diff_pencil,
     build_gi2,
-    integration_pencil,
     matrix_to_coord,
     matrix_to_csv,
 )

@@ -25,6 +25,7 @@ from .orthopoly import (
     as_parity,
     apply_derivative,
     gegenbauer_at_one,
+    gegenbauer_at_one_upto,
     jacobi_deriv_at_one,
 )
 
@@ -32,6 +33,7 @@ __all__ = [
     "MuPolynomial",
     "poly_roots",
     "k_constant",
+    "k_constants",
     "k_constant_recursive",
     "charpoly_sequence",
     "charpoly_direct",
@@ -161,24 +163,36 @@ def poly_roots(p) -> np.ndarray:
     return roots[order]
 
 
-def k_constant(n: int, idx):
-    """Boundary constant K_n of the first matrix row (closed forms).
+def k_constants(degrees, idx) -> list:
+    """Boundary constants K_n of the first matrix row (closed forms).
 
-    n = 0, 1, 2 have their own expressions; n >= 3 uses the product form
-    built on the endpoint value of the degree n-2 basis function.  Exact for
-    Fraction family parameters.  Vanishes for n >= 3 at gamma in {1/2, 3/2}.
+    Returns K_n for each n in degrees.  n = 0, 1, 2 have their own
+    expressions; n >= 3 uses the product form built on the endpoint value of
+    the degree n-2 basis function, and all degrees share one running product
+    of those values, so the cost is O(max(degrees)).  Exact for Fraction
+    family parameters.  Vanishes for n >= 3 at gamma in {1/2, 3/2}.
     """
-    if n < 0:
-        raise ValueError(f"K_n is defined for n >= 0, got {n}")
+    degrees = list(degrees)
+    if degrees and min(degrees) < 0:
+        raise ValueError(f"K_n is defined for n >= 0, got {min(degrees)}")
     g = as_gegenbauer(idx).gamma
-    if n == 0:
-        return (2 * g + 1) / (4 * (g + 1))
-    if n == 1:
-        return (2 * g + 1) / (12 * (g + 2))
-    if n == 2:
-        return ((2 * g + 1) * (2 * g * g + g - 7)) / (48 * (g + 1) * (g + 2))
-    gat1 = gegenbauer_at_one(n - 2, idx)
-    return ((2 * g - 1) * (2 * g - 3)) * gat1 / (n * (n * n - 1) * (n + 2))
+    at1 = gegenbauer_at_one_upto(max(degrees, default=0) - 2, idx)
+    out = []
+    for n in degrees:
+        if n == 0:
+            out.append((2 * g + 1) / (4 * (g + 1)))
+        elif n == 1:
+            out.append((2 * g + 1) / (12 * (g + 2)))
+        elif n == 2:
+            out.append(((2 * g + 1) * (2 * g * g + g - 7)) / (48 * (g + 1) * (g + 2)))
+        else:
+            out.append(((2 * g - 1) * (2 * g - 3)) * at1[n - 2] / (n * (n * n - 1) * (n + 2)))
+    return out
+
+
+def k_constant(n: int, idx):
+    """Boundary constant K_n of the first matrix row; see k_constants."""
+    return k_constants([n], idx)[0]
 
 
 def k_constant_recursive(n: int, idx):
@@ -221,11 +235,12 @@ def charpoly_sequence(m_max: int, idx, parity) -> list:
         polys.append(MuPolynomial([gegenbauer_at_one(2, idx), 2 * (g + 1)]))
     else:
         polys.append(MuPolynomial([gegenbauer_at_one(3, idx), 4 * (g + 1) * (g + 2)]))
+    ks = k_constants([2 * j + ip for j in range(1, m_max)], idx)
     for j in range(1, m_max):
         n = 2 * j + ip
         scale = 4 * (g + n + 1) * (g + n)
         mid = 1 / (2 * (g + n + 1) * (g + n - 1))
-        acc = polys[j].shifted() + polys[j] * mid + MuPolynomial([k_constant(n, idx)])
+        acc = polys[j].shifted() + polys[j] * mid + MuPolynomial([ks[j - 1]])
         if not (par is Parity.EVEN and j == 1):
             # the even j = 1 step folds the p_0 coupling into K_2 already
             acc = acc - polys[j - 1] * (1 / (4 * (g + n) * (g + n - 1)))
@@ -245,7 +260,7 @@ def charpoly_direct(n: int, idx) -> MuPolynomial:
         raise ValueError(f"degree must be nonnegative, got {n}")
     g = as_gegenbauer(idx).gamma
     zero = g * 0
-    at1 = [gegenbauer_at_one(j, idx) for j in range(n + 1)]
+    at1 = gegenbauer_at_one_upto(n, idx)
     vec = [zero] * n + [zero + 1]
     coeffs = [at1[n] * 1]
     for _ in range(n // 2):

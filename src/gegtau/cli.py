@@ -30,7 +30,10 @@ from .tau_operator import (
 
 def _parse_number(text: str):
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as exc:
+            raise ValueError(text) from exc
     return float(text)
 
 
@@ -267,7 +270,12 @@ def main(argv=None) -> int:
     sp.set_defaults(func=_cmd_sweep_gamma)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:  # an out-of-range parameter, reported by the library
+        raise _usage_error(f"gegtau {args.command}: error: {exc}") from None
 
 
 if __name__ == "__main__":

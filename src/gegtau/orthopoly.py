@@ -35,6 +35,7 @@ __all__ = [
     "as_jacobi",
     "gegenbauer_eval",
     "gegenbauer_at_one",
+    "gegenbauer_at_one_upto",
     "gegenbauer_norm",
     "gegenbauer_norms",
     "gegenbauer_derivative_matrix",
@@ -49,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GegenbauerIndex:
-    """Family parameter g > -1/2 of the rescaled Gegenbauer basis.
+    """Finite family parameter g > -1/2 of the rescaled Gegenbauer basis.
 
     gamma may be a float or a fractions.Fraction; Fraction input switches
     downstream routines into exact arithmetic.
@@ -60,6 +61,8 @@ class GegenbauerIndex:
     def __post_init__(self):
         if not (2 * self.gamma + 1 > 0):
             raise ValueError(f"gamma must exceed -1/2, got {self.gamma}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
 
     def shifted(self, k: int = 1) -> "GegenbauerIndex":
         """Index with gamma raised by the integer k."""
@@ -141,6 +144,21 @@ def gegenbauer_eval(n: int, idx, x):
     return cur
 
 
+def gegenbauer_at_one_upto(nmax: int, idx) -> list:
+    """Endpoint values [G_0(1), ..., G_nmax(1)] by one running product.
+
+    G_n(1) = G_{n-1}(1) (2g + n - 1) / n for n >= 2, so all nmax + 1 values
+    cost O(nmax).  Exact when gamma is a Fraction; empty for nmax < 0.
+    """
+    g = as_gegenbauer(idx).gamma
+    val = g * 0 + 1
+    out = [val] * min(nmax + 1, 2)
+    for j in range(1, nmax):
+        val = val * (2 * g + j) / (j + 1)
+        out.append(val)
+    return out
+
+
 def gegenbauer_at_one(n: int, idx):
     """Endpoint value G_n(1) = prod_{j=1}^{n-1} (2g + j) / n!.
 
@@ -149,11 +167,7 @@ def gegenbauer_at_one(n: int, idx):
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    g = as_gegenbauer(idx).gamma
-    val = g * 0 + 1
-    for j in range(1, n):
-        val = val * (2 * g + j) / (j + 1)
-    return val
+    return gegenbauer_at_one_upto(n, idx)[n]
 
 
 def gegenbauer_norm(n: int, idx) -> float:

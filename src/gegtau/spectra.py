@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .orthopoly import Parity, as_gegenbauer, as_parity
-from .tau_operator import GeneralizedPencil, build_gi2
+from .tau_operator import GeneralizedPencil, TauMatrix, build_gi2
 
 __all__ = [
     "Spectrum",
@@ -135,11 +135,98 @@ def _sorted_by_magnitude(lam: np.ndarray, mu: np.ndarray):
     return lam[order], mu[order]
 
 
+# LAPACK dgebal's safe range: sfmin1 = dlamch('S') / dlamch('P')
+_SFMIN1 = 2.0**-1022 / 2.0**-52
+_SFMAX1 = 1.0 / _SFMIN1
+_SFMIN2 = 2.0 * _SFMIN1
+_SFMAX2 = 1.0 / _SFMIN2
+
+
+def _balance_scales(tau: TauMatrix) -> np.ndarray:
+    """Diagonal scaling of LAPACK dgebal (job 'S') on the banded storage.
+
+    Replays dgebal's Parlett-Reinsch loop: for each index in Gauss-Seidel
+    order, compare the 2-norms of its column and row, pick the power of two
+    f that balances them, and rescale row i by 1/f and column i by f when
+    that lowers their sum below 0.95 of what it was (with the same max-norm,
+    sfmin/sfmax and NaN guards).  dgebal re-reads every row and column on
+    every sweep at O(m^2) each; here an index is re-evaluated only when its
+    row or column changed since it was last seen: rescaling j >= 1 touches
+    indices j-1, j, j+1 and 0 (the full first row), and rescaling 0 touches
+    every index.  Power-of-two scalings are exact, so diag(1/s) M diag(s)
+    equals the matrix dgebal produces, and dgebal inside the dense solve
+    then stops after one sweep without a change.
+    """
+    m = tau.m
+    # row 0 is stored whole; rows i >= 1 as lo[i], dg[i], up[i] = A[i, i-1..i+1]
+    top = tau.first_row.tolist()
+    lo = [0.0, tau.m10] + tau.sub.tolist() + [0.0]
+    dg = [0.0] + tau.diag.tolist()
+    up = [0.0] + tau.sup.tolist() + [0.0]
+    scale = [1.0] * m
+    dirty = bytearray(b"\x01" * m)
+    hypot = math.hypot
+    i = -1
+    while True:
+        i = dirty.find(1, i + 1)
+        if i < 0:
+            i = dirty.find(1)  # wrap around: the next sweep
+            if i < 0:
+                break
+        dirty[i] = 0
+        if i == 0:
+            c, ca = hypot(top[0], lo[1]), max(abs(top[0]), abs(lo[1]))
+            r, ra = hypot(*top), max(map(abs, top))
+        else:
+            # column i: A[0, i], A[i-1, i], A[i, i], A[i+1, i] (padding zeros where absent)
+            col = (top[i], up[i - 1], dg[i], lo[i + 1])
+            row = (lo[i], dg[i], up[i])
+            c, ca = hypot(*col), max(map(abs, col))
+            r, ra = hypot(*row), max(map(abs, row))
+        if c == 0.0 or r == 0.0:
+            continue
+        if math.isnan(c + ca + r + ra):
+            break
+        g, f, s = r / 2.0, 1.0, c + r
+        while c < g and max(f, c, ca) < _SFMAX2 and min(r, g, ra) > _SFMIN2:
+            f, c, ca, r, g, ra = 2.0 * f, 2.0 * c, 2.0 * ca, r / 2.0, g / 2.0, ra / 2.0
+        g = c / 2.0
+        while g >= r and max(r, ra) < _SFMAX2 and min(f, c, g, ca) > _SFMIN2:
+            f, c, g, ca, r, ra = f / 2.0, c / 2.0, g / 2.0, ca / 2.0, 2.0 * r, 2.0 * ra
+        si = scale[i]
+        if (
+            c + r >= 0.95 * s
+            or (f < 1.0 and si < 1.0 and f * si <= _SFMIN1)
+            or (f > 1.0 and si > 1.0 and si >= _SFMAX1 / f)
+        ):
+            continue
+        scale[i] = si * f
+        g = 1.0 / f
+        if i == 0:
+            top = [v * g for v in top]
+            top[0] *= f
+            lo[1] *= f
+            dirty[:] = b"\x01" * m
+        else:
+            lo[i] *= g
+            dg[i] *= g
+            up[i] *= g
+            top[i] *= f
+            up[i - 1] *= f
+            dg[i] *= f
+            lo[i + 1] *= f
+            dirty[0] = dirty[i - 1] = dirty[i] = 1
+            if i + 1 < m:
+                dirty[i + 1] = 1
+    return np.array(scale)
+
+
 def tau_spectrum(m: int, idx, parity, bc: str = "dirichlet", tol_real: float = 1e-9) -> Spectrum:
     """Spectrum of the m-mode discretization via the integration route.
 
     Dirichlet eigenvalues are reciprocals of the eigenvalues of the banded
-    square matrix.  Neumann reduces by differentiating the eigenfunctions:
+    square matrix, which is balanced from its bands before the dense solve
+    (same eigenvalues, bit for bit, as solving it unbalanced).  Neumann reduces by differentiating the eigenfunctions:
     even modes give a zero eigenvalue plus the odd Dirichlet spectrum with
     the family parameter raised by one, odd modes give the even Dirichlet
     spectrum at the raised parameter with no zero mode.
@@ -156,7 +243,11 @@ def tau_spectrum(m: int, idx, parity, bc: str = "dirichlet", tol_real: float = 1
         return Spectrum(lam, mu, m, float(gdx.gamma), par, bc="neumann", source="integration", tol_real=tol_real)
     if bc != "dirichlet":
         raise ValueError(f"unknown boundary condition {bc!r}")
-    M = build_gi2(m, gdx, par).square()
+    tau = build_gi2(m, gdx, par)
+    scale = _balance_scales(tau)
+    M = tau.square()
+    M *= scale
+    M /= scale[:, None]
     mu = dense_eigs(M)
     lam, mu = _sorted_by_magnitude(1.0 / mu, mu)
     return Spectrum(lam, mu, m, float(gdx.gamma), par, bc="dirichlet", source="integration", tol_real=tol_real)
@@ -189,20 +280,15 @@ def _solve_structured(pencil: GeneralizedPencil) -> np.ndarray:
 
 
 def pencil_spectrum(pencil: GeneralizedPencil, tol_real: float = 1e-9) -> Spectrum:
-    """Spectrum of a generalized pencil A x = lambda B x.
+    """Spectrum of a generalized pencil A x = lambda B x via B^{-1} A.
 
-    The integration pencil (A = identity) is special-cased to take
-    eigenvalues of B directly and invert them afterwards; forming B^{-1}
-    there would trade the excellent conditioning away.
+    The integration route has no pencil form here: tau_spectrum takes the
+    eigenvalues of the banded matrix directly and inverts them afterwards.
     """
-    if pencil.a_structure == "identity":
-        mu = dense_eigs(pencil.B)
-        lam, mu = _sorted_by_magnitude(1.0 / mu, mu)
-    else:
-        lam = dense_eigs(_solve_structured(pencil))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu = np.where(lam != 0, 1.0 / lam, np.inf)
-        lam, mu = _sorted_by_magnitude(lam, mu)
+    lam = dense_eigs(_solve_structured(pencil))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.where(lam != 0, 1.0 / lam, np.inf)
+    lam, mu = _sorted_by_magnitude(lam, mu)
     return Spectrum(
         lam,
         mu,

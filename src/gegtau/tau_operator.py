@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import k_constant
+from .charpoly import k_constants
 from .orthopoly import (
     Parity,
     as_gegenbauer,
     as_parity,
-    gegenbauer_at_one,
+    gegenbauer_at_one_upto,
     gegenbauer_norms,
     one_minus_x2_block,
     second_derivative_block,
@@ -39,7 +39,6 @@ __all__ = [
     "build_gi2",
     "apply_double_integration",
     "build_diff_pencil",
-    "integration_pencil",
     "matrix_to_csv",
     "matrix_to_coord",
     "DIFF_VARIANTS",
@@ -141,16 +140,14 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
     dm = 1.0 / (4.0 * (g + n + 1.0) * (g + n))
     d0 = -1.0 / (2.0 * (g + n + 1.0) * (g + n - 1.0))
     dp = 1.0 / (4.0 * (g + n) * (g + n - 1.0))
-    first = np.zeros(m)
-    first[0] = -float(k_constant(ip, gdx))
+    # K_ip, then K_n for the column degrees n = 2j + ip, j = 1..m-1
+    ks = k_constants([ip] + [2 * j + ip for j in range(1, m)], gdx)
+    first = -np.array([float(k) for k in ks])
     if par is Parity.EVEN:
-        first[1] = -float(k_constant(2, gdx))
         m10 = 1.0 / (2.0 * (g + 1.0))
     else:
-        first[1] = 1.0 / (4.0 * (g + 3.0) * (g + 2.0)) - float(k_constant(3, gdx))
+        first[1] = 1.0 / (4.0 * (g + 3.0) * (g + 2.0)) - float(ks[1])
         m10 = 1.0 / (4.0 * (g + 1.0) * (g + 2.0))
-    for j in range(2, m):
-        first[j] = -float(k_constant(int(n[j - 1]), gdx))
     return TauMatrix(
         m=m,
         gamma=g,
@@ -174,21 +171,6 @@ def apply_double_integration(f, idx, parity) -> np.ndarray:
     return build_gi2(f.shape[0], idx, parity).apply(f)
 
 
-def integration_pencil(m: int, idx, parity) -> GeneralizedPencil:
-    """The well-conditioned route presented as a pencil (A = identity)."""
-    tau = build_gi2(m, idx, parity)
-    return GeneralizedPencil(
-        A=np.eye(m),
-        B=tau.square(),
-        variant="integration",
-        a_structure="identity",
-        b_structure="tridiagonal-plus-row",
-        m=m,
-        gamma=tau.gamma,
-        parity=tau.parity,
-    )
-
-
 def _assert_structure(mat: np.ndarray, kind: str, variant: str) -> None:
     n = mat.shape[0]
     scale = np.max(np.abs(mat)) or 1.0
@@ -202,7 +184,7 @@ def _assert_structure(mat: np.ndarray, kind: str, variant: str) -> None:
         bad = np.abs(mat[np.abs(i - j) > 1])
     elif kind == "first-row-subdiagonal":
         bad = np.abs(mat[(i != 0) & (i != j + 1)])
-    elif kind in ("full", "identity", "tridiagonal-plus-row"):
+    elif kind == "full":
         return
     else:
         raise ValueError(f"unknown structure kind {kind!r}")
@@ -235,7 +217,7 @@ def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> Generali
     if variant in ("diff-elim-last", "diff-elim-first"):
         d2 = second_derivative_block(m, m + 1, gdx, par)
         a0 = h[:, None] * d2
-        gv = np.array([float(gegenbauer_at_one(nn, gdx)) for nn in degrees])
+        gv = np.array([float(v) for v in gegenbauer_at_one_upto(degrees[-1], gdx)[par.offset :: 2]])
         if variant == "diff-elim-last":
             C = np.vstack([np.eye(m), -gv[:m] / gv[m]])
             A = a0 @ C

@@ -117,6 +117,28 @@ def endpoint_char_poly(n: int, alpha, beta):
     return out
 
 
+def endpoint_value(n: int, g):
+    """G_n(1) = prod_{j=1}^{n-1} (2g + j) / n! as a fresh product per degree,
+    in the multiplication order val * (2g + j) / (j + 1)."""
+    val = g * 0 + 1
+    for j in range(1, n):
+        val = val * (2 * g + j) / (j + 1)
+    return val
+
+
+def unbalanced_tau_spectrum(square: np.ndarray):
+    """(lambda, mu) of the integration route without pre-balancing.
+
+    The plain dense eigenvalues mu of the square integration matrix, sorted
+    by (real, imag), inverted, and then sorted by |lambda| (stable).
+    """
+    mu = np.linalg.eigvals(square)
+    mu = mu[np.lexsort((mu.imag, mu.real))]
+    lam = 1.0 / mu
+    order = np.argsort(np.abs(lam), kind="stable")
+    return lam[order], mu[order]
+
+
 def reference_gi2(MG: int, g: float, ip: int) -> np.ndarray:
     """Straight-line construction of the (MG+1) x MG integration matrix.
 

@@ -19,6 +19,7 @@ from gegtau.charpoly import (
     jacobi_char_poly,
     k_constant,
     k_constant_recursive,
+    k_constants,
     mixed_char_poly,
     omega_poly,
     poly_roots,
@@ -100,6 +101,16 @@ def test_boundary_constant_recurrence_matches_closed_form():
             a = k_constant(n, idx)
             b = k_constant_recursive(n, idx)
             assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
+
+
+def test_boundary_constants_share_one_product():
+    for gamma in (0.0, 0.77, 2.4, F(1, 3), F(7, 4)):
+        idx = GegenbauerIndex(gamma)
+        degrees = [0, 1, 2, 3, 5, 4, 40, 17]
+        assert k_constants(degrees, idx) == [k_constant(n, idx) for n in degrees]
+        assert k_constants([], idx) == []
+    with pytest.raises(ValueError):
+        k_constants([3, -1], 0.5)
 
 
 def test_boundary_constant_exact_rational_equality():

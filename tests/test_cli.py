@@ -100,6 +100,30 @@ def test_eig_bad_choice_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eig", "--modes", "1"], "need at least 2 modes, got 1"),
+        (["eig", "--modes", "6", "--gamma", "inf"], "gamma must be finite, got inf"),
+        (["eig", "--modes", "6", "--gamma=-0.7"], "gamma must exceed -1/2, got -0.7"),
+        (["sweep-conditioning", "--m-grid", "1,2"], "need at least 2 modes, got 1"),
+    ],
+)
+def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gegtau {argv[0]}: error: {message}\n"
+
+
+def test_gamma_with_zero_denominator_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["charpoly", "--modes", "3", "--gamma", "1/0"])
+    assert exc.value.code == 2
+
+
 def test_charpoly_csv(capsys):
     code, out = _run(capsys, ["charpoly", "--modes", "2", "--gamma", "0", "--parity", "even"])
     assert code == 0

@@ -5,6 +5,7 @@ scipy, against exact rational arithmetic, and against Gauss quadrature for
 the weighted orthogonality relation.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from gegtau.orthopoly import (
     as_jacobi,
     as_parity,
     gegenbauer_at_one,
+    gegenbauer_at_one_upto,
     gegenbauer_derivative_matrix,
     gegenbauer_eval,
     gegenbauer_norm,
@@ -134,6 +136,23 @@ def test_endpoint_value_exact_rational():
     idx = GegenbauerIndex(Fraction(1, 3))
     for n in range(0, 12):
         assert gegenbauer_at_one(n, idx) == gegenbauer_eval(n, idx, Fraction(1))
+
+
+def test_endpoint_values_running_product_matches_fresh_products():
+    for gamma in GAMMAS + (Fraction(1, 3), Fraction(7, 4)):
+        idx = GegenbauerIndex(gamma)
+        values = gegenbauer_at_one_upto(60, idx)
+        assert len(values) == 61
+        assert values == [oracles.endpoint_value(n, gamma) for n in range(61)]
+        assert [gegenbauer_at_one(n, idx) for n in range(61)] == values
+    assert gegenbauer_at_one_upto(-1, 0.5) == []
+    assert gegenbauer_at_one_upto(0, 0.5) == [1.0]
+
+
+def test_index_rejects_non_finite_gamma():
+    for gamma in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            GegenbauerIndex(gamma)
 
 
 def test_parity_symmetry():

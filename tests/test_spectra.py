@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from gegtau.charpoly import charpoly_sequence, poly_roots
 from gegtau.orthopoly import (
@@ -14,6 +15,7 @@ from gegtau.orthopoly import (
     second_derivative_block,
 )
 from gegtau.spectra import (
+    _balance_scales,
     EigenPair,
     Spectrum,
     dense_eigs,
@@ -22,7 +24,7 @@ from gegtau.spectra import (
     pencil_spectrum,
     tau_spectrum,
 )
-from gegtau.tau_operator import build_diff_pencil, build_gi2, integration_pencil
+from gegtau.tau_operator import build_diff_pencil, build_gi2
 
 import oracles
 
@@ -172,11 +174,36 @@ def test_matrix_spectra_real_negative_distinct_at_scale():
             assert gaps.min() > 1e-10
 
 
-def test_pencil_round_trip_identity_variant():
-    pen = integration_pencil(9, 0.4, Parity.ODD)
-    spec = pencil_spectrum(pen)
-    base = tau_spectrum(9, 0.4, Parity.ODD)
-    np.testing.assert_allclose(spec.eigenvalues, base.eigenvalues, rtol=1e-12)
+@pytest.mark.parametrize("m", [2, 3, 17, 200, 750])
+def test_balance_scales_replay_lapack_dgebal(m):
+    for gamma in (-0.45, 0.0, 0.5, 1.5, 1.7, 1.8, 2.4, 3.4):
+        for parity in (Parity.EVEN, Parity.ODD):
+            tau = build_gi2(m, gamma, parity)
+            scale = _balance_scales(tau)
+            square = tau.square()
+            balanced, lo, hi, lapack_scale, info = scipy.linalg.lapack.dgebal(square, scale=1, permute=0)
+            assert info == 0 and (lo, hi) == (0, m - 1)
+            np.testing.assert_array_equal(scale, lapack_scale)
+            np.testing.assert_array_equal(square * scale / scale[:, None], balanced)
+            # a balanced matrix is a fixed point: dgebal leaves it alone
+            assert np.all(scipy.linalg.lapack.dgebal(balanced, scale=1, permute=0)[3] == 1.0)
+
+
+@pytest.mark.parametrize("m", [2, 17, 120, 400])
+def test_tau_spectrum_bitwise_matches_unbalanced_route(m):
+    for gamma in (-0.45, 0.5, 1.5, 1.7, 1.8, 2.4, Fraction(7, 4)):
+        for parity in (Parity.EVEN, Parity.ODD):
+            spec = tau_spectrum(m, gamma, parity)
+            lam, mu = oracles.unbalanced_tau_spectrum(build_gi2(m, gamma, parity).square())
+            np.testing.assert_array_equal(spec.eigenvalues, lam)
+            np.testing.assert_array_equal(spec.mu, mu)
+            # Neumann: the flipped parity at gamma + 1, plus a zero mode for even
+            spec = tau_spectrum(m, gamma, parity, bc="neumann")
+            lam, mu = oracles.unbalanced_tau_spectrum(build_gi2(m, gamma + 1, parity.flipped()).square())
+            if parity is Parity.EVEN:
+                lam, mu = np.concatenate(([0j], lam)), np.concatenate(([np.inf], mu))
+            np.testing.assert_array_equal(spec.eigenvalues, lam)
+            np.testing.assert_array_equal(spec.mu, mu)
 
 
 def test_pencil_diff_elim_last_matches_tau():

@@ -12,11 +12,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gegtau.charpoly import MuPolynomial, charpoly_sequence, poly_roots
+from gegtau.charpoly import MuPolynomial, charpoly_sequence, k_constant, poly_roots
 from gegtau.orthopoly import (
     GegenbauerIndex,
     Parity,
     gegenbauer_at_one,
+    gegenbauer_norms,
     second_derivative_block,
 )
 from gegtau.spectra import dense_eigs, pencil_spectrum, tau_spectrum
@@ -25,7 +26,6 @@ from gegtau.tau_operator import (
     apply_double_integration,
     build_diff_pencil,
     build_gi2,
-    integration_pencil,
     matrix_to_coord,
     matrix_to_csv,
 )
@@ -216,12 +216,26 @@ def test_left_eigenvector_rows():
                 assert resid <= 1e-8 * np.linalg.norm(row) * mnorm
 
 
-def test_integration_pencil_structure():
-    pen = integration_pencil(9, 0.3, Parity.EVEN)
-    assert pen.variant == "integration"
-    assert pen.a_structure == "identity"
-    np.testing.assert_array_equal(pen.A, np.eye(9))
-    np.testing.assert_array_equal(pen.B, build_gi2(9, 0.3, Parity.EVEN).square())
+@pytest.mark.parametrize("gamma", [-0.45, 0.0, 0.5, 1.7, 2.4, Fraction(7, 4)])
+@pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+def test_first_row_is_negated_boundary_constants(gamma, parity):
+    m = 60
+    tau = build_gi2(m, gamma, parity)
+    degrees = [parity.offset] + [parity.degree(j) for j in range(1, m)]
+    expect = [-float(k_constant(n, GegenbauerIndex(gamma))) for n in degrees]
+    if parity is Parity.ODD:
+        g = float(gamma)
+        expect[1] = expect[1] + 1.0 / (4.0 * (g + 3.0) * (g + 2.0))
+    np.testing.assert_array_equal(tau.first_row, expect)
+
+
+def test_diff_elim_first_boundary_row_uses_endpoint_values():
+    m, idx = 30, GegenbauerIndex(1.7)
+    for parity in (Parity.EVEN, Parity.ODD):
+        pen = build_diff_pencil(m, idx, "diff-elim-first", parity)
+        gv = np.array([float(gegenbauer_at_one(parity.degree(k), idx)) for k in range(m + 1)])
+        h0 = gegenbauer_norms([parity.offset], idx)[0]
+        np.testing.assert_array_equal(pen.B[0, :], -h0 * gv[1:] / gv[0])
 
 
 def test_diff_pencil_structures():
