@@ -15,7 +15,6 @@ from .charpoly import (
     charpoly_sequence,
     jacobi_char_poly,
     k_constant,
-    k_constant_recursive,
     k_constants,
     mixed_char_poly,
     omega_poly,
@@ -28,7 +27,6 @@ from .orthopoly import (
     apply_derivative,
     gegenbauer_at_one,
     gegenbauer_at_one_upto,
-    gegenbauer_derivative_matrix,
     gegenbauer_eval,
     gegenbauer_norm,
     gegenbauer_norms,
@@ -41,6 +39,7 @@ from .orthopoly import (
 from .spectra import (
     EigenPair,
     Spectrum,
+    SweepResult,
     dense_eigs,
     eigenfunction,
     exact_spectrum,
@@ -51,7 +50,6 @@ from .tau_operator import (
     DIFF_VARIANTS,
     GeneralizedPencil,
     TauMatrix,
-    apply_double_integration,
     build_diff_pencil,
     build_gi2,
     matrix_to_coord,
@@ -59,7 +57,6 @@ from .tau_operator import (
 )
 from .verify import (
     DEFAULT_GAMMA_GRID,
-    SweepResult,
     VerificationReport,
     check_positive_pair,
     check_stable,

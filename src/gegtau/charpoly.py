@@ -34,7 +34,6 @@ __all__ = [
     "poly_roots",
     "k_constant",
     "k_constants",
-    "k_constant_recursive",
     "charpoly_sequence",
     "charpoly_direct",
     "omega_poly",
@@ -193,25 +192,6 @@ def k_constants(degrees, idx) -> list:
 def k_constant(n: int, idx):
     """Boundary constant K_n of the first matrix row; see k_constants."""
     return k_constants([n], idx)[0]
-
-
-def k_constant_recursive(n: int, idx):
-    """K_n by the two-step upward recurrence (seeds K_3, K_4).
-
-    Independent route used to cross-check k_constant; n <= 2 falls back to
-    the closed forms since the recurrence only runs from n = 3 up.
-    """
-    if n <= 2:
-        return k_constant(n, idx)
-    g = as_gegenbauer(idx).gamma
-    if n % 2 == 1:
-        j, val = 3, ((2 * g - 1) * (2 * g - 3)) / 120
-    else:
-        j, val = 4, ((4 * g * g - 1) * (2 * g - 3)) / 720
-    while j < n:
-        val = val * ((2 * g + j - 1) * (2 * g + j - 2)) / ((j + 4) * (j + 3))
-        j += 2
-    return val
 
 
 def charpoly_sequence(m_max: int, idx, parity) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 from . import verify
 from .charpoly import charpoly_sequence, jacobi_char_poly, mixed_char_poly
 from .orthopoly import GegenbauerIndex, JacobiIndex, Parity
-from .spectra import pencil_spectrum, tau_spectrum
+from .spectra import SweepResult, pencil_spectrum, tau_spectrum
 from .tau_operator import (
     DIFF_VARIANTS,
     build_diff_pencil,
@@ -40,19 +40,29 @@ def _parse_number(text: str):
 def _parse_grid(text: str, fallback):
     if text == "default":
         return list(fallback)
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_parse_number(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _write(out_path, text: str) -> None:
-    if out_path is None or out_path == "-":
+def _json_number(x):
+    """A parameter for a JSON meta block: Fractions as 'p/q' strings."""
+    return str(x) if isinstance(x, Fraction) else float(x)
+
+
+def _emit(args, **render) -> int:
+    """Write a command's output: the one route to stdout or --out.
+
+    render maps each --format choice of the command to a zero-argument
+    callable returning text (written as is) or a JSON document (written
+    with sorted keys and a two-space indent).
+    """
+    doc = render[args.format]()
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return 0
 
 
 def _usage_error(msg: str) -> SystemExit:
@@ -60,11 +70,10 @@ def _usage_error(msg: str) -> SystemExit:
     return SystemExit(2)
 
 
-def _add_common(sp, parity=True, bc=False):
+def _add_common(sp, bc=False):
     sp.add_argument("--modes", type=int, required=True, help="number of parity-reduced modes m")
     sp.add_argument("--gamma", type=_parse_number, default=0.0, help="family parameter (float or p/q)")
-    if parity:
-        sp.add_argument("--parity", choices=["even", "odd"], default="even")
+    sp.add_argument("--parity", choices=["even", "odd"], default="even")
     if bc:
         sp.add_argument("--bc", choices=["dirichlet", "neumann"], default="dirichlet")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -74,17 +83,15 @@ def _add_common(sp, parity=True, bc=False):
 def _cmd_gi2(args) -> int:
     tau = build_gi2(args.modes, GegenbauerIndex(args.gamma), Parity(args.parity))
     M = tau.square() if args.square else tau.rectangular()
-    if args.format == "coord":
-        _write(args.out, matrix_to_coord(M))
-    elif args.format == "json":
-        payload = {
+    return _emit(
+        args,
+        csv=lambda: matrix_to_csv(M),
+        coord=lambda: matrix_to_coord(M),
+        json=lambda: {
             "meta": {"m": args.modes, "gamma": float(args.gamma), "parity": args.parity, "square": bool(args.square)},
-            "data": {"matrix": [[float(v) for v in row] for row in M]},
-        }
-        _write(args.out, _dump_json(payload))
-    else:
-        _write(args.out, matrix_to_csv(M))
-    return 0
+            "data": {"matrix": M.tolist()},
+        },
+    )
 
 
 def _cmd_eig(args) -> int:
@@ -96,108 +103,79 @@ def _cmd_eig(args) -> int:
         if args.bc != "dirichlet":
             raise _usage_error("differentiation variants support Dirichlet conditions only")
         spec = pencil_spectrum(build_diff_pencil(args.modes, idx, args.variant, par), tol_real=args.tol_real)
-    if args.format == "json":
-        _write(args.out, _dump_json(spec.to_json_dict()))
-    else:
-        _write(args.out, spec.csv())
-    return 0
+    return _emit(args, csv=spec.csv, json=spec.to_json_dict)
 
 
 def _cmd_charpoly(args) -> int:
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
             raise _usage_error("--alpha and --beta must be given together")
-        jdx = JacobiIndex(args.alpha, args.beta)
         builder = mixed_char_poly if args.bc == "mixed" else jacobi_char_poly
-        poly = builder(args.modes, jdx)
-        if args.format == "json":
-            payload = {
+        poly = builder(args.modes, JacobiIndex(args.alpha, args.beta))
+        rows = ((k, float(c)) for k, c in enumerate(poly.coeffs))
+        return _emit(
+            args,
+            csv=lambda: SweepResult("charpoly", ["k", "coefficient"], list(rows)).to_csv(),
+            json=lambda: {
                 "meta": {"n": args.modes, "alpha": float(args.alpha), "beta": float(args.beta), "bc": args.bc},
                 "data": {"coefficients": poly.to_json_obj()},
-            }
-            _write(args.out, _dump_json(payload))
-        else:
-            lines = ["k,coefficient"]
-            lines += [f"{k},{float(c):.17g}" for k, c in enumerate(poly.coeffs)]
-            _write(args.out, "\n".join(lines) + "\n")
-        return 0
+            },
+        )
     gamma = Fraction(args.gamma) if args.exact and not isinstance(args.gamma, Fraction) else args.gamma
     seq = charpoly_sequence(args.modes, GegenbauerIndex(gamma), Parity(args.parity))
-    if args.format == "json":
-        payload = {
+    rows = ((m, k, float(c)) for m, p in enumerate(seq) for k, c in enumerate(p.coeffs))
+    return _emit(
+        args,
+        csv=lambda: SweepResult("charpoly", ["m", "k", "coefficient"], list(rows)).to_csv(),
+        json=lambda: {
             "meta": {
                 "m_max": args.modes,
-                "gamma": str(gamma) if isinstance(gamma, Fraction) else float(gamma),
+                "gamma": _json_number(gamma),
                 "parity": args.parity,
                 "exact": bool(args.exact),
             },
             "data": {"polynomials": [p.to_json_obj() for p in seq]},
-        }
-        _write(args.out, _dump_json(payload))
-    else:
-        lines = ["m,k,coefficient"]
-        for m, p in enumerate(seq):
-            for k, c in enumerate(p.coeffs):
-                lines.append(f"{m},{k},{float(c):.17g}")
-        _write(args.out, "\n".join(lines) + "\n")
-    return 0
+        },
+    )
 
 
-_SUITES = ("theorems", "sharpness", "hb", "lemmas", "phi", "jacobi", "conjecture")
-
-
-def _run_suites(names, gammas, seed):
-    reports = []
-    for name in names:
-        if name == "theorems":
-            reports += verify.realness_suite(gammas=gammas)
-        elif name == "sharpness":
-            reports += verify.sharpness_suite()
-        elif name == "hb":
-            reports += verify.hb_random_suite(seed=seed)
-        elif name == "lemmas":
-            reports += verify.lemma_suite(seed=seed)
-        elif name == "phi":
-            reports += verify.phi_suite()
-        elif name == "jacobi":
-            reports += verify.jacobi_suite()
-        elif name == "conjecture":
-            reports += verify.interlace_conjecture_suite(gammas=gammas)
-        else:
-            raise _usage_error(f"unknown suite {name!r}")
-    return reports
+# suite name -> callable(gammas, seed); each looks its suite up in verify at
+# call time, so a wrapper set on the module attribute (bench/tracing.py) sees it
+_SUITES = {
+    "theorems": lambda gammas, seed: verify.realness_suite(gammas=gammas),
+    "sharpness": lambda gammas, seed: verify.sharpness_suite(),
+    "hb": lambda gammas, seed: verify.hb_random_suite(seed=seed),
+    "lemmas": lambda gammas, seed: verify.lemma_suite(seed=seed),
+    "phi": lambda gammas, seed: verify.phi_suite(),
+    "jacobi": lambda gammas, seed: verify.jacobi_suite(),
+    "conjecture": lambda gammas, seed: verify.interlace_conjecture_suite(gammas=gammas),
+}
 
 
 def _cmd_verify(args) -> int:
-    names = _SUITES if args.suite == "all" else (args.suite,)
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     gammas = _parse_grid(args.gamma_grid, verify.DEFAULT_GAMMA_GRID)
-    reports = _run_suites(names, gammas, args.seed)
+    reports = [rep for name in names for rep in _SUITES[name](gammas, args.seed)]
     for rep in reports:
         print(rep.line())
     failures = [r for r in reports if not r.passed and not r.advisory]
     print(f"{len(reports) - len(failures)}/{len(reports)} checks passed")
     if args.out:
-        payload = {
-            "meta": {"suites": list(names), "seed": args.seed, "gamma_grid": gammas},
-            "data": {"reports": [r.to_json_dict() for r in reports]},
-        }
-        _write(args.out, _dump_json(payload))
+        _emit(
+            args,
+            json=lambda: {
+                "meta": {"suites": names, "seed": args.seed, "gamma_grid": [_json_number(g) for g in gammas]},
+                "data": {"reports": [r.to_json_dict() for r in reports]},
+            },
+        )
     return 1 if failures else 0
-
-
-def _sweep_out(args, result) -> int:
-    if args.format == "json":
-        _write(args.out, _dump_json(result.to_json_dict()))
-    else:
-        _write(args.out, result.to_csv())
-    return 0
 
 
 def _cmd_sweep_error(args) -> int:
     result = verify.spectrum_error_report(
         args.modes, GegenbauerIndex(args.gamma), Parity(args.parity), threshold=args.threshold
     )
-    return _sweep_out(args, result)
+    return _emit(args, csv=result.to_csv, json=result.to_json_dict)
 
 
 def _cmd_sweep_conditioning(args) -> int:
@@ -207,13 +185,13 @@ def _cmd_sweep_conditioning(args) -> int:
         if v != "integration" and v not in DIFF_VARIANTS:
             raise _usage_error(f"unknown variant {v!r}")
     result = verify.conditioning_sweep(GegenbauerIndex(args.gamma), m_grid, variants, Parity(args.parity))
-    return _sweep_out(args, result)
+    return _emit(args, csv=result.to_csv, json=result.to_json_dict)
 
 
 def _cmd_sweep_gamma(args) -> int:
     gammas = _parse_grid(args.gamma_grid, np.arange(0.0, 3.01, 0.25))
     result = verify.gamma_scan(args.modes, gammas, tol_real=args.tol_real)
-    return _sweep_out(args, result)
+    return _emit(args, csv=result.to_csv, json=result.to_json_dict)
 
 
 def main(argv=None) -> int:
@@ -241,11 +219,11 @@ def main(argv=None) -> int:
     sp.set_defaults(func=_cmd_charpoly)
 
     sp = sub.add_parser("verify", help="run verification suites")
-    sp.add_argument("--suite", choices=("all",) + _SUITES, default="all")
+    sp.add_argument("--suite", choices=("all", *_SUITES), default="all")
     sp.add_argument("--gamma-grid", default="default", help="comma list or 'default'")
     sp.add_argument("--seed", type=int, default=20260813)
     sp.add_argument("--out", default=None, help="also write a JSON report here")
-    sp.set_defaults(func=_cmd_verify)
+    sp.set_defaults(func=_cmd_verify, format="json")
 
     sp = sub.add_parser("sweep-error", help="per-mode eigenvalue errors")
     _add_common(sp)

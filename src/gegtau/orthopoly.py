@@ -38,7 +38,6 @@ __all__ = [
     "gegenbauer_at_one_upto",
     "gegenbauer_norm",
     "gegenbauer_norms",
-    "gegenbauer_derivative_matrix",
     "apply_derivative",
     "second_derivative_block",
     "one_minus_x2_block",
@@ -197,30 +196,6 @@ def gegenbauer_norms(degrees, idx) -> np.ndarray:
     return np.array([gegenbauer_norm(int(n), idx) for n in degrees], dtype=float)
 
 
-def _derivative_row_weight(k: int, g):
-    # weight of G_k in the expansion of DG_n for any n > k of opposite parity
-    return (g * 0 + 1) if k == 0 else 2 * (k + g)
-
-
-def gegenbauer_derivative_matrix(nmax: int, idx) -> np.ndarray:
-    """Connection matrix D with (D a) the coefficients of the derivative.
-
-    D[k, n] is the G_k coefficient of D G_n: zero unless k < n with opposite
-    parity, in which case it is 1 for k = 0 and 2 (k + g) for k >= 1.
-    Squaring D gives the second-derivative connection.
-    """
-    if nmax < 0:
-        raise ValueError(f"nmax must be nonnegative, got {nmax}")
-    g = float(as_gegenbauer(idx).gamma)
-    D = np.zeros((nmax + 1, nmax + 1))
-    for n in range(1, nmax + 1):
-        ks = np.arange(1 - n % 2, n, 2)
-        D[ks, n] = 2.0 * (ks + g)
-        if n % 2 == 1:
-            D[0, n] = 1.0
-    return D
-
-
 def apply_derivative(coeffs, idx):
     """Differentiate a coefficient sequence (list, any scalar type).
 
@@ -249,7 +224,8 @@ def second_derivative_block(rows: int, cols: int, idx, parity) -> np.ndarray:
 
     Entry [k, l] is the G_{2k+ip} coefficient of D^2 G_{2l+ip} with
     ip = 0 (even) or 1 (odd).  Strictly upper triangular.  Equivalent to
-    slicing the square of gegenbauer_derivative_matrix but O(rows*cols).
+    the parity rows and columns of the square of the full first-derivative
+    connection matrix, but built in O(rows*cols).
     """
     g = float(as_gegenbauer(idx).gamma)
     ip = as_parity(parity).offset

@@ -10,7 +10,7 @@ exploits whatever structure B has and is provided for conditioning studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -20,6 +20,7 @@ from .tau_operator import GeneralizedPencil, TauMatrix, build_gi2
 
 __all__ = [
     "Spectrum",
+    "SweepResult",
     "EigenPair",
     "dense_eigs",
     "tau_spectrum",
@@ -43,6 +44,59 @@ def dense_eigs(a: np.ndarray, vectors: bool = False):
         return w[order], v[:, order]
     w = np.linalg.eigvals(a)
     return w[np.lexsort((w.imag, w.real))]
+
+
+_TINY = 1e-300
+
+
+def reality_ratio(values: np.ndarray) -> float:
+    """Largest |imag| / |value| over the entries (0 when there are none)."""
+    if values.size == 0:
+        return 0.0
+    return float(np.max(np.abs(values.imag) / np.maximum(np.abs(values), _TINY)))
+
+
+def min_rel_gap(values: np.ndarray) -> float:
+    """Smallest step between consecutive entries relative to the larger
+    magnitude of the two.
+
+    Real steps keep their sign, so entries out of ascending order (a broken
+    interlacing) give a negative ratio; complex steps are measured by their
+    modulus.
+    """
+    if values.size < 2:
+        return math.inf
+    gaps = np.diff(values)
+    if np.iscomplexobj(gaps):
+        gaps = np.abs(gaps)
+    scales = np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
+    return float(np.min(gaps / np.maximum(scales, _TINY)))
+
+
+@dataclass
+class SweepResult:
+    """Table of rows under named columns, with metadata and optional
+    per-series fits: every tabular output of the package is one of these."""
+
+    name: str
+    columns: list
+    rows: list
+    meta: dict = field(default_factory=dict)
+    fits: dict | None = None
+
+    def to_csv(self) -> str:
+        """Header row, then one line per row; floats with 17 significant
+        digits, LF line endings."""
+        lines = [",".join(self.columns)]
+        for row in self.rows:
+            lines.append(",".join([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]))
+        return "\n".join(lines) + "\n"
+
+    def to_json_dict(self) -> dict:
+        meta = {"name": self.name, "columns": list(self.columns), **self.meta}
+        if self.fits is not None:
+            meta["fits"] = self.fits
+        return {"meta": meta, "data": {"rows": [list(r) for r in self.rows]}}
 
 
 @dataclass
@@ -76,12 +130,7 @@ class Spectrum:
         return self.eigenvalues.real < 0.0
 
     def max_imag_ratio(self) -> float:
-        lam = self.eigenvalues
-        mag = np.abs(lam)
-        mask = mag > 0
-        if not mask.any():
-            return 0.0
-        return float(np.max(np.abs(lam.imag[mask]) / mag[mask]))
+        return reality_ratio(self.eigenvalues)
 
     def min_gap_ratio(self) -> float:
         """Smallest relative spacing between consecutive eigenvalues.
@@ -89,31 +138,25 @@ class Spectrum:
         Eigenvalues are compared in the (real, imag) sort order; the gap is
         measured in the complex plane relative to the larger magnitude.
         """
-        lam = self.eigenvalues[np.lexsort((self.eigenvalues.imag, self.eigenvalues.real))]
-        if lam.size < 2:
-            return math.inf
-        gaps = np.abs(np.diff(lam))
-        scales = np.maximum(np.abs(lam[:-1]), np.abs(lam[1:]))
-        return float(np.min(gaps / np.maximum(scales, 1e-300)))
+        return min_rel_gap(self.eigenvalues[np.lexsort((self.eigenvalues.imag, self.eigenvalues.real))])
 
-    def csv(self, exact: np.ndarray | None = None) -> str:
-        """CSV with columns k, lambda_re, lambda_im, lambda_exact, rel_err."""
-        if exact is None:
-            exact = exact_spectrum(self.count, self.parity, self.bc)
-        lines = ["k,lambda_re,lambda_im,lambda_exact,rel_err"]
-        for k in range(self.count):
-            lam = self.eigenvalues[k]
-            ex = exact[k]
-            denom = abs(ex) if ex != 0 else 1.0
-            err = abs(lam - ex) / denom
-            lines.append(f"{k},{lam.real:.17g},{lam.imag:.17g},{ex:.17g},{err:.17g}")
-        return "\n".join(lines) + "\n"
+    def table(self) -> SweepResult:
+        """Per-mode error table: k, lambda_re, lambda_im, lambda_exact, rel_err.
 
-    def to_json_dict(self) -> dict:
+        rel_err is |lambda - exact| / |exact|, or the plain distance at an
+        exact zero eigenvalue (the Neumann even mode).  The modulus is taken
+        by hypot because numpy's vectorized complex abs can differ from it in
+        the last bit, and every CSV and JSON output reads this one number.
+        """
+        lam = self.eigenvalues
         exact = exact_spectrum(self.count, self.parity, self.bc)
-        err = np.abs(self.eigenvalues - exact) / np.where(exact == 0, 1.0, np.abs(exact))
-        return {
-            "meta": {
+        d = lam - exact
+        err = np.hypot(d.real, d.imag) / np.where(exact == 0, 1.0, np.abs(exact))
+        return SweepResult(
+            name="spectrum",
+            columns=["k", "lambda_re", "lambda_im", "lambda_exact", "rel_err"],
+            rows=list(zip(range(self.count), lam.real.tolist(), lam.imag.tolist(), exact.tolist(), err.tolist())),
+            meta={
                 "m": self.m,
                 "gamma": self.gamma,
                 "parity": self.parity.value,
@@ -121,13 +164,18 @@ class Spectrum:
                 "source": self.source,
                 "tol_real": self.tol_real,
             },
-            "data": {
-                "lambda_re": self.eigenvalues.real.tolist(),
-                "lambda_im": self.eigenvalues.imag.tolist(),
-                "lambda_exact": exact.tolist(),
-                "rel_err": err.tolist(),
-            },
-        }
+        )
+
+    def csv(self) -> str:
+        """The per-mode error table as CSV."""
+        return self.table().to_csv()
+
+    def to_json_dict(self) -> dict:
+        """The per-mode error table as a meta/data envelope, one list per column."""
+        table = self.table()
+        data = dict(zip(table.columns, map(list, zip(*table.rows))))
+        del data["k"]
+        return {"meta": table.meta, "data": data}
 
 
 def _sorted_by_magnitude(lam: np.ndarray, mu: np.ndarray):

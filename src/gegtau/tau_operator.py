@@ -37,7 +37,6 @@ __all__ = [
     "TauMatrix",
     "GeneralizedPencil",
     "build_gi2",
-    "apply_double_integration",
     "build_diff_pencil",
     "matrix_to_csv",
     "matrix_to_coord",
@@ -159,16 +158,6 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
         sub=dm[:-1],
         last=dm[-1],
     )
-
-
-def apply_double_integration(f, idx, parity) -> np.ndarray:
-    """Coefficients of the double antiderivative of f vanishing at +-1.
-
-    f holds the m parity-reduced coefficients of the integrand; the result
-    has m+1 coefficients (the operator raises the degree by 2).
-    """
-    f = np.asarray(f, dtype=float)
-    return build_gi2(f.shape[0], idx, parity).apply(f)
 
 
 def _assert_structure(mat: np.ndarray, kind: str, variant: str) -> None:

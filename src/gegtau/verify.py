@@ -14,7 +14,7 @@ stable exactly when (F, G) is a positive pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .charpoly import (
     poly_roots,
 )
 from .orthopoly import JacobiIndex, Parity, as_gegenbauer, as_jacobi, as_parity, jacobi_deriv_at_one
-from .spectra import exact_spectrum, pencil_spectrum, tau_spectrum
+from .spectra import SweepResult, exact_spectrum, min_rel_gap, pencil_spectrum, reality_ratio, tau_spectrum
 from .tau_operator import DIFF_VARIANTS, build_diff_pencil
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_GAMMA_GRID = (-0.49, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
-
-_TINY = 1e-300
 
 
 @dataclass
@@ -84,49 +82,6 @@ class VerificationReport:
             "comparison": self.comparison,
             "advisory": bool(self.advisory),
         }
-
-
-@dataclass
-class SweepResult:
-    """Tabular sweep output plus metadata and optional per-series fits."""
-
-    name: str
-    columns: list
-    rows: list
-    meta: dict = field(default_factory=dict)
-    fits: dict | None = None
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            cells = []
-            for v in row:
-                if isinstance(v, float):
-                    cells.append(f"{v:.17g}")
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        meta = {"name": self.name, "columns": list(self.columns), **self.meta}
-        if self.fits is not None:
-            meta["fits"] = self.fits
-        return {"meta": meta, "data": {"rows": [list(r) for r in self.rows]}}
-
-
-def _root_reality_ratio(roots: np.ndarray) -> float:
-    if roots.size == 0:
-        return 0.0
-    return float(np.max(np.abs(roots.imag) / np.maximum(np.abs(roots), _TINY)))
-
-
-def _min_rel_gap(values: np.ndarray) -> float:
-    if values.size < 2:
-        return math.inf
-    gaps = np.diff(values)
-    scales = np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
-    return float(np.min(gaps / np.maximum(scales, _TINY)))
 
 
 def check_stable(p, tol: float = 1e-9) -> VerificationReport:
@@ -184,7 +139,7 @@ def check_positive_pair(p1, p2, tol_real: float = 1e-9, tol_gap: float = 1e-8) -
         return fail("degree-mismatch")
     r1 = poly_roots(p1.to_float())
     r2 = poly_roots(p2.to_float())
-    reality = max(_root_reality_ratio(r1), _root_reality_ratio(r2))
+    reality = max(reality_ratio(r1), reality_ratio(r2))
     if reality > tol_real:
         return fail(f"non-real-roots ratio={reality:.3e}")
     r1 = np.sort(r1.real)
@@ -197,7 +152,7 @@ def check_positive_pair(p1, p2, tol_real: float = 1e-9, tol_gap: float = 1e-8) -
         merged = np.empty(2 * n - 1)
         merged[0::2] = r1
         merged[1::2] = r2
-    margin = _min_rel_gap(merged)
+    margin = min_rel_gap(merged)
     if merged.size and merged[-1] >= 0.0:
         return fail("nonnegative-root", margin=margin)
     if float(p1.leading) * float(p2.leading) <= 0.0:
@@ -250,6 +205,20 @@ def phi_poly(n: int, idx, variant: str = "base", weight: float = 0.0) -> MuPolyn
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _worst_positive_pair(check, params, pairs, tol_real=1e-9, tol_gap=1e-8, advisory=False) -> VerificationReport:
+    """The weakest of several positive-pair checks: a failure over a pass,
+    else the smallest margin, renamed to check and tagged with params."""
+    worst = None
+    for p1, p2 in pairs:
+        rep = check_positive_pair(p1, p2, tol_real, tol_gap)
+        if worst is None or rep.margin < worst.margin or (worst.passed and not rep.passed):
+            worst = rep
+    worst.check = check
+    worst.params.update(params)
+    worst.advisory = advisory
+    return worst
+
+
 def _roots_report(check, params, polys, tol_real, tol_gap, advisory=False) -> VerificationReport:
     """Aggregate real/negative/distinct over a family of polynomials."""
     worst_real = 0.0
@@ -260,11 +229,11 @@ def _roots_report(check, params, polys, tol_real, tol_gap, advisory=False) -> Ve
         r = poly_roots(p.to_float())
         if r.size == 0:
             continue
-        ratio = _root_reality_ratio(r)
+        ratio = reality_ratio(r)
         worst_real = max(worst_real, ratio)
         real_sorted = np.sort(r.real)
         worst_top = max(worst_top, float(real_sorted[-1]))
-        gap = _min_rel_gap(real_sorted)
+        gap = min_rel_gap(real_sorted)
         worst_gap = min(worst_gap, gap)
         if ratio > tol_real or real_sorted[-1] >= 0.0 or gap <= tol_gap:
             ok = False
@@ -309,22 +278,12 @@ def realness_suite(
                     tol_gap_poly,
                 )
             )
-        worst = None
-        for m in range(1, m_poly + 1):
-            rep = check_positive_pair(qo[m], pe[m], tol_real_poly, tol_gap_poly)
-            if worst is None or rep.margin < worst.margin or (worst.passed and not rep.passed):
-                worst = rep
-        worst.params.update({"gamma": g, "pattern": "odd-vs-even-equal-degree", "m_max": m_poly})
-        worst.check = "parity-interlacing"
-        reports.append(worst)
-        worst = None
-        for m in range(1, m_poly + 1):
-            rep = check_positive_pair(pe[m], qo[m - 1], tol_real_poly, tol_gap_poly)
-            if worst is None or rep.margin < worst.margin or (worst.passed and not rep.passed):
-                worst = rep
-        worst.params.update({"gamma": g, "pattern": "even-vs-lower-odd", "m_max": m_poly})
-        worst.check = "parity-interlacing"
-        reports.append(worst)
+        for pattern, pairs in (
+            ("odd-vs-even-equal-degree", [(qo[m], pe[m]) for m in range(1, m_poly + 1)]),
+            ("even-vs-lower-odd", [(pe[m], qo[m - 1]) for m in range(1, m_poly + 1)]),
+        ):
+            params = {"gamma": g, "pattern": pattern, "m_max": m_poly}
+            reports.append(_worst_positive_pair("parity-interlacing", params, pairs, tol_real_poly, tol_gap_poly))
         for m in m_matrix:
             for parity in (Parity.EVEN, Parity.ODD):
                 spec = tau_spectrum(m, g, parity, tol_real=tol_real_matrix)
@@ -480,7 +439,7 @@ def lemma_suite(cases: int = 50, seed: int = 20260813) -> list:
         a = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
         b = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
         comb = p1 * a + p2 * b
-        worst_comb = max(worst_comb, _root_reality_ratio(poly_roots(comb)))
+        worst_comb = max(worst_comb, reality_ratio(poly_roots(comb)))
     rep1 = VerificationReport(
         check="positive-pair-combination-real-roots",
         params={"cases": cases, "seed": seed},
@@ -586,15 +545,14 @@ def interlace_conjecture_suite(gammas=DEFAULT_GAMMA_GRID, m_max: int = 12) -> li
     for g in gammas:
         for parity in (Parity.EVEN, Parity.ODD):
             seq = charpoly_sequence(m_max, g, parity)
-            worst = None
-            for m in range(1, m_max):
-                rep = check_positive_pair(seq[m + 1], seq[m])
-                if worst is None or rep.margin < worst.margin or (worst.passed and not rep.passed):
-                    worst = rep
-            worst.check = "successive-truncation-interlacing"
-            worst.params.update({"gamma": g, "parity": parity.value, "m_max": m_max})
-            worst.advisory = True
-            reports.append(worst)
+            reports.append(
+                _worst_positive_pair(
+                    "successive-truncation-interlacing",
+                    {"gamma": g, "parity": parity.value, "m_max": m_max},
+                    [(seq[m + 1], seq[m]) for m in range(1, m_max)],
+                    advisory=True,
+                )
+            )
     return reports
 
 
@@ -602,16 +560,11 @@ def spectrum_error_report(m: int, idx, parity, threshold: float = 1e-8) -> Sweep
     """Per-mode relative errors of one spectrum against the exact values."""
     par = as_parity(parity)
     spec = tau_spectrum(m, idx, par)
-    exact = exact_spectrum(spec.count, par)
-    err = np.abs(spec.eigenvalues - exact) / np.abs(exact)
-    rows = [
-        (k, float(spec.eigenvalues[k].real), float(spec.eigenvalues[k].imag), float(exact[k]), float(err[k]))
-        for k in range(spec.count)
-    ]
-    return SweepResult(
+    table = spec.table()
+    err = np.array([row[-1] for row in table.rows])
+    return replace(
+        table,
         name="spectrum-error",
-        columns=["k", "lambda_re", "lambda_im", "lambda_exact", "rel_err"],
-        rows=rows,
         meta={
             "m": m,
             "gamma": float(spec.gamma),
@@ -669,11 +622,10 @@ def conditioning_sweep(idx, m_grid, variants=("integration",) + DIFF_VARIANTS[:2
                 spec = tau_spectrum(int(m), idx, par)
             else:
                 spec = pencil_spectrum(build_diff_pencil(int(m), idx, v, par))
-            lam0 = spec.eigenvalues[0]
-            err = abs(lam0 - exact) / abs(exact)
-            rows.append((v, int(m), float(err)))
+            err = spec.table().rows[0][-1]
+            rows.append((v, int(m), err))
             series[v][0].append(int(m))
-            series[v][1].append(float(err))
+            series[v][1].append(err)
     fits = {}
     for v, (ms, errs) in series.items():
         fit = _fit_tail(np.array(ms), np.array(errs))

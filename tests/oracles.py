@@ -126,6 +126,42 @@ def endpoint_value(n: int, g):
     return val
 
 
+def k_constant_recursive(n: int, g):
+    """Boundary constant K_n by the two-step upward recurrence from the
+    seeds K_3 and K_4; n <= 2 use their own closed forms.  Exact for
+    Fraction g."""
+    if n == 0:
+        return (2 * g + 1) / (4 * (g + 1))
+    if n == 1:
+        return (2 * g + 1) / (12 * (g + 2))
+    if n == 2:
+        return ((2 * g + 1) * (2 * g * g + g - 7)) / (48 * (g + 1) * (g + 2))
+    if n % 2 == 1:
+        j, val = 3, ((2 * g - 1) * (2 * g - 3)) / 120
+    else:
+        j, val = 4, ((4 * g * g - 1) * (2 * g - 3)) / 720
+    while j < n:
+        val = val * ((2 * g + j - 1) * (2 * g + j - 2)) / ((j + 4) * (j + 3))
+        j += 2
+    return val
+
+
+def gegenbauer_derivative_matrix(nmax: int, g: float) -> np.ndarray:
+    """Connection matrix D with (D a) the coefficients of the derivative.
+
+    D[k, n] is the G_k coefficient of D G_n: zero unless k < n with opposite
+    parity, in which case it is 1 for k = 0 and 2 (k + g) for k >= 1.
+    Squaring D gives the second-derivative connection.
+    """
+    D = np.zeros((nmax + 1, nmax + 1))
+    for n in range(1, nmax + 1):
+        ks = np.arange(1 - n % 2, n, 2)
+        D[ks, n] = 2.0 * (ks + g)
+        if n % 2 == 1:
+            D[0, n] = 1.0
+    return D
+
+
 def unbalanced_tau_spectrum(square: np.ndarray):
     """(lambda, mu) of the integration route without pre-balancing.
 

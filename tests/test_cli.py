@@ -236,3 +236,30 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_verify_gamma_grid_accepts_fractions(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    code, out = _run(capsys, ["verify", "--suite", "conjecture", "--gamma-grid=1/2,3/2", "--out", str(target)])
+    assert code == 0
+    assert "gamma=1/2," in out
+    doc = json.loads(target.read_text())
+    assert doc["meta"]["gamma_grid"] == ["1/2", "3/2"]
+    assert len(doc["data"]["reports"]) == 4
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_rel_err_is_one_number_in_every_output(capsys, parity):
+    # gamma 3 is above the reality threshold: complex pairs, where a second
+    # modulus route would differ in the last bits
+    common = ["--modes", "50", "--gamma", "3.0", "--parity", parity]
+    _, eig_csv = _run(capsys, ["eig", *common])
+    _, eig_json = _run(capsys, ["eig", *common, "--format", "json"])
+    _, err_csv = _run(capsys, ["sweep-error", *common])
+    _, err_json = _run(capsys, ["sweep-error", *common, "--format", "json"])
+    rows = [line.split(",") for line in eig_csv.strip().split("\n")[1:]]
+    assert any(float(r[2]) != 0.0 for r in rows)
+    rel_err = [float(r[4]) for r in rows]
+    assert json.loads(eig_json)["data"]["rel_err"] == rel_err
+    assert [float(line.split(",")[4]) for line in err_csv.strip().split("\n")[1:]] == rel_err
+    assert [row[4] for row in json.loads(err_json)["data"]["rows"]] == rel_err

@@ -257,7 +257,7 @@ def test_eigenfunction_residual_on_top_mode_only():
 
 def test_spectrum_csv_format():
     spec = tau_spectrum(4, 0.0, Parity.ODD)
-    text = spec.csv(exact=exact_spectrum(4, Parity.ODD))
+    text = spec.csv()
     lines = text.strip().split("\n")
     assert lines[0] == "k,lambda_re,lambda_im,lambda_exact,rel_err"
     assert len(lines) == 5

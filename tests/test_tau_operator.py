@@ -23,7 +23,6 @@ from gegtau.orthopoly import (
 from gegtau.spectra import dense_eigs, pencil_spectrum, tau_spectrum
 from gegtau.tau_operator import (
     DIFF_VARIANTS,
-    apply_double_integration,
     build_diff_pencil,
     build_gi2,
     matrix_to_coord,
@@ -121,7 +120,7 @@ def test_apply_matches_rectangular_product():
 def test_double_integration_of_unit_source():
     # f = G_0 integrates twice to (x^2 - 1)/2, which has exactly two modes
     for gamma in (0.0, 0.5, 2.0):
-        g = apply_double_integration(np.array([1.0, 0, 0, 0]), gamma, Parity.EVEN)
+        g = build_gi2(4, gamma, Parity.EVEN).apply(np.array([1.0, 0, 0, 0]))
         expect0 = -(2 * gamma + 1) / (4 * (gamma + 1))
         expect1 = 1.0 / (2 * (gamma + 1))
         np.testing.assert_allclose(
@@ -130,7 +129,7 @@ def test_double_integration_of_unit_source():
 
 
 def test_double_integration_is_linear_and_zero_on_zero():
-    out = apply_double_integration(np.zeros(5), 0.7, Parity.ODD)
+    out = build_gi2(5, 0.7, Parity.ODD).apply(np.zeros(5))
     assert np.all(out == 0.0)
 
 
@@ -140,7 +139,7 @@ def test_double_integration_boundary_sum():
         idx = GegenbauerIndex(gamma)
         for parity in (Parity.EVEN, Parity.ODD):
             f = rng.standard_normal(12)
-            g = apply_double_integration(f, gamma, parity)
+            g = build_gi2(len(f), gamma, parity).apply(f)
             total = sum(
                 g[k] * gegenbauer_at_one(parity.degree(k), idx) for k in range(len(g))
             )
@@ -155,7 +154,7 @@ def test_double_integration_residual_identity():
         idx = GegenbauerIndex(gamma)
         for parity in (Parity.EVEN, Parity.ODD):
             f = rng.standard_normal(10)
-            g = apply_double_integration(f, gamma, parity)
+            g = build_gi2(len(f), gamma, parity).apply(f)
             S = second_derivative_block(10, 11, idx, parity)
             back = S @ g
             np.testing.assert_allclose(back, f, rtol=0, atol=1e-10 * np.abs(f).max())
