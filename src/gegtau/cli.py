@@ -37,10 +37,18 @@ def _parse_number(text: str):
     return float(text)
 
 
-def _parse_grid(text: str, fallback):
+def _parse_list(text: str, parse, option: str) -> list:
+    """The comma-separated values of one option; none at all is an error."""
+    values = [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"{option} has no values")
+    return values
+
+
+def _parse_grid(text: str, fallback) -> list:
     if text == "default":
         return list(fallback)
-    return [_parse_number(tok) for tok in text.split(",") if tok.strip()]
+    return _parse_list(text, _parse_number, "--gamma-grid")
 
 
 def _json_number(x):
@@ -63,11 +71,6 @@ def _emit(args, **render) -> int:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
     return 0
-
-
-def _usage_error(msg: str) -> SystemExit:
-    print(msg, file=sys.stderr)
-    return SystemExit(2)
 
 
 def _add_common(sp, bc=False):
@@ -101,7 +104,7 @@ def _cmd_eig(args) -> int:
         spec = tau_spectrum(args.modes, idx, par, bc=args.bc, tol_real=args.tol_real)
     else:
         if args.bc != "dirichlet":
-            raise _usage_error("differentiation variants support Dirichlet conditions only")
+            raise ValueError("differentiation variants support Dirichlet conditions only")
         spec = pencil_spectrum(build_diff_pencil(args.modes, idx, args.variant, par), tol_real=args.tol_real)
     return _emit(args, csv=spec.csv, json=spec.to_json_dict)
 
@@ -109,7 +112,7 @@ def _cmd_eig(args) -> int:
 def _cmd_charpoly(args) -> int:
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
-            raise _usage_error("--alpha and --beta must be given together")
+            raise ValueError("--alpha and --beta must be given together")
         builder = mixed_char_poly if args.bc == "mixed" else jacobi_char_poly
         poly = builder(args.modes, JacobiIndex(args.alpha, args.beta))
         rows = ((k, float(c)) for k, c in enumerate(poly.coeffs))
@@ -179,11 +182,11 @@ def _cmd_sweep_error(args) -> int:
 
 
 def _cmd_sweep_conditioning(args) -> int:
-    m_grid = [int(tok) for tok in args.m_grid.split(",") if tok.strip()]
-    variants = tuple(tok.strip() for tok in args.variants.split(",") if tok.strip())
+    m_grid = _parse_list(args.m_grid, int, "--m-grid")
+    variants = tuple(_parse_list(args.variants, str, "--variants"))
     for v in variants:
         if v != "integration" and v not in DIFF_VARIANTS:
-            raise _usage_error(f"unknown variant {v!r}")
+            raise ValueError(f"unknown variant {v!r}")
     result = verify.conditioning_sweep(GegenbauerIndex(args.gamma), m_grid, variants, Parity(args.parity))
     return _emit(args, csv=result.to_csv, json=result.to_json_dict)
 
@@ -252,8 +255,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except np.linalg.LinAlgError:
         raise
-    except ValueError as exc:  # an out-of-range parameter, reported by the library
-        raise _usage_error(f"gegtau {args.command}: error: {exc}") from None
+    except ValueError as exc:  # an out-of-range parameter, from the library or the command
+        ap.exit(2, f"gegtau {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -9,11 +9,14 @@ exploits whatever structure B has and is provided for conditioning studies.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .orthopoly import Parity, as_gegenbauer, as_parity
 from .tau_operator import GeneralizedPencil, TauMatrix, build_gi2
@@ -33,17 +36,90 @@ __all__ = [
 def dense_eigs(a: np.ndarray, vectors: bool = False):
     """Eigenvalues (and optionally right eigenvectors) of a dense matrix.
 
-    Wraps the LAPACK general solver; output is sorted by (real, imag) so
-    repeated calls are deterministic.  Raises numpy.linalg.LinAlgError if
-    the QR iteration fails to converge.
+    Eigenvalues of an upper Hessenberg matrix (the integration route's
+    square matrix) come from the Hessenberg QR iteration directly, without
+    the general solver's reduction step, and equal the general solver's
+    bits (see _hessenberg_eigvals).  Any other matrix (the pencil matrices
+    B^{-1} A are full) and every eigenvector request go to the LAPACK
+    general solver.  Output is sorted by (real, imag) so repeated calls are
+    deterministic.  Raises numpy.linalg.LinAlgError on non-finite input or
+    if the QR iteration fails to converge.
     """
     a = np.asarray(a, dtype=float)
     if vectors:
         w, v = np.linalg.eig(a)
         order = np.lexsort((w.imag, w.real))
         return w[order], v[:, order]
-    w = np.linalg.eigvals(a)
+    if a.ndim == 2 and 0 < a.shape[0] == a.shape[1] and scipy.linalg.bandwidth(a)[0] <= 1:
+        w = _hessenberg_eigvals(a)
+    else:
+        w = np.linalg.eigvals(a)
     return w[np.lexsort((w.imag, w.real))]
+
+
+# dgeev scales its input first when the largest |entry| lies outside
+# [smlnum, bignum], smlnum = sqrt(dlamch('S')) / dlamch('P')
+_GEEV_SMLNUM = 2.0**-511 / 2.0**-52
+_GEEV_BIGNUM = 1.0 / _GEEV_SMLNUM
+
+
+@functools.cache
+def _dhseqr():
+    """LAPACK dhseqr as a ctypes function.
+
+    scipy wraps no dhseqr in Python, but exports the C entry point of its
+    own LAPACK in a capsule of scipy.linalg.cython_lapack: 14 pointer
+    arguments (JOB, COMPZ, N, ILO, IHI, H, LDH, WR, WI, Z, LDZ, WORK, LWORK,
+    INFO), 32-bit integers.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dhseqr"]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(get_pointer(capsule, get_name(capsule)))
+
+
+def _hessenberg_eigvals(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of an upper Hessenberg matrix, unsorted, as
+    numpy.linalg.eigvals returns them, without the Hessenberg reduction.
+
+    LAPACK dgeev (eigenvalues only) is dgebal + dgehrd + dhseqr.  On a
+    Hessenberg matrix every reflector of dgehrd is the identity, so its
+    (10/3) n^3 flops change nothing; this runs dgebal (one O(n^2) sweep on
+    an already balanced matrix) and then dhseqr with the workspace dgeev
+    itself hands it, which is what keeps the bits.  A real array comes back
+    when every imaginary part is zero, as from numpy.  Inputs that dgeev
+    would first rescale, or that dgebal permutes (which can break the
+    Hessenberg form), go to numpy.linalg.eigvals instead.
+    """
+    n = h.shape[0]
+    anrm = max(h.max(), -h.min())
+    if not math.isfinite(anrm):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    if 0.0 < anrm < _GEEV_SMLNUM or anrm > _GEEV_BIGNUM:
+        return np.linalg.eigvals(h)
+    lapack = scipy.linalg.lapack
+    b, lo, hi, _, _ = lapack.dgebal(h, scale=1, permute=1)  # a copy: h stays as it was
+    if (lo, hi) != (0, n - 1):
+        return np.linalg.eigvals(h)
+    b = np.require(b, np.float64, ["F", "W"])  # dhseqr overwrites it in column-major order
+    # inside dgeev, dhseqr's workspace starts n entries into dgeev's own
+    lwork = int(lapack.dgeev_lwork(n, compute_vl=0, compute_vr=0)[0]) - n
+    wr, wi, z, work = np.empty(n), np.empty(n), np.empty(1), np.empty(max(lwork, 1))
+    info = ctypes.c_int(0)
+    ref = ctypes.byref
+    _dhseqr()(
+        b"E", b"N", ref(ctypes.c_int(n)), ref(ctypes.c_int(1)), ref(ctypes.c_int(n)),
+        b.ctypes.data, ref(ctypes.c_int(n)), wr.ctypes.data, wi.ctypes.data,
+        z.ctypes.data, ref(ctypes.c_int(1)), work.ctypes.data, ref(ctypes.c_int(lwork)), ref(info),
+    )
+    if info.value != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if not wi.any():
+        return wr
+    w = np.empty(n, dtype=complex)
+    w.real, w.imag = wr, wi  # wr + 1j * wi could flip the sign of a zero
+    return w
 
 
 _TINY = 1e-300
@@ -273,8 +349,11 @@ def tau_spectrum(m: int, idx, parity, bc: str = "dirichlet", tol_real: float = 1
     """Spectrum of the m-mode discretization via the integration route.
 
     Dirichlet eigenvalues are reciprocals of the eigenvalues of the banded
-    square matrix, which is balanced from its bands before the dense solve
-    (same eigenvalues, bit for bit, as solving it unbalanced).  Neumann reduces by differentiating the eigenfunctions:
+    square matrix.  It is balanced from its bands in O(m), and, being upper
+    Hessenberg (tridiagonal plus the first row), goes through dense_eigs
+    straight to the Hessenberg QR iteration with no O(m^3) reduction: the
+    same eigenvalues, bit for bit, as the general solver on the unbalanced
+    matrix.  Neumann reduces by differentiating the eigenfunctions:
     even modes give a zero eigenvalue plus the odd Dirichlet spectrum with
     the family parameter raised by one, odd modes give the even Dirichlet
     spectrum at the raised parameter with no zero mode.

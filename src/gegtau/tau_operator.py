@@ -73,9 +73,12 @@ class TauMatrix:
     last: float
 
     def square(self) -> np.ndarray:
-        """Dense m x m matrix whose eigenvalues are the reciprocal spectrum."""
+        """Dense m x m matrix whose eigenvalues are the reciprocal spectrum.
+
+        Fortran-ordered, so LAPACK reads and copies it without a transpose.
+        """
         m = self.m
-        M = np.zeros((m, m))
+        M = np.zeros((m, m), order="F")
         M[0, :] = self.first_row
         M[1, 0] = self.m10
         cols = np.arange(1, m)

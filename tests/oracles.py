@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import scipy.linalg.lapack
 
 
 def binomial(top, k: int):
@@ -162,13 +163,34 @@ def gegenbauer_derivative_matrix(nmax: int, g: float) -> np.ndarray:
     return D
 
 
-def unbalanced_tau_spectrum(square: np.ndarray):
+def general_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues by scipy's LAPACK dgeev (balance, Hessenberg reduction,
+    QR), with the queried workspace, returned as numpy.linalg.eigvals does:
+    real when every imaginary part is zero.
+
+    numpy and scipy each link their own OpenBLAS, and the multishift QR's
+    matrix products round differently with the BLAS thread count; calling
+    the LAPACK that gegtau's Hessenberg route uses keeps a bitwise
+    comparison meaningful at any thread count.
+    """
+    lwork = int(scipy.linalg.lapack.dgeev_lwork(a.shape[0], compute_vl=0, compute_vr=0)[0])
+    wr, wi, _, _, info = scipy.linalg.lapack.dgeev(a, compute_vl=0, compute_vr=0, lwork=lwork)
+    assert info == 0, info
+    if not wi.any():
+        return wr
+    w = np.empty(wr.size, dtype=complex)
+    w.real, w.imag = wr, wi
+    return w
+
+
+def unbalanced_tau_spectrum(square: np.ndarray, eigvals=general_eigvals):
     """(lambda, mu) of the integration route without pre-balancing.
 
-    The plain dense eigenvalues mu of the square integration matrix, sorted
-    by (real, imag), inverted, and then sorted by |lambda| (stable).
+    The general dense eigenvalues mu of the square integration matrix (by
+    `eigvals`), sorted by (real, imag), inverted, and then sorted by
+    |lambda| (stable).
     """
-    mu = np.linalg.eigvals(square)
+    mu = eigvals(square)
     mu = mu[np.lexsort((mu.imag, mu.real))]
     lam = 1.0 / mu
     order = np.argsort(np.abs(lam), kind="stable")

@@ -107,6 +107,17 @@ def test_eig_bad_choice_is_usage_error(capsys):
         (["eig", "--modes", "6", "--gamma", "inf"], "gamma must be finite, got inf"),
         (["eig", "--modes", "6", "--gamma=-0.7"], "gamma must exceed -1/2, got -0.7"),
         (["sweep-conditioning", "--m-grid", "1,2"], "need at least 2 modes, got 1"),
+        (
+            ["eig", "--modes", "6", "--variant", "diff-elim-last", "--bc", "neumann"],
+            "differentiation variants support Dirichlet conditions only",
+        ),
+        (["charpoly", "--modes", "3", "--alpha", "0"], "--alpha and --beta must be given together"),
+        (["sweep-conditioning", "--variants", "bogus"], "unknown variant 'bogus'"),
+        (["verify", "--gamma-grid="], "--gamma-grid has no values"),
+        (["verify", "--suite", "conjecture", "--gamma-grid", " , "], "--gamma-grid has no values"),
+        (["sweep-gamma", "--modes", "10", "--gamma-grid="], "--gamma-grid has no values"),
+        (["sweep-conditioning", "--m-grid="], "--m-grid has no values"),
+        (["sweep-conditioning", "--variants="], "--variants has no values"),
     ],
 )
 def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):

@@ -1,6 +1,10 @@
 """Tests for spectrum computation, exact references, and eigenfunctions."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from gegtau.orthopoly import (
 )
 from gegtau.spectra import (
     _balance_scales,
+    _hessenberg_eigvals,
     EigenPair,
     Spectrum,
     dense_eigs,
@@ -189,7 +194,7 @@ def test_balance_scales_replay_lapack_dgebal(m):
             assert np.all(scipy.linalg.lapack.dgebal(balanced, scale=1, permute=0)[3] == 1.0)
 
 
-@pytest.mark.parametrize("m", [2, 17, 120, 400])
+@pytest.mark.parametrize("m", [2, 3, 17, 120, 150, 400, 750])
 def test_tau_spectrum_bitwise_matches_unbalanced_route(m):
     for gamma in (-0.45, 0.5, 1.5, 1.7, 1.8, 2.4, Fraction(7, 4)):
         for parity in (Parity.EVEN, Parity.ODD):
@@ -204,6 +209,68 @@ def test_tau_spectrum_bitwise_matches_unbalanced_route(m):
                 lam, mu = np.concatenate(([0j], lam)), np.concatenate(([np.inf], mu))
             np.testing.assert_array_equal(spec.eigenvalues, lam)
             np.testing.assert_array_equal(spec.mu, mu)
+
+
+# numpy.linalg.eigvals links numpy's own OpenBLAS, whose bits move with the
+# BLAS thread count; on one thread it must agree with the Hessenberg route
+_NUMPY_ROUTE = """
+import numpy as np
+import oracles
+from gegtau import Parity, build_gi2, tau_spectrum
+for m in (120, 150, 400):
+    for gamma in (-0.45, 0.5, 1.7, 1.8, 2.4, 3.0):
+        for parity in (Parity.EVEN, Parity.ODD):
+            spec = tau_spectrum(m, gamma, parity)
+            lam, mu = oracles.unbalanced_tau_spectrum(build_gi2(m, gamma, parity).square(), np.linalg.eigvals)
+            same = spec.eigenvalues.dtype == lam.dtype and spec.eigenvalues.tobytes() == lam.tobytes()
+            if not same or spec.mu.tobytes() != mu.tobytes():
+                print(m, gamma, parity.value)
+"""
+
+
+def test_tau_spectrum_bytes_match_numpy_eigvals_on_one_blas_thread():
+    import gegtau
+
+    paths = [str(Path(gegtau.__file__).parents[1]), str(Path(oracles.__file__).parent)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ROUTE], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == ""
+
+
+def test_dense_eigs_hessenberg_route_matches_numpy():
+    rng = np.random.default_rng(7)
+    random_hessenberg = np.triu(rng.normal(size=(40, 40)), -1)
+    split = random_hessenberg.copy()
+    split[39, 38] = 0.0  # the last row isolates an eigenvalue: dgebal permutes
+    assert scipy.linalg.lapack.dgebal(split, permute=1)[1:3] != (0, 39)
+    cases = [
+        np.array([[-0.25]]),
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        np.zeros((3, 3)),
+        random_hessenberg,
+        split,
+        random_hessenberg * 1e-150,  # below dgeev's scaling threshold
+        np.asfortranarray(build_gi2(30, 2.4, Parity.ODD).square()),
+    ]
+    for a in cases:
+        w = dense_eigs(a)
+        ref = np.linalg.eigvals(a)
+        ref = ref[np.lexsort((ref.imag, ref.real))]
+        assert w.dtype == ref.dtype
+        assert w.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_eigs_rejects_non_finite_input(bad):
+    hessenberg = build_gi2(6, 0.5, Parity.EVEN).square()
+    hessenberg[2, 3] = bad
+    full = np.ones((4, 4))
+    full[3, 0] = bad
+    for a in (hessenberg, full):
+        with pytest.raises(np.linalg.LinAlgError):
+            dense_eigs(a)
+    with pytest.raises(np.linalg.LinAlgError):
+        _hessenberg_eigvals(hessenberg)
 
 
 def test_pencil_diff_elim_last_matches_tau():
