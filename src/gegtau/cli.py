@@ -101,8 +101,10 @@ def _cmd_eig(args) -> int:
     idx = GegenbauerIndex(args.gamma)
     par = Parity(args.parity)
     if args.variant == "integration":
-        spec = tau_spectrum(args.modes, idx, par, bc=args.bc, tol_real=args.tol_real)
+        spec = tau_spectrum(args.modes, idx, par, bc=args.bc, tol_real=args.tol_real, count=args.count)
     else:
+        if args.count is not None:
+            raise ValueError("--count needs the integration variant")
         if args.bc != "dirichlet":
             raise ValueError("differentiation variants support Dirichlet conditions only")
         spec = pencil_spectrum(build_diff_pencil(args.modes, idx, args.variant, par), tol_real=args.tol_real)
@@ -211,6 +213,7 @@ def main(argv=None) -> int:
     _add_common(sp, bc=True)
     sp.add_argument("--variant", choices=("integration",) + DIFF_VARIANTS, default="integration")
     sp.add_argument("--tol-real", type=float, default=1e-9)
+    sp.add_argument("--count", type=int, default=None, help="only the k lowest modes (integration variant)")
     sp.set_defaults(func=_cmd_eig)
 
     sp = sub.add_parser("charpoly", help="characteristic polynomial coefficients")

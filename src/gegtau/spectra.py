@@ -345,7 +345,56 @@ def _balance_scales(tau: TauMatrix) -> np.ndarray:
     return np.array(scale)
 
 
-def tau_spectrum(m: int, idx, parity, bc: str = "dirichlet", tol_real: float = 1e-9) -> Spectrum:
+# ARPACK serves count=k requests from m = 96 modes and for k <= m / 8.
+# Measured on one BLAS thread against the dense route (both balance the
+# matrix first), gamma 0.5 and 2.4: at k = 1 it takes 0.4-0.6 of the dense
+# time at m = 96, 0.2-0.5 at m = 128 and 0.01-0.06 at m = 1024; k = m / 8
+# stays below 0.8 from m = 96 on; the two cross near k = m / 4 (0.8-1.2 from
+# m = 96 to 1024); at m = 64 and below the dense solve is as fast or faster.
+_ARPACK_MIN_M = 96
+_ARPACK_MAX_SHARE = 8
+
+
+def _arpack_eigs(tau: TauMatrix, k: int, vectors: bool = False):
+    """The k + 1 largest-|mu| eigenvalues of tau.square() (and their right
+    eigenvectors when asked for) in dense_eigs' (real, imag) order, or None
+    when the dense route should serve instead.
+
+    ARPACK's implicitly restarted Arnoldi iteration (which="LM", tol=0, so
+    to working precision) runs on the O(m) band matvec tau.apply and never
+    forms the m x m matrix.  The largest |mu| are the lowest modes.  The
+    operator is balanced by the same diagonal similarity as the dense route
+    (_balance_scales): unbalanced, the Ritz values at large gamma (20 and
+    50, with k = m / 8) converged to points that are no eigenvalue and
+    missed the lowest mode.  One value beyond k keeps both members of a conjugate pair cut
+    at position k, so the caller's sort picks the one the dense order puts
+    first.  The starting vector is fixed, so repeated calls give the same
+    bits.  None comes back for m < _ARPACK_MIN_M or k > m / _ARPACK_MAX_SHARE,
+    where the dense solve is cheaper, and when ARPACK fails.
+    """
+    m = tau.m
+    if m < _ARPACK_MIN_M or _ARPACK_MAX_SHARE * k > m:
+        return None
+    import scipy.sparse.linalg  # deferred: 35-70 ms and 2 MB that only partial spectra need
+
+    scale = _balance_scales(tau)
+    op = scipy.sparse.linalg.LinearOperator((m, m), matvec=lambda f: tau.apply(scale * f)[:m] / scale, dtype=float)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+    try:
+        found = scipy.sparse.linalg.eigs(op, k=k + 1, which="LM", tol=0, v0=v0, return_eigenvectors=vectors)
+    except scipy.sparse.linalg.ArpackError:  # no convergence, or no Arnoldi basis: the dense route answers
+        return None
+    w, V = found if vectors else (found, None)
+    order = np.lexsort((w.imag, w.real))
+    w = w[order]
+    if not w.imag.any():
+        w = w.real
+    return w if V is None else (w, scale[:, None] * V[:, order])
+
+
+def tau_spectrum(
+    m: int, idx, parity, bc: str = "dirichlet", tol_real: float = 1e-9, count: int | None = None
+) -> Spectrum:
     """Spectrum of the m-mode discretization via the integration route.
 
     Dirichlet eigenvalues are reciprocals of the eigenvalues of the banded
@@ -357,27 +406,37 @@ def tau_spectrum(m: int, idx, parity, bc: str = "dirichlet", tol_real: float = 1
     even modes give a zero eigenvalue plus the odd Dirichlet spectrum with
     the family parameter raised by one, odd modes give the even Dirichlet
     spectrum at the raised parameter with no zero mode.
+
+    count=k keeps the k lowest-|lambda| modes (1 <= k <= m, or m + 1 with
+    the even Neumann zero mode), in the full spectrum's order.  ARPACK on
+    the O(m) matvec computes them where that is cheaper (_arpack_eigs);
+    elsewhere the full dense spectrum is sliced.
     """
     gdx = as_gegenbauer(idx)
     par = as_parity(parity)
+    zero_mode = bc == "neumann" and par is Parity.EVEN
+    if count is not None and not 1 <= count <= m + zero_mode:
+        raise ValueError(f"count must be between 1 and {m + zero_mode}, got {count}")
     if bc == "neumann":
-        inner = tau_spectrum(m, gdx.shifted(), par.flipped(), "dirichlet", tol_real)
-        if par is Parity.EVEN:
-            lam = np.concatenate(([0.0 + 0.0j], inner.eigenvalues))
-            mu = np.concatenate(([np.inf], inner.mu))
-        else:
-            lam, mu = inner.eigenvalues, inner.mu
-        return Spectrum(lam, mu, m, float(gdx.gamma), par, bc="neumann", source="integration", tol_real=tol_real)
+        inner_count = None if count is None else max(count - zero_mode, 1)
+        inner = tau_spectrum(m, gdx.shifted(), par.flipped(), "dirichlet", tol_real, inner_count)
+        lam, mu = inner.eigenvalues, inner.mu
+        if zero_mode:
+            lam = np.concatenate(([0.0 + 0.0j], lam))
+            mu = np.concatenate(([np.inf], mu))
+        return Spectrum(lam[:count], mu[:count], m, float(gdx.gamma), par, bc="neumann", tol_real=tol_real)
     if bc != "dirichlet":
         raise ValueError(f"unknown boundary condition {bc!r}")
     tau = build_gi2(m, gdx, par)
-    scale = _balance_scales(tau)
-    M = tau.square()
-    M *= scale
-    M /= scale[:, None]
-    mu = dense_eigs(M)
+    mu = None if count is None else _arpack_eigs(tau, count)
+    if mu is None:
+        scale = _balance_scales(tau)
+        M = tau.square()
+        M *= scale
+        M /= scale[:, None]
+        mu = dense_eigs(M)
     lam, mu = _sorted_by_magnitude(1.0 / mu, mu)
-    return Spectrum(lam, mu, m, float(gdx.gamma), par, bc="dirichlet", source="integration", tol_real=tol_real)
+    return Spectrum(lam[:count], mu[:count], m, float(gdx.gamma), par, bc="dirichlet", tol_real=tol_real)
 
 
 def _solve_structured(pencil: GeneralizedPencil) -> np.ndarray:
@@ -480,13 +539,18 @@ class EigenPair:
 def eigenfunction(j: int, m: int, idx, parity) -> EigenPair:
     """The j-th (ascending magnitude) Dirichlet eigenpair of the m-mode
     discretization, reconstructed through the double integration so the
-    boundary conditions hold by construction."""
+    boundary conditions hold by construction.
+
+    The eigenvector is an ARPACK Ritz vector wherever tau_spectrum(count=j + 1)
+    would call ARPACK (see _arpack_eigs), else one of the dense solver's m
+    eigenvectors."""
     gdx = as_gegenbauer(idx)
     par = as_parity(parity)
     if not 0 <= j < m:
         raise ValueError(f"eigenvalue index {j} out of range for m = {m}")
     tau = build_gi2(m, gdx, par)
-    w, V = dense_eigs(tau.square(), vectors=True)
+    found = _arpack_eigs(tau, j + 1, vectors=True)
+    w, V = dense_eigs(tau.square(), vectors=True) if found is None else found
     lam = 1.0 / w
     order = np.argsort(np.abs(lam), kind="stable")
     pick = order[j]

@@ -164,24 +164,32 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
 
 
 def _assert_structure(mat: np.ndarray, kind: str, variant: str) -> None:
-    n = mat.shape[0]
-    scale = np.max(np.abs(mat)) or 1.0
-    tol = 1e-13 * scale
-    i, j = np.indices(mat.shape)
-    if kind == "diagonal":
-        bad = np.abs(mat[i != j])
-    elif kind == "upper-triangular":
-        bad = np.abs(mat[i > j])
-    elif kind == "tridiagonal":
-        bad = np.abs(mat[np.abs(i - j) > 1])
-    elif kind == "first-row-subdiagonal":
-        bad = np.abs(mat[(i != 0) & (i != j + 1)])
-    elif kind == "full":
+    """Raise AssertionError when an entry outside the pattern of kind exceeds
+    1e-13 of the largest |entry|.
+
+    The allowed entries of |mat| are zeroed through diagonal views of one
+    copy, so the check allocates one m x m array (two for upper-triangular)
+    and no index arrays.
+    """
+    if kind == "full":
         return
+    off = np.abs(mat)
+    tol = 1e-13 * (off.max() or 1.0)
+    if kind == "diagonal":
+        np.fill_diagonal(off, 0.0)
+    elif kind == "upper-triangular":
+        off = np.tril(off, -1)
+    elif kind == "tridiagonal":
+        for band in (off, off[1:], off[:, 1:]):  # main, sub- and superdiagonal
+            np.fill_diagonal(band, 0.0)
+    elif kind == "first-row-subdiagonal":
+        off[0] = 0.0
+        np.fill_diagonal(off[1:], 0.0)
     else:
         raise ValueError(f"unknown structure kind {kind!r}")
-    if bad.size and bad.max() > tol:
-        raise AssertionError(f"variant {variant}: matrix is not {kind} (worst off-pattern entry {bad.max():.3e})")
+    worst = off.max()
+    if worst > tol:
+        raise AssertionError(f"variant {variant}: matrix is not {kind} (worst off-pattern entry {worst:.3e})")
 
 
 def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> GeneralizedPencil:

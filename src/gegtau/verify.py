@@ -610,7 +610,8 @@ def conditioning_sweep(idx, m_grid, variants=("integration",) + DIFF_VARIANTS[:2
     """First-eigenvalue relative error per formulation across truncations.
 
     The integration route stays at roundoff; the differentiation routes
-    deteriorate polynomially, which the tail fit quantifies.
+    deteriorate polynomially, which the tail fit quantifies.  Integration
+    cells compute only the lowest mode (tau_spectrum with count=1).
     """
     par = as_parity(parity)
     exact = float(exact_spectrum(1, par)[0])
@@ -619,7 +620,7 @@ def conditioning_sweep(idx, m_grid, variants=("integration",) + DIFF_VARIANTS[:2
     for v in variants:
         for m in m_grid:
             if v == "integration":
-                spec = tau_spectrum(int(m), idx, par)
+                spec = tau_spectrum(int(m), idx, par, count=1)
             else:
                 spec = pencil_spectrum(build_diff_pencil(int(m), idx, v, par))
             err = spec.table().rows[0][-1]

@@ -71,6 +71,21 @@ def test_eig_csv_deterministic(capsys):
     assert second == first
 
 
+@pytest.mark.parametrize("modes", ["40", "300"])
+def test_eig_count_keeps_the_lowest_rows(capsys, modes):
+    argv = ["eig", "--modes", modes, "--gamma", "1/2", "--parity", "odd", "--bc", "neumann"]
+    _, full = _run(capsys, argv)
+    code, part = _run(capsys, argv + ["--count", "6"])
+    assert code == 0
+    full, part = full.split("\n"), part.split("\n")
+    assert len(part) == 8 and part[0] == full[0]
+    if modes == "40":  # below the size ARPACK serves: the dense rows themselves
+        assert part[1:7] == full[1:7]
+    got = np.array([[float(v) for v in row.split(",")] for row in part[1:7]])
+    want = np.array([[float(v) for v in row.split(",")] for row in full[1:7]])
+    np.testing.assert_allclose(got[:, :4], want[:, :4], rtol=1e-13, atol=0)
+
+
 def test_eig_json(capsys):
     code, out = _run(capsys, ["eig", "--modes", "10", "--gamma", "0", "--parity", "odd", "--format", "json"])
     assert code == 0
@@ -118,6 +133,10 @@ def test_eig_bad_choice_is_usage_error(capsys):
         (["sweep-gamma", "--modes", "10", "--gamma-grid="], "--gamma-grid has no values"),
         (["sweep-conditioning", "--m-grid="], "--m-grid has no values"),
         (["sweep-conditioning", "--variants="], "--variants has no values"),
+        (["eig", "--modes", "6", "--count", "0"], "count must be between 1 and 6, got 0"),
+        (["eig", "--modes", "6", "--count", "7"], "count must be between 1 and 6, got 7"),
+        (["eig", "--modes", "6", "--bc", "neumann", "--count", "8"], "count must be between 1 and 7, got 8"),
+        (["eig", "--modes", "6", "--variant", "diff-elim-last", "--count", "2"], "--count needs the integration variant"),
     ],
 )
 def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):

@@ -57,6 +57,8 @@ LAPACK = {
     "eig-gamma3-odd-csv": "eig --modes 50 --gamma 3.0 --parity odd",
     "eig-gamma3-even-json": "eig --modes 50 --gamma 3.0 --parity even --format json",
     "eig-gamma3-odd-json": "eig --modes 50 --gamma 3.0 --parity odd --format json",
+    "eig-count-odd-csv": "eig --modes 200 --count 6 --gamma 1/2 --parity odd",
+    "eig-count-odd-json": "eig --modes 200 --count 6 --gamma 1/2 --parity odd --format json",
     "eig-neumann-even-csv": "eig --modes 10 --gamma 1 --parity even --bc neumann",
     "eig-neumann-odd-csv": "eig --modes 10 --gamma 1 --parity odd --bc neumann",
     "eig-neumann-even-json": "eig --modes 10 --gamma 1 --parity even --bc neumann --format json",

@@ -18,7 +18,9 @@ from gegtau.orthopoly import (
     gegenbauer_eval,
     second_derivative_block,
 )
+from gegtau import spectra
 from gegtau.spectra import (
+    _arpack_eigs,
     _balance_scales,
     _hessenberg_eigvals,
     EigenPair,
@@ -30,6 +32,7 @@ from gegtau.spectra import (
     tau_spectrum,
 )
 from gegtau.tau_operator import build_diff_pencil, build_gi2
+from gegtau.verify import DEFAULT_GAMMA_GRID, conditioning_sweep
 
 import oracles
 
@@ -320,6 +323,120 @@ def test_eigenfunction_residual_on_top_mode_only():
     np.testing.assert_allclose(
         (S @ pair.u_coeffs)[:m], pair.d2u_coeffs, rtol=0, atol=1e-10 * scale
     )
+
+
+def _rel_err(values, exact):
+    return np.abs(values - exact) / np.where(exact == 0, 1.0, np.abs(exact))
+
+
+@pytest.mark.parametrize("m", [3, 17, 200, 1000])
+def test_count_route_matches_dense_on_resolved_modes(m):
+    # resolved: the dense route is within 1e-8 of the exact eigenvalue
+    for gamma in DEFAULT_GAMMA_GRID:
+        for parity in (Parity.EVEN, Parity.ODD):
+            for bc in ("dirichlet", "neumann"):
+                dense = tau_spectrum(m, gamma, parity, bc)
+                exact = exact_spectrum(dense.count, parity, bc)
+                resolved = _rel_err(dense.eigenvalues, exact) < 1e-8
+                # k = m // 8 is the largest request ARPACK serves; at m = 1000 and
+                # gamma 2.5 with Neumann conditions (a Dirichlet problem at 3.5,
+                # above the reality threshold) its top modes differ by up to 4e-12
+                # between the routes, each about that far from the exact values
+                for k, tol in ((1, 1e-12), (5, 1e-12), (m // 2, 1e-12), (m // 8, 1e-12 if gamma < 2.5 else 1e-11)):
+                    if not 1 <= k <= m:
+                        continue
+                    spec = tau_spectrum(m, gamma, parity, bc, count=k)
+                    assert spec.count == k and spec.mu.size == k
+                    diff = _rel_err(spec.eigenvalues, dense.eigenvalues[:k])[resolved[:k]]
+                    assert np.all(diff <= tol), (gamma, parity, bc, k, diff.max())
+
+
+def test_count_route_serves_small_shares_of_large_spectra():
+    assert _arpack_eigs(build_gi2(200, 0.5, Parity.EVEN), 1) is not None
+    assert _arpack_eigs(build_gi2(200, 0.5, Parity.EVEN), 25) is not None
+    assert _arpack_eigs(build_gi2(200, 0.5, Parity.EVEN), 26) is None
+    assert _arpack_eigs(build_gi2(95, 0.5, Parity.EVEN), 1) is None
+
+
+def test_count_cutting_a_conjugate_pair_keeps_the_dense_order():
+    dense = tau_spectrum(50, 3.0, Parity.EVEN)
+    first_pair = int(np.flatnonzero(dense.eigenvalues.imag)[0])
+    k = first_pair + 1  # the pair's first member is the last kept mode
+    assert _arpack_eigs(build_gi2(50, 3.0, Parity.EVEN), k) is None
+    spec = tau_spectrum(50, 3.0, Parity.EVEN, count=k)
+    np.testing.assert_array_equal(spec.eigenvalues, dense.eigenvalues[:k])
+    np.testing.assert_array_equal(spec.mu, dense.mu[:k])
+    assert spec.eigenvalues[-1].imag > 0.0
+    # far above the reality threshold ARPACK serves a cut pair the same way
+    dense = tau_spectrum(256, 50.0, Parity.EVEN)
+    k = int(np.flatnonzero(dense.eigenvalues.imag)[0]) + 1
+    assert _arpack_eigs(build_gi2(256, 50.0, Parity.EVEN), k) is not None
+    spec = tau_spectrum(256, 50.0, Parity.EVEN, count=k)
+    assert spec.count == k and spec.eigenvalues[-1].imag > 0.0
+    assert abs(spec.eigenvalues[0] - dense.eigenvalues[0]) <= 1e-12 * abs(dense.eigenvalues[0])
+
+
+def test_count_route_is_deterministic():
+    for bc in ("dirichlet", "neumann"):
+        first = tau_spectrum(500, 1.5, Parity.ODD, bc, count=12)
+        second = tau_spectrum(500, 1.5, Parity.ODD, bc, count=12)
+        np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+        np.testing.assert_array_equal(first.mu, second.mu)
+
+
+def test_count_route_falls_back_when_arpack_does_not_converge(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    dense = tau_spectrum(300, 0.5, Parity.EVEN)
+    spec = tau_spectrum(300, 0.5, Parity.EVEN, count=7)
+    np.testing.assert_array_equal(spec.eigenvalues, dense.eigenvalues[:7])
+    np.testing.assert_array_equal(spec.mu, dense.mu[:7])
+
+
+def test_count_keeps_the_neumann_zero_mode():
+    dense = tau_spectrum(200, 0.5, Parity.EVEN, "neumann")
+    only_zero = tau_spectrum(200, 0.5, Parity.EVEN, "neumann", count=1)
+    assert only_zero.eigenvalues.tolist() == [0j] and only_zero.mu.tolist() == [np.inf]
+    spec = tau_spectrum(200, 0.5, Parity.EVEN, "neumann", count=6)
+    assert spec.eigenvalues[0] == 0.0
+    np.testing.assert_allclose(spec.eigenvalues[1:], dense.eigenvalues[1:6], rtol=1e-12)
+    assert tau_spectrum(20, 0.5, Parity.EVEN, "neumann", count=21).count == 21
+
+
+@pytest.mark.parametrize("bc, parity, top", [("dirichlet", Parity.EVEN, 10), ("neumann", Parity.ODD, 10), ("neumann", Parity.EVEN, 11)])
+def test_count_out_of_range_is_rejected(bc, parity, top):
+    for count in (0, -1, top + 1):
+        with pytest.raises(ValueError, match=f"count must be between 1 and {top}, got {count}"):
+            tau_spectrum(10, 0.5, parity, bc, count=count)
+
+
+def test_conditioning_sweep_integration_matches_the_dense_first_mode():
+    grid = (16, 64, 128, 300, 512)
+    for gamma in DEFAULT_GAMMA_GRID:
+        for parity in (Parity.EVEN, Parity.ODD):
+            sweep = conditioning_sweep(gamma, grid, ("integration",), parity)
+            for (_, m, err) in sweep.rows:
+                dense = tau_spectrum(m, gamma, parity).table().rows[0][-1]
+                assert err < 1e-13
+                assert abs(err - dense) <= 1e-14, (gamma, parity, m, err, dense)
+
+
+def test_eigenfunction_from_ritz_vector_matches_dense(monkeypatch):
+    m = 200
+    cases = [(0, 0.5, Parity.ODD), (4, 1.5, Parity.EVEN), (20, 2.4, Parity.ODD)]
+    ritz = [eigenfunction(j, m, gamma, parity) for j, gamma, parity in cases]
+    monkeypatch.setattr(spectra, "_arpack_eigs", lambda *args, **kwargs: None)
+    for pair, (j, gamma, parity) in zip(ritz, cases):
+        dense = eigenfunction(j, m, gamma, parity)
+        assert np.isrealobj(pair.u_coeffs) and np.isrealobj(pair.d2u_coeffs)
+        assert abs(pair.eigenvalue - dense.eigenvalue) <= 1e-12 * abs(dense.eigenvalue)
+        np.testing.assert_allclose(pair.u_coeffs, dense.u_coeffs, rtol=0, atol=1e-10)
+        scale = np.abs(dense.d2u_coeffs).max()
+        np.testing.assert_allclose(pair.d2u_coeffs, dense.d2u_coeffs, rtol=0, atol=1e-10 * scale)
 
 
 def test_spectrum_csv_format():

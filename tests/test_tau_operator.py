@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gegtau.charpoly import MuPolynomial, charpoly_sequence, k_constant, poly_roots
 from gegtau.orthopoly import (
@@ -23,6 +24,7 @@ from gegtau.orthopoly import (
 from gegtau.spectra import dense_eigs, pencil_spectrum, tau_spectrum
 from gegtau.tau_operator import (
     DIFF_VARIANTS,
+    _assert_structure,
     build_diff_pencil,
     build_gi2,
     matrix_to_coord,
@@ -115,6 +117,22 @@ def test_apply_matches_rectangular_product():
                 )
     with pytest.raises(ValueError):
         build_gi2(4, 0.0, Parity.EVEN).apply(np.ones(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.floats(min_value=-0.5, max_value=10.0, exclude_min=True),
+    m=st.integers(min_value=2, max_value=300),
+    parity=st.sampled_from(Parity),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_apply_head_is_the_square_product(gamma, m, parity, seed):
+    # relative to the magnitudes summed into each entry
+    tau = build_gi2(m, gamma, parity)
+    f = np.random.default_rng(seed).standard_normal(m)
+    square = tau.square()
+    err = np.abs(tau.apply(f)[:m] - square @ f)
+    assert np.all(err <= 1e-14 * (np.abs(square) @ np.abs(f)))
 
 
 def test_double_integration_of_unit_source():
@@ -251,6 +269,36 @@ def test_diff_pencil_structures():
     off = pen.B - np.diag(np.diag(pen.B))
     off -= np.diag(np.diag(off, 1), 1) + np.diag(np.diag(off, -1), -1)
     assert np.count_nonzero(off) == 0
+
+
+_PATTERNS = {
+    "diagonal": lambda i, j: i == j,
+    "upper-triangular": lambda i, j: i <= j,
+    "tridiagonal": lambda i, j: abs(i - j) <= 1,
+    "first-row-subdiagonal": lambda i, j: (i == 0) | (i == j + 1),
+}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", sorted(_PATTERNS))
+def test_assert_structure_rejects_one_entry_off_the_pattern(kind, order):
+    n = 6
+    i, j = np.indices((n, n))
+    allowed = _PATTERNS[kind](i, j)
+    valid = np.where(allowed, np.random.default_rng(3).uniform(-2.0, 2.0, (n, n)), 0.0)
+    valid = np.asarray(valid, order=order)
+    _assert_structure(valid, kind, "test")
+    tol = 1e-13 * np.abs(valid).max()
+    for a, b in zip(*np.nonzero(~allowed)):
+        mat = valid.copy(order=order)
+        mat[a, b] = -2.0 * tol
+        with pytest.raises(AssertionError, match=f"matrix is not {kind}"):
+            _assert_structure(mat, kind, "test")
+        mat[a, b] = 0.5 * tol
+        _assert_structure(mat, kind, "test")
+    _assert_structure(np.ones((n, n)), "full", "test")
+    with pytest.raises(ValueError, match="unknown structure kind"):
+        _assert_structure(valid, "banded", "test")
 
 
 def test_ierley_variant_diagonal_scaling():
