@@ -136,6 +136,7 @@ def test_eig_bad_choice_is_usage_error(capsys):
         (["eig", "--modes", "6", "--count", "0"], "count must be between 1 and 6, got 0"),
         (["eig", "--modes", "6", "--count", "7"], "count must be between 1 and 6, got 7"),
         (["eig", "--modes", "6", "--bc", "neumann", "--count", "8"], "count must be between 1 and 7, got 8"),
+        (["eig", "--modes", "6", "--bc", "neumann", "--parity", "odd", "--count", "7"], "count must be between 1 and 6, got 7"),
         (["eig", "--modes", "6", "--variant", "diff-elim-last", "--count", "2"], "--count needs the integration variant"),
     ],
 )

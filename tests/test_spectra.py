@@ -407,13 +407,6 @@ def test_count_keeps_the_neumann_zero_mode():
     assert tau_spectrum(20, 0.5, Parity.EVEN, "neumann", count=21).count == 21
 
 
-@pytest.mark.parametrize("bc, parity, top", [("dirichlet", Parity.EVEN, 10), ("neumann", Parity.ODD, 10), ("neumann", Parity.EVEN, 11)])
-def test_count_out_of_range_is_rejected(bc, parity, top):
-    for count in (0, -1, top + 1):
-        with pytest.raises(ValueError, match=f"count must be between 1 and {top}, got {count}"):
-            tau_spectrum(10, 0.5, parity, bc, count=count)
-
-
 def test_conditioning_sweep_integration_matches_the_dense_first_mode():
     grid = (16, 64, 128, 300, 512)
     for gamma in DEFAULT_GAMMA_GRID:
