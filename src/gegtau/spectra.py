@@ -282,11 +282,7 @@ def _balance_scales(tau: TauMatrix) -> np.ndarray:
     then stops after one sweep without a change.
     """
     m = tau.m
-    # row 0 is stored whole; rows i >= 1 as lo[i], dg[i], up[i] = A[i, i-1..i+1]
-    top = tau.first_row.tolist()
-    lo = [0.0, tau.m10] + tau.sub.tolist() + [0.0]
-    dg = [0.0] + tau.diag.tolist()
-    up = [0.0] + tau.sup.tolist() + [0.0]
+    top, lo, dg, up = tau.first_row.tolist(), tau.lo.tolist(), tau.dg.tolist(), tau.up.tolist()
     scale = [1.0] * m
     dirty = bytearray(b"\x01" * m)
     hypot = math.hypot
@@ -302,8 +298,8 @@ def _balance_scales(tau: TauMatrix) -> np.ndarray:
             c, ca = hypot(top[0], lo[1]), max(abs(top[0]), abs(lo[1]))
             r, ra = hypot(*top), max(map(abs, top))
         else:
-            # column i: A[0, i], A[i-1, i], A[i, i], A[i+1, i] (padding zeros where absent)
-            col = (top[i], up[i - 1], dg[i], lo[i + 1])
+            # column i: A[0, i], A[i-1, i], A[i, i] and, below the last row, A[i+1, i]
+            col = (top[i], up[i - 1], dg[i], lo[i + 1]) if i + 1 < m else (top[i], up[i - 1], dg[i])
             row = (lo[i], dg[i], up[i])
             c, ca = hypot(*col), max(map(abs, col))
             r, ra = hypot(*row), max(map(abs, row))
@@ -338,9 +334,9 @@ def _balance_scales(tau: TauMatrix) -> np.ndarray:
             top[i] *= f
             up[i - 1] *= f
             dg[i] *= f
-            lo[i + 1] *= f
             dirty[0] = dirty[i - 1] = dirty[i] = 1
             if i + 1 < m:
+                lo[i + 1] *= f
                 dirty[i + 1] = 1
     return np.array(scale)
 
@@ -355,10 +351,9 @@ _ARPACK_MIN_M = 96
 _ARPACK_MAX_SHARE = 8
 
 
-def _arpack_eigs(tau: TauMatrix, k: int, vectors: bool = False):
-    """The k + 1 largest-|mu| eigenvalues of tau.square() (and their right
-    eigenvectors when asked for) in dense_eigs' (real, imag) order, or None
-    when the dense route should serve instead.
+def _arpack_eigs(tau: TauMatrix, k: int):
+    """The k + 1 largest-|mu| eigenvalues of tau.square() in dense_eigs'
+    (real, imag) order, or None when the dense route should serve instead.
 
     ARPACK's implicitly restarted Arnoldi iteration (which="LM", tol=0, so
     to working precision) runs on the O(m) band matvec tau.apply and never
@@ -381,15 +376,11 @@ def _arpack_eigs(tau: TauMatrix, k: int, vectors: bool = False):
     op = scipy.sparse.linalg.LinearOperator((m, m), matvec=lambda f: tau.apply(scale * f)[:m] / scale, dtype=float)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     try:
-        found = scipy.sparse.linalg.eigs(op, k=k + 1, which="LM", tol=0, v0=v0, return_eigenvectors=vectors)
+        w = scipy.sparse.linalg.eigs(op, k=k + 1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
     except scipy.sparse.linalg.ArpackError:  # no convergence, or no Arnoldi basis: the dense route answers
         return None
-    w, V = found if vectors else (found, None)
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    if not w.imag.any():
-        w = w.real
-    return w if V is None else (w, scale[:, None] * V[:, order])
+    w = w[np.lexsort((w.imag, w.real))]
+    return w if w.imag.any() else w.real
 
 
 def tau_spectrum(
@@ -541,28 +532,23 @@ def eigenfunction(j: int, m: int, idx, parity) -> EigenPair:
     discretization, reconstructed through the double integration so the
     boundary conditions hold by construction.
 
-    The eigenvector is an ARPACK Ritz vector wherever tau_spectrum(count=j + 1)
-    would call ARPACK (see _arpack_eigs), else one of the dense solver's m
-    eigenvectors."""
+    The eigenvalue is tau_spectrum(count=j + 1)'s j-th, and the coefficients
+    of u'' are the O(m) TauMatrix.null_vector at its reciprocal: real for a
+    real eigenvalue, and no eigenvector of any other mode is formed."""
     gdx = as_gegenbauer(idx)
     par = as_parity(parity)
     if not 0 <= j < m:
         raise ValueError(f"eigenvalue index {j} out of range for m = {m}")
+    spec = tau_spectrum(m, gdx, par, count=j + 1)
+    mu = spec.mu[j]
     tau = build_gi2(m, gdx, par)
-    found = _arpack_eigs(tau, j + 1, vectors=True)
-    w, V = dense_eigs(tau.square(), vectors=True) if found is None else found
-    lam = 1.0 / w
-    order = np.argsort(np.abs(lam), kind="stable")
-    pick = order[j]
-    c = V[:, pick]
-    if np.max(np.abs(c.imag)) <= 1e-12 * np.max(np.abs(c)):
-        c = c.real.copy()
-    u = tau.apply(c.real) if np.isrealobj(c) else tau.apply(c.real) + 1j * tau.apply(c.imag)
+    c = tau.null_vector(mu.real if mu.imag == 0 else mu)
+    u = tau.apply(c)
     scale = u[np.argmax(np.abs(u))]
     return EigenPair(
-        eigenvalue=complex(lam[pick]),
+        eigenvalue=complex(spec.eigenvalues[j]),
         u_coeffs=u / scale,
-        d2u_coeffs=np.asarray(c) / scale,
+        d2u_coeffs=c / scale,
         m=m,
         gamma=float(gdx.gamma),
         parity=par,

@@ -50,26 +50,24 @@ DIFF_VARIANTS = ("diff-elim-last", "diff-elim-first", "galerkin-basis", "ierley-
 class TauMatrix:
     """Banded integration operator for one parity class.
 
-    Column j corresponds to mode degree n_j = 2(j+1) - 2 + offset... in
-    plain terms the matrix couples the m parity-reduced coefficients of
-    u'' and is stored by its bands:
+    Column j holds the j-th basis function of the parity class (degree
+    2j or 2j + 1).  The square part A is upper Hessenberg: a boundary row on
+    top of a tridiagonal block.  It is stored by rows:
 
-    first_row   length m, the boundary row (row 0)
-    m10         the single entry in row 1, column 0
-    diag        d0 entries for columns 1..m-1 (rows 1..m-1)
-    sup         dp entries for columns 2..m-1 (rows 1..m-2)
-    sub         dm entries for columns 1..m-2 (rows 2..m-1)
-    last        dm entry of the extra rectangular row (row m, column m-1)
+    first_row   length m, row 0 whole (the boundary row)
+    lo, dg, up  length m, A[i, i-1], A[i, i] and A[i, i+1] for rows i >= 1;
+                zero at i = 0 and where the entry falls outside the matrix
+                (up[m-1])
+    last        entry of the extra rectangular row, A[m, m-1]
     """
 
     m: int
     gamma: float
     parity: Parity
     first_row: np.ndarray
-    m10: float
-    diag: np.ndarray
-    sup: np.ndarray
-    sub: np.ndarray
+    lo: np.ndarray
+    dg: np.ndarray
+    up: np.ndarray
     last: float
 
     def square(self) -> np.ndarray:
@@ -80,12 +78,10 @@ class TauMatrix:
         m = self.m
         M = np.zeros((m, m), order="F")
         M[0, :] = self.first_row
-        M[1, 0] = self.m10
-        cols = np.arange(1, m)
-        M[cols, cols] = self.diag
-        if m >= 3:
-            M[np.arange(1, m - 1), np.arange(2, m)] = self.sup
-            M[np.arange(2, m), np.arange(1, m - 1)] = self.sub
+        i = np.arange(1, m)
+        M[i, i - 1] = self.lo[1:]
+        M[i, i] = self.dg[1:]
+        M[i[:-1], i[:-1] + 1] = self.up[1:-1]
         return M
 
     def rectangular(self) -> np.ndarray:
@@ -96,19 +92,43 @@ class TauMatrix:
         return R
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """Rectangular action on a coefficient vector, O(m)."""
-        f = np.asarray(f, dtype=float)
+        """Rectangular action on a real or complex coefficient vector, O(m)."""
+        f = np.asarray(f)
+        f = f.astype(np.result_type(f, float), copy=False)
         if f.shape != (self.m,):
             raise ValueError(f"expected {self.m} coefficients, got shape {f.shape}")
         m = self.m
-        u = np.zeros(m + 1)
+        u = np.zeros(m + 1, dtype=f.dtype)
         u[0] = self.first_row @ f
-        u[1] = self.m10 * f[0] + self.diag[0] * f[1] + (self.sup[0] * f[2] if m >= 3 else 0.0)
-        if m >= 3:
-            u[2 : m - 1] = self.sub[: m - 3] * f[1 : m - 2] + self.diag[1 : m - 2] * f[2 : m - 1] + self.sup[1:] * f[3:]
-            u[m - 1] = self.sub[m - 3] * f[m - 2] + self.diag[m - 2] * f[m - 1]
+        u[1:m] = self.lo[1:] * f[:-1] + self.dg[1:] * f[1:]
+        u[1 : m - 1] += self.up[1:-1] * f[2:]
         u[m] = self.last * f[m - 1]
         return u
+
+    def null_vector(self, mu) -> np.ndarray:
+        """Solution x of rows 1..m-1 of (A - mu I) x = 0, O(m).
+
+        With x[m-1] = 1 each row i, from the last up, fixes x[i-1] through
+        the nonzero subdiagonal entry lo[i] (Hyman's method).  At an
+        eigenvalue mu of A, row 0 holds as well and x is the right
+        eigenvector.  The entries grow upward (by far more than the float
+        range at m = 1000), so the part solved so far is rescaled whenever
+        it passes 2**500; the result has largest |entry| 1.  Real for a real
+        mu, complex for a complex one.
+        """
+        lo, dg, up = self.lo.tolist(), self.dg.tolist(), self.up.tolist()
+        x = np.zeros(self.m, dtype=complex if np.iscomplexobj(mu) else float)
+        below, here = 0.0, 1.0  # x[i+1], x[i]
+        x[-1] = here
+        for i in range(self.m - 1, 0, -1):
+            above = -((dg[i] - mu) * here + up[i] * below) / lo[i]
+            if abs(above) > 2.0**500:
+                s = 1.0 / abs(above)
+                x[i:] *= s
+                here, above = here * s, above * s
+            x[i - 1] = above
+            below, here = here, above
+        return x / np.abs(x).max()
 
 
 @dataclass(frozen=True)
@@ -139,28 +159,20 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
     par = as_parity(parity)
     ip = par.offset
     n = 2.0 * np.arange(1, m) + ip  # degrees of columns 1..m-1
-    dm = 1.0 / (4.0 * (g + n + 1.0) * (g + n))
-    d0 = -1.0 / (2.0 * (g + n + 1.0) * (g + n - 1.0))
-    dp = 1.0 / (4.0 * (g + n) * (g + n - 1.0))
+    dm = 1.0 / (4.0 * (g + n + 1.0) * (g + n))  # A[j+1, j] of column j
+    d0 = -1.0 / (2.0 * (g + n + 1.0) * (g + n - 1.0))  # A[j, j]
+    dp = 1.0 / (4.0 * (g + n) * (g + n - 1.0))  # A[j-1, j]
+    lo, dg, up = np.zeros(m), np.zeros(m), np.zeros(m)
+    lo[2:], dg[1:], up[1:-1] = dm[:-1], d0, dp[1:]
     # K_ip, then K_n for the column degrees n = 2j + ip, j = 1..m-1
     ks = k_constants([ip] + [2 * j + ip for j in range(1, m)], gdx)
     first = -np.array([float(k) for k in ks])
     if par is Parity.EVEN:
-        m10 = 1.0 / (2.0 * (g + 1.0))
+        lo[1] = 1.0 / (2.0 * (g + 1.0))
     else:
         first[1] = 1.0 / (4.0 * (g + 3.0) * (g + 2.0)) - float(ks[1])
-        m10 = 1.0 / (4.0 * (g + 1.0) * (g + 2.0))
-    return TauMatrix(
-        m=m,
-        gamma=g,
-        parity=par,
-        first_row=first,
-        m10=m10,
-        diag=d0,
-        sup=dp[1:],
-        sub=dm[:-1],
-        last=dm[-1],
-    )
+        lo[1] = 1.0 / (4.0 * (g + 1.0) * (g + 2.0))
+    return TauMatrix(m=m, gamma=g, parity=par, first_row=first, lo=lo, dg=dg, up=up, last=dm[-1])
 
 
 def _assert_structure(mat: np.ndarray, kind: str, variant: str) -> None:

@@ -432,6 +432,28 @@ def test_eigenfunction_from_ritz_vector_matches_dense(monkeypatch):
         np.testing.assert_allclose(pair.d2u_coeffs, dense.d2u_coeffs, rtol=0, atol=1e-10 * scale)
 
 
+def test_eigenfunction_forms_no_other_eigenvector(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_dense_vectors(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eig called")
+
+    eigs, calls = scipy.sparse.linalg.eigs, []
+
+    def values_only(*args, **kwargs):
+        assert kwargs.get("return_eigenvectors", True) is False
+        calls.append(kwargs["k"])
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", no_dense_vectors)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", values_only)
+    # (5, 60) takes its eigenvalue from the dense route, (0, 200) from ARPACK
+    for j, m in ((5, 60), (0, 200)):
+        pair = eigenfunction(j, m, 0.5, Parity.ODD)
+        assert abs(pair.eigenvalue - exact_spectrum(j + 1, Parity.ODD)[j]) <= 1e-10 * abs(pair.eigenvalue)
+    assert calls == [2]
+
+
 def test_spectrum_csv_format():
     spec = tau_spectrum(4, 0.0, Parity.ODD)
     text = spec.csv()

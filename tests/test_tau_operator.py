@@ -81,7 +81,7 @@ def test_square_is_rectangular_head():
 
 
 def test_odd_seed_entry():
-    assert build_gi2(2, 1.0, Parity.ODD).m10 == pytest.approx(1.0 / 24.0)
+    assert build_gi2(2, 1.0, Parity.ODD).lo[1] == pytest.approx(1.0 / 24.0)
 
 
 def test_legendre_like_first_row_truncates():
@@ -125,14 +125,52 @@ def test_apply_matches_rectangular_product():
     m=st.integers(min_value=2, max_value=300),
     parity=st.sampled_from(Parity),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    complex_input=st.booleans(),
 )
-def test_apply_head_is_the_square_product(gamma, m, parity, seed):
+def test_apply_head_is_the_square_product(gamma, m, parity, seed, complex_input):
     # relative to the magnitudes summed into each entry
     tau = build_gi2(m, gamma, parity)
-    f = np.random.default_rng(seed).standard_normal(m)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_input else 0.0)
     square = tau.square()
-    err = np.abs(tau.apply(f)[:m] - square @ f)
+    u = tau.apply(f)
+    assert np.iscomplexobj(u) == complex_input
+    err = np.abs(u[:m] - square @ f)
     assert np.all(err <= 1e-14 * (np.abs(square) @ np.abs(f)))
+
+
+def _null_vector_residual(tau, mu, x):
+    # backward residual of x as a right eigenvector at mu
+    square = tau.square()
+    return np.linalg.norm(square @ x - mu * x) / (np.linalg.norm(square, 1) * np.linalg.norm(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.floats(min_value=-0.5, max_value=3.5, exclude_min=True),
+    m=st.integers(min_value=2, max_value=300),
+    parity=st.sampled_from(Parity),
+    data=st.data(),
+)
+def test_null_vector_is_the_eigenvector_at_a_computed_eigenvalue(gamma, m, parity, data):
+    # the resolved share of the spectrum; complex pairs from gamma 3 on
+    j = data.draw(st.integers(min_value=0, max_value=int(np.ceil(max(1.0, 0.6 * m))) - 1), label="j")
+    mu = tau_spectrum(m, gamma, parity).mu[j]
+    if mu.imag == 0:
+        mu = mu.real
+    tau = build_gi2(m, gamma, parity)
+    x = tau.null_vector(mu)
+    assert np.iscomplexobj(x) == np.iscomplexobj(mu)
+    assert _null_vector_residual(tau, mu, x) <= 1e-12
+
+
+def test_null_vector_rescales_where_the_recurrence_overflows():
+    # unscaled, |x[0]| passes the float range by m = 1000 at the lowest mode
+    tau = build_gi2(1000, 0.5, Parity.ODD)
+    mu = tau_spectrum(1000, 0.5, Parity.ODD, count=1).mu[0]
+    x = tau.null_vector(mu)
+    assert np.isfinite(x).all() and np.abs(x).max() == 1.0
+    assert _null_vector_residual(tau, mu, x) <= 1e-12
 
 
 def test_double_integration_of_unit_source():
