@@ -9,6 +9,7 @@ envelope; identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -199,7 +200,10 @@ def _cmd_sweep_gamma(args) -> int:
     return _emit(args, csv=result.to_csv, json=result.to_json_dict)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: the subcommands' callables
+    read the library functions from this module at call time."""
     ap = argparse.ArgumentParser(prog="gegtau", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -252,7 +256,11 @@ def main(argv=None) -> int:
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_sweep_gamma)
+    return ap
 
+
+def main(argv=None) -> int:
+    ap = _parser()
     args = ap.parse_args(argv)
     try:
         return args.func(args)

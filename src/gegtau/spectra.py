@@ -426,6 +426,8 @@ def tau_spectrum(
         M *= scale
         M /= scale[:, None]
         mu = dense_eigs(M)
+    if not mu.all():
+        raise ValueError(f"the integration matrix at m = {m}, gamma = {gdx.gamma} has an exact zero eigenvalue")
     lam, mu = _sorted_by_magnitude(1.0 / mu, mu)
     return Spectrum(lam[:count], mu[:count], m, float(gdx.gamma), par, bc="dirichlet", tol_real=tol_real)
 

@@ -23,7 +23,7 @@ from .charpoly import (
     charpoly_sequence,
     jacobi_char_poly,
     mixed_char_poly,
-    poly_roots,
+    poly_roots_batch,
 )
 from .orthopoly import JacobiIndex, Parity, as_gegenbauer, as_jacobi, as_parity, jacobi_deriv_at_one
 from .spectra import SweepResult, exact_spectrum, min_rel_gap, pencil_spectrum, reality_ratio, tau_spectrum
@@ -92,7 +92,11 @@ def check_stable(p, tol: float = 1e-9) -> VerificationReport:
     """
     if not isinstance(p, MuPolynomial):
         p = MuPolynomial(p)
-    roots = poly_roots(p.to_float())
+    return _stable_report(p, poly_roots_batch([p.to_float()])[0], tol)
+
+
+def _stable_report(p: MuPolynomial, roots: np.ndarray, tol: float = 1e-9) -> VerificationReport:
+    """check_stable's report for p from the roots of p.to_float()."""
     if roots.size == 0:
         margin = -math.inf
     else:
@@ -121,6 +125,19 @@ def check_positive_pair(p1, p2, tol_real: float = 1e-9, tol_gap: float = 1e-8) -
         p1 = MuPolynomial(p1)
     if not isinstance(p2, MuPolynomial):
         p2 = MuPolynomial(p2)
+    roots = None
+    if _pair_degrees_fit(p1, p2):
+        roots = poly_roots_batch([p1.to_float(), p2.to_float()])
+    return _pair_report(p1, p2, roots, tol_real, tol_gap)
+
+
+def _pair_degrees_fit(p1: MuPolynomial, p2: MuPolynomial) -> bool:
+    return p1.degree >= 1 and p2.degree in (p1.degree - 1, p1.degree)
+
+
+def _pair_report(p1, p2, roots, tol_real: float = 1e-9, tol_gap: float = 1e-8) -> VerificationReport:
+    """check_positive_pair's report for (p1, p2) from roots, the roots of
+    p1.to_float() and p2.to_float() (not read when the degrees do not fit)."""
     n = p1.degree
     params = {"deg1": n, "deg2": p2.degree}
 
@@ -135,10 +152,9 @@ def check_positive_pair(p1, p2, tol_real: float = 1e-9, tol_gap: float = 1e-8) -
             comparison=">",
         )
 
-    if p2.degree not in (n - 1, n) or n < 1:
+    if not _pair_degrees_fit(p1, p2):
         return fail("degree-mismatch")
-    r1 = poly_roots(p1.to_float())
-    r2 = poly_roots(p2.to_float())
+    r1, r2 = roots
     reality = max(reality_ratio(r1), reality_ratio(r2))
     if reality > tol_real:
         return fail(f"non-real-roots ratio={reality:.3e}")
@@ -205,12 +221,22 @@ def phi_poly(n: int, idx, variant: str = "base", weight: float = 0.0) -> MuPolyn
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _worst_positive_pair(check, params, pairs, tol_real=1e-9, tol_gap=1e-8, advisory=False) -> VerificationReport:
-    """The weakest of several positive-pair checks: a failure over a pass,
+def _float_roots(families) -> list:
+    """poly_roots of p.to_float() for every p of every family (a list of
+    polynomials), in one poly_roots_batch call; one list of roots per family."""
+    flat = poly_roots_batch([p.to_float() for family in families for p in family])
+    out, start = [], 0
+    for family in families:
+        out.append(flat[start : start + len(family)])
+        start += len(family)
+    return out
+
+
+def _worst_positive_pair(check, params, reports, advisory=False) -> VerificationReport:
+    """The weakest of several positive-pair reports: a failure over a pass,
     else the smallest margin, renamed to check and tagged with params."""
     worst = None
-    for p1, p2 in pairs:
-        rep = check_positive_pair(p1, p2, tol_real, tol_gap)
+    for rep in reports:
         if worst is None or rep.margin < worst.margin or (worst.passed and not rep.passed):
             worst = rep
     worst.check = check
@@ -219,14 +245,14 @@ def _worst_positive_pair(check, params, pairs, tol_real=1e-9, tol_gap=1e-8, advi
     return worst
 
 
-def _roots_report(check, params, polys, tol_real, tol_gap, advisory=False) -> VerificationReport:
-    """Aggregate real/negative/distinct over a family of polynomials."""
+def _roots_report(check, params, roots, tol_real, tol_gap, advisory=False) -> VerificationReport:
+    """Aggregate real/negative/distinct over the roots of a family of
+    polynomials."""
     worst_real = 0.0
     worst_gap = math.inf
     worst_top = -math.inf
     ok = True
-    for p in polys:
-        r = poly_roots(p.to_float())
+    for r in roots:
         if r.size == 0:
             continue
         ratio = reality_ratio(r)
@@ -264,26 +290,29 @@ def realness_suite(
     sequences, including the two parity interlacing patterns), matrix route
     at the sizes in m_matrix via the integration operator.
     """
+    seqs = [charpoly_sequence(m_poly, g, parity) for g in gammas for parity in (Parity.EVEN, Parity.ODD)]
+    roots = _float_roots(seqs)
     reports = []
-    for g in gammas:
-        pe = charpoly_sequence(m_poly, g, Parity.EVEN)
-        qo = charpoly_sequence(m_poly, g, Parity.ODD)
-        for parity, seq in (("even", pe), ("odd", qo)):
+    for i, g in enumerate(gammas):
+        pe, qo = seqs[2 * i : 2 * i + 2]
+        rpe, rqo = roots[2 * i : 2 * i + 2]
+        for parity, rs in (("even", rpe), ("odd", rqo)):
             reports.append(
                 _roots_report(
                     "charpoly-roots-real-negative-distinct",
                     {"gamma": g, "parity": parity, "m_max": m_poly},
-                    seq[1:],
+                    rs[1:],
                     tol_real_poly,
                     tol_gap_poly,
                 )
             )
         for pattern, pairs in (
-            ("odd-vs-even-equal-degree", [(qo[m], pe[m]) for m in range(1, m_poly + 1)]),
-            ("even-vs-lower-odd", [(pe[m], qo[m - 1]) for m in range(1, m_poly + 1)]),
+            ("odd-vs-even-equal-degree", [(qo[m], pe[m], (rqo[m], rpe[m])) for m in range(1, m_poly + 1)]),
+            ("even-vs-lower-odd", [(pe[m], qo[m - 1], (rpe[m], rqo[m - 1])) for m in range(1, m_poly + 1)]),
         ):
             params = {"gamma": g, "pattern": pattern, "m_max": m_poly}
-            reports.append(_worst_positive_pair("parity-interlacing", params, pairs, tol_real_poly, tol_gap_poly))
+            pair_reports = [_pair_report(*pair, tol_real_poly, tol_gap_poly) for pair in pairs]
+            reports.append(_worst_positive_pair("parity-interlacing", params, pair_reports))
         for m in m_matrix:
             for parity in (Parity.EVEN, Parity.ODD):
                 spec = tau_spectrum(m, g, parity, tol_real=tol_real_matrix)
@@ -367,9 +396,7 @@ def hb_random_suite(cases: int = 200, seed: int = 20260813) -> list:
     conjugate root pair).  The two predicates must agree on every case.
     """
     rng = np.random.default_rng(seed)
-    disagreements = 0
-    stable_count = 0
-    worst_abs_margin = math.inf
+    pairs = []
     for case in range(cases):
         n = int(rng.integers(2, 9))
         equal_degree = bool(rng.integers(0, 2))
@@ -398,9 +425,15 @@ def hb_random_suite(cases: int = 200, seed: int = 20260813) -> list:
             p1 = MuPolynomial(list(desc[::-1]))
         else:
             p1 = _poly_from_roots(r1, lead1)
-        p2 = _poly_from_roots(r2, lead2)
-        rep_pair = check_positive_pair(p1, p2)
-        rep_stab = check_stable(hb_compose(p1, p2))
+        pairs.append((p1, _poly_from_roots(r2, lead2)))
+    composed = [hb_compose(p1, p2) for p1, p2 in pairs]
+    roots1, roots2, roots_hb = _float_roots([[p1 for p1, _ in pairs], [p2 for _, p2 in pairs], composed])
+    disagreements = 0
+    stable_count = 0
+    worst_abs_margin = math.inf
+    for (p1, p2), r1, r2, p, r in zip(pairs, roots1, roots2, composed, roots_hb):
+        rep_pair = _pair_report(p1, p2, (r1, r2))
+        rep_stab = _stable_report(p, r)
         if rep_pair.passed != rep_stab.passed:
             disagreements += 1
         stable_count += int(rep_stab.passed)
@@ -430,7 +463,7 @@ def lemma_suite(cases: int = 50, seed: int = 20260813) -> list:
     negative, distinct roots.
     """
     rng = np.random.default_rng(seed)
-    worst_comb = 0.0
+    combs = []
     for _ in range(cases):
         n = int(rng.integers(2, 8))
         r1, r2, lead1, lead2 = _random_positive_pair(rng, n, bool(rng.integers(0, 2)))
@@ -438,17 +471,8 @@ def lemma_suite(cases: int = 50, seed: int = 20260813) -> list:
         p2 = _poly_from_roots(r2, lead2)
         a = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
         b = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-        comb = p1 * a + p2 * b
-        worst_comb = max(worst_comb, reality_ratio(poly_roots(comb)))
-    rep1 = VerificationReport(
-        check="positive-pair-combination-real-roots",
-        params={"cases": cases, "seed": seed},
-        passed=worst_comb <= 1e-7,
-        margin=worst_comb,
-        tolerance=1e-7,
-        comparison="<=",
-    )
-    polys = []
+        combs.append(p1 * a + p2 * b)
+    products = []
     for _ in range(cases):
         n = int(rng.integers(2, 8))
         r1, r2, lead1, lead2 = _random_positive_pair(rng, n, False)
@@ -457,11 +481,23 @@ def lemma_suite(cases: int = 50, seed: int = 20260813) -> list:
         p2 = _poly_from_roots(r2, lead2)
         q1 = _poly_from_roots(t1, lead3)
         q2 = _poly_from_roots(t2, lead4)
-        polys.append(p1 * q2 + p2 * q1)
+        products.append(p1 * q2 + p2 * q1)
+    comb_roots, product_roots = _float_roots([combs, products])
+    worst_comb = 0.0
+    for r in comb_roots:
+        worst_comb = max(worst_comb, reality_ratio(r))
+    rep1 = VerificationReport(
+        check="positive-pair-combination-real-roots",
+        params={"cases": cases, "seed": seed},
+        passed=worst_comb <= 1e-7,
+        margin=worst_comb,
+        tolerance=1e-7,
+        comparison="<=",
+    )
     rep2 = _roots_report(
         "positive-pair-product-real-negative-distinct",
         {"cases": cases, "seed": seed},
-        polys,
+        product_roots,
         tol_real=1e-7,
         tol_gap=1e-9,
     )
@@ -480,20 +516,29 @@ def phi_suite(n_max: int = 12, weights=(0.1, 1.0, 10.0), tol: float = 1e-9) -> l
         ("prev", (-0.9, -0.5, 0.0), weights, 3),
         ("prev-mu2", (-0.9, -0.5, 0.0, 0.5, 1.0), weights, 3),
     )
-    reports = []
+    families = []  # per scan: ((a, b, w, n), polynomial) in scan order
     for variant, alphas, ws, n_min in scans:
+        families.append(
+            [
+                ((a, b, w, n), phi_poly(n, JacobiIndex(a, b), variant, w))
+                for a in alphas
+                for b in betas
+                for w in ws
+                for n in range(n_min, n_max + 1)
+            ]
+        )
+    roots = _float_roots([[p for _, p in family] for family in families])
+    reports = []
+    for (variant, *_), family, family_roots in zip(scans, families, roots):
         worst = -math.inf
         worst_at = None
         ok = True
-        for a in alphas:
-            for b in betas:
-                for w in ws:
-                    for n in range(n_min, n_max + 1):
-                        rep = check_stable(phi_poly(n, JacobiIndex(a, b), variant, w), tol=tol)
-                        if rep.margin > worst:
-                            worst = rep.margin
-                            worst_at = (a, b, w, n)
-                        ok = ok and rep.passed
+        for (at, p), r in zip(family, family_roots):
+            rep = _stable_report(p, r, tol)
+            if rep.margin > worst:
+                worst = rep.margin
+                worst_at = at
+            ok = ok and rep.passed
         reports.append(
             VerificationReport(
                 check=f"endpoint-poly-stable-{variant}",
@@ -515,44 +560,43 @@ def jacobi_suite(n_max: int = 15, tol_real: float = 1e-9, tol_gap: float = 1e-8)
     """
     neg = (-0.9, -0.5, 0.0)
     pos = (0.25, 0.5, 1.0)
-    reports = []
-    for label, grid, builder, n_lo in (
+    boxes = (
         ("dirichlet-neg-box", neg, jacobi_char_poly, 2),
         ("dirichlet-pos-box", pos, jacobi_char_poly, 2),
         ("mixed-neg-box", neg, mixed_char_poly, 2),
-    ):
-        polys = []
-        for a in grid:
-            for b in grid:
-                for n in range(n_lo, n_max + 1):
-                    polys.append(builder(n, JacobiIndex(a, b)))
-        reports.append(
-            _roots_report(
-                f"jacobi-roots-real-negative-distinct-{label}",
-                {"n_max": n_max, "grid": f"{grid}"},
-                polys,
-                tol_real,
-                tol_gap,
-            )
+    )
+    families = [
+        [builder(n, JacobiIndex(a, b)) for a in grid for b in grid for n in range(n_lo, n_max + 1)]
+        for _, grid, builder, n_lo in boxes
+    ]
+    return [
+        _roots_report(
+            f"jacobi-roots-real-negative-distinct-{label}",
+            {"n_max": n_max, "grid": f"{grid}"},
+            roots,
+            tol_real,
+            tol_gap,
         )
-    return reports
+        for (label, grid, _, _), roots in zip(boxes, _float_roots(families))
+    ]
 
 
 def interlace_conjecture_suite(gammas=DEFAULT_GAMMA_GRID, m_max: int = 12) -> list:
     """Observed (not proven) interlacing of successive same-parity
     truncations; reported as advisory only."""
+    cases = [(g, parity) for g in gammas for parity in (Parity.EVEN, Parity.ODD)]
+    seqs = [charpoly_sequence(m_max, g, parity) for g, parity in cases]
     reports = []
-    for g in gammas:
-        for parity in (Parity.EVEN, Parity.ODD):
-            seq = charpoly_sequence(m_max, g, parity)
-            reports.append(
-                _worst_positive_pair(
-                    "successive-truncation-interlacing",
-                    {"gamma": g, "parity": parity.value, "m_max": m_max},
-                    [(seq[m + 1], seq[m]) for m in range(1, m_max)],
-                    advisory=True,
-                )
+    for (g, parity), seq, roots in zip(cases, seqs, _float_roots(seqs)):
+        pairs = [_pair_report(seq[m + 1], seq[m], (roots[m + 1], roots[m])) for m in range(1, m_max)]
+        reports.append(
+            _worst_positive_pair(
+                "successive-truncation-interlacing",
+                {"gamma": g, "parity": parity.value, "m_max": m_max},
+                pairs,
+                advisory=True,
             )
+        )
     return reports
 
 

@@ -183,6 +183,35 @@ def general_eigvals(a: np.ndarray) -> np.ndarray:
     return w
 
 
+def companion_roots_one_by_one(asc) -> np.ndarray:
+    """Roots of the polynomial with ascending coefficients asc, one
+    numpy.roots call per polynomial, sorted by (real, imag).
+
+    The per-call form of gegtau's root finder: exact zero roots stripped,
+    the reversed polynomial's companion (and inverted roots) when the
+    geometric mean of the roots is below one.
+    """
+    asc = np.array([float(c) for c in asc], dtype=float)
+    while asc.size > 1 and asc[-1] == 0.0:
+        asc = asc[:-1]
+    if asc.size == 1:
+        return np.array([], dtype=complex)
+    nzero = 0
+    while asc[nzero] == 0.0:
+        nzero += 1
+    core = asc[nzero:]
+    roots = np.array([], dtype=complex)
+    if core.size > 1:
+        with np.errstate(divide="ignore"):
+            gmean = (abs(core[0]) / abs(core[-1])) ** (1.0 / (core.size - 1))
+        if gmean < 1.0:
+            roots = (1.0 / np.roots(core)).astype(complex)
+        else:
+            roots = np.roots(core[::-1]).astype(complex)
+    roots = np.concatenate([roots, np.zeros(nzero, dtype=complex)])
+    return roots[np.lexsort((roots.imag, roots.real))]
+
+
 def unbalanced_tau_spectrum(square: np.ndarray, eigvals=general_eigvals):
     """(lambda, mu) of the integration route without pre-balancing.
 

@@ -11,9 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gegtau.charpoly import (
     MuPolynomial,
+    _charpoly_sequence_generic,
     charpoly_direct,
     charpoly_sequence,
     jacobi_char_poly,
@@ -22,6 +24,7 @@ from gegtau.charpoly import (
     mixed_char_poly,
     omega_poly,
     poly_roots,
+    poly_roots_batch,
 )
 from gegtau.orthopoly import GegenbauerIndex, JacobiIndex, Parity
 from gegtau.verify import check_positive_pair
@@ -79,6 +82,47 @@ def test_poly_roots_against_bisection():
     ref = oracles.bisect_roots(lambda t: f(t), -10.0, -1e-12)
     assert len(ref) == 3
     np.testing.assert_allclose(got.real, ref, rtol=1e-10, atol=0)
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a, b)
+    for part in (np.real, np.imag):
+        np.testing.assert_array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+def _from_roots(roots, lead=1.0, zero_roots=0):
+    desc = np.atleast_1d(np.real(np.poly(np.asarray(roots, dtype=complex)))) * lead
+    return MuPolynomial([0.0] * zero_roots + list(desc[::-1]))
+
+
+def test_poly_roots_batch_is_bitwise_one_call_per_polynomial():
+    rng = np.random.default_rng(7)
+    polys = [MuPolynomial((2.5,)), MuPolynomial((0.0, 0.0, 3.0)), (F(1, 3), F(2))]
+    for degree in range(1, 15):
+        for small in (True, False):  # roots inside the unit disk take the reversed companion
+            scale = 0.4 if small else 3.0
+            real = -scale * rng.uniform(0.2, 1.0, degree)
+            polys.append(_from_roots(real, lead=rng.uniform(-2.0, 2.0)))
+            if degree >= 2:  # a conjugate pair in the same size stack
+                pair = real.astype(complex)
+                pair[:2] = real[0] + 1j * scale * np.array([0.5, -0.5])
+                polys.append(_from_roots(pair, lead=rng.uniform(0.5, 2.0)))
+            polys.append(_from_roots(real[: max(degree - 3, 0)], zero_roots=min(degree, 3)))
+    # a leading coefficient that underflows to 0.0 leaves numpy.roots a leading zero
+    polys.append(MuPolynomial((F(2), F(3), F(1), F(1, 10**400))))
+    polys.append(MuPolynomial((F(0), F(1), F(1, 10**400))))
+    polys += charpoly_sequence(6, F(3, 7), Parity.ODD) + charpoly_sequence(6, 2.4, Parity.EVEN)
+    batch = poly_roots_batch(polys)
+    assert len(batch) == len(polys)
+    assert {r.size for r in batch} == set(range(15))
+    for p, got in zip(polys, batch):
+        coeffs = p.coeffs if isinstance(p, MuPolynomial) else p
+        _assert_bitwise_equal(got, poly_roots(p))
+        _assert_bitwise_equal(got, oracles.companion_roots_one_by_one(coeffs))
+    assert poly_roots_batch([]) == []
+    with pytest.raises(ValueError):
+        poly_roots_batch([MuPolynomial((1.0, 2.0)), MuPolynomial((0.0,))])
 
 
 def test_boundary_constant_values():
@@ -152,6 +196,32 @@ def test_sequence_matches_direct_exact():
         for m in range(1, 26):
             assert even[m].coeffs == charpoly_direct(2 * m, idx).coeffs
             assert odd[m].coeffs == charpoly_direct(2 * m + 1, idx).coeffs
+
+
+_EXACT_GAMMAS = st.integers(1, 60).flatmap(lambda q: st.integers(-((q - 1) // 2), 6 * q).map(lambda p: F(p, q)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=_EXACT_GAMMAS, parity=st.sampled_from(Parity), m_max=st.integers(0, 40))
+@example(gamma=F(0), parity=Parity.EVEN, m_max=40)
+@example(gamma=F(0), parity=Parity.ODD, m_max=40)
+@example(gamma=F(1, 2), parity=Parity.EVEN, m_max=40)  # K_n = 0 for n >= 3 at 1/2 and 3/2
+@example(gamma=F(1, 2), parity=Parity.ODD, m_max=40)
+@example(gamma=F(3, 2), parity=Parity.EVEN, m_max=40)
+@example(gamma=F(3, 2), parity=Parity.ODD, m_max=40)
+def test_integer_recurrence_equals_the_generic_one(gamma, parity, m_max):
+    got = charpoly_sequence(m_max, gamma, parity)
+    ref = _charpoly_sequence_generic(m_max, gamma, parity)
+    assert [p.coeffs for p in got] == [p.coeffs for p in ref]
+    assert [p.to_json_obj() for p in got] == [p.to_json_obj() for p in ref]
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+def test_integer_recurrence_equals_the_generic_one_at_degree_100(parity):
+    got = charpoly_sequence(100, F(12, 7), parity)
+    ref = _charpoly_sequence_generic(100, F(12, 7), parity)
+    assert [p.coeffs for p in got] == [p.coeffs for p in ref]
+    assert [p.to_json_obj() for p in got] == [p.to_json_obj() for p in ref]
 
 
 def test_sequence_matches_direct_float():

@@ -4,11 +4,14 @@ All invocations run in-process through main(argv); stdout is captured and
 compared as text, exit codes via the returned status or SystemExit.
 """
 
+import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from gegtau import cli
 from gegtau.cli import main
 
 
@@ -147,6 +150,40 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"gegtau {argv[0]}: error: {message}\n"
+
+
+def test_exact_zero_eigenvalue_is_usage_error_without_warning(capsys):
+    # one ulp above -1/2 the m = 2 even integration matrix is singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["eig", "--modes", "2", "--gamma=-0.4999999999999999"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "the integration matrix at m = 2, gamma = -0.4999999999999999 has an exact zero eigenvalue"
+    assert captured.err == f"gegtau eig: error: {message}\n"
+
+
+def test_two_calls_build_one_parser(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    assert main(["charpoly", "--modes", "2"]) == 0
+    built = len(progs)
+    assert main(["eig", "--modes", "4"]) == 0
+    assert progs.count("gegtau") == 1 and len(progs) == built
+    with pytest.raises(SystemExit) as exc:  # usage errors still come from the same parser
+        main(["eig", "--modes", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "gegtau eig: error: need at least 2 modes, got 1\n"
+    assert len(progs) == built
 
 
 def test_gamma_with_zero_denominator_is_usage_error(capsys):

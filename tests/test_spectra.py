@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,16 @@ from gegtau.tau_operator import build_diff_pencil, build_gi2
 from gegtau.verify import DEFAULT_GAMMA_GRID, conditioning_sweep
 
 import oracles
+
+
+def test_exact_zero_eigenvalue_is_a_value_error():
+    # one ulp above -1/2 the m = 2 even integration matrix has mu = 0, so no lambda = 1/mu
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = "the integration matrix at m = 2, gamma = -0.4999999999999999 has an exact zero eigenvalue"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tau_spectrum(2, -0.4999999999999999, Parity.EVEN)
+        assert np.isfinite(tau_spectrum(2, -0.4999999999999999, Parity.ODD).eigenvalues).all()
 
 
 def test_dense_eigs_analytic_cases():
