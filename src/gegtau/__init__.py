@@ -32,6 +32,7 @@ from .orthopoly import (
     gegenbauer_norms,
     jacobi_at_one,
     jacobi_deriv_at_one,
+    jacobi_derivs_at_one,
     jacobi_eval,
     one_minus_x2_block,
     second_derivative_block,

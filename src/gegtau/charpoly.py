@@ -8,7 +8,7 @@ which is what charpoly_direct does and what the recurrence is tested against.
 
 With a fractions.Fraction family parameter every routine below runs in exact
 rational arithmetic.  charpoly_sequence then runs on integer numerators over
-one denominator per polynomial: about 7 ms for m = 48 and 50 ms for m = 100
+one denominator per polynomial: about 6 ms for m = 48 and 45 ms for m = 100
 on one core of a 2-vCPU Xeon VM.  The coefficients grow factorially, so
 their digits, and with them the cost per operation, grow with m.  Roots are
 computed in floating point from companion matrices (poly_roots, or
@@ -31,7 +31,7 @@ from .orthopoly import (
     apply_derivative,
     gegenbauer_at_one,
     gegenbauer_at_one_upto,
-    jacobi_deriv_at_one,
+    jacobi_derivs_at_one,
 )
 
 __all__ = [
@@ -156,8 +156,9 @@ def poly_roots_batch(polys) -> list:
     numpy.linalg.eigvals call, so the roots are bitwise those of a call per
     polynomial while the per-call overhead is paid once per size.
     """
-    plans = []  # per polynomial: (companion size, slot in its stack, invert, zero roots)
+    plans = []  # per polynomial: (companion size, slot in its stack, zero roots)
     stacks = {}  # companion size -> descending coefficients of its members
+    inverts = {}  # companion size -> per member, whether its roots are inverted
     for p in polys:
         if not isinstance(p, MuPolynomial):
             p = MuPolynomial(p)
@@ -182,7 +183,8 @@ def poly_roots_batch(polys) -> list:
                 members = stacks.setdefault(size, [])
                 slot = len(members)
                 members.append(desc)
-        plans.append((size, slot, invert, nzero))
+                inverts.setdefault(size, []).append(invert)
+        plans.append((size, slot, nzero))
     solved = {}
     for size, members in stacks.items():
         desc = np.array(members)
@@ -190,17 +192,33 @@ def poly_roots_batch(polys) -> list:
         comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
         sub = np.arange(1, size)
         comp[:, sub, sub - 1] = 1.0
-        solved[size] = np.linalg.eigvals(comp)
+        solved[size] = _stack_roots(np.linalg.eigvals(comp), np.array(inverts[size]))
     out = []
-    for size, slot, invert, nzero in plans:
-        w = solved[size][slot] if size else np.array([])
-        if np.iscomplexobj(w) and not w.imag.any():
-            w = w.real  # what eigvals returns for this matrix alone
-        roots = (1.0 / w if invert else w).astype(complex)
+    for size, slot, nzero in plans:
+        roots = solved[size][slot] if size else np.array([], dtype=complex)
         if nzero:
             roots = np.concatenate((roots, np.zeros(nzero, dtype=complex)))
-        out.append(roots[np.lexsort((roots.imag, roots.real))])
+            roots = roots[np.lexsort((roots.imag, roots.real))]
+        out.append(roots)
     return out
+
+
+def _stack_roots(w: np.ndarray, invert: np.ndarray) -> np.ndarray:
+    """Roots from one stack of companion eigenvalues, a row per member.
+
+    Does per stack what a lone numpy.roots call does per member: a member
+    whose imaginary parts are all 0 is taken real (numpy.linalg.eigvals
+    returns a complex stack when any member is complex), inverted members
+    (invert[i]) get 1/w in that type, and each row is sorted by (real, imag).
+    """
+    roots = np.empty(w.shape, dtype=complex)
+    real = ~w.imag.any(axis=1) if np.iscomplexobj(w) else np.ones(len(w), dtype=bool)
+    for rows, vals in ((real, w.real), (~real, w)):
+        flip = rows & invert
+        keep = rows & ~invert
+        roots[flip] = 1.0 / vals[flip]
+        roots[keep] = vals[keep]
+    return np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=-1), axis=-1)
 
 
 def k_constants(degrees, idx) -> list:
@@ -210,13 +228,27 @@ def k_constants(degrees, idx) -> list:
     expressions; n >= 3 uses the product form built on the endpoint value of
     the degree n-2 basis function, and all degrees share one running product
     of those values, so the cost is O(max(degrees)).  Exact for Fraction
-    family parameters.  Vanishes for n >= 3 at gamma in {1/2, 3/2}.
+    family parameters: gamma = P/Q runs the product on integer numerators
+    and denominators, G_m(1) = prod_{j=1}^{m-1} (2P + jQ) / (Q^{m-1} m!),
+    and reduces once per returned K_n.  Vanishes for n >= 3 at gamma in
+    {1/2, 3/2}.
     """
     degrees = list(degrees)
     if degrees and min(degrees) < 0:
         raise ValueError(f"K_n is defined for n >= 0, got {min(degrees)}")
     g = as_gegenbauer(idx).gamma
-    at1 = gegenbauer_at_one_upto(max(degrees, default=0) - 2, idx)
+    nmax = max(degrees, default=0) - 2
+    exact = isinstance(g, Fraction)
+    if exact:
+        P, Q = g.numerator, g.denominator
+        head = (2 * P - Q) * (2 * P - 3 * Q)
+        at1 = [(1, 1)] * min(nmax + 1, 2)  # (numerator, denominator) of G_m(1)
+        num = den = 1
+        for j in range(1, nmax):
+            num, den = num * (2 * P + j * Q), den * Q * (j + 1)
+            at1.append((num, den))
+    else:
+        at1 = gegenbauer_at_one_upto(nmax, idx)
     out = []
     for n in degrees:
         if n == 0:
@@ -225,6 +257,9 @@ def k_constants(degrees, idx) -> list:
             out.append((2 * g + 1) / (12 * (g + 2)))
         elif n == 2:
             out.append(((2 * g + 1) * (2 * g * g + g - 7)) / (48 * (g + 1) * (g + 2)))
+        elif exact:
+            num, den = at1[n - 2]
+            out.append(Fraction(head * num, Q * Q * den * (n * (n * n - 1) * (n + 2))))
         else:
             out.append(((2 * g - 1) * (2 * g - 3)) * at1[n - 2] / (n * (n * n - 1) * (n + 2)))
     return out
@@ -369,8 +404,7 @@ def omega_poly(n: int, idx) -> MuPolynomial:
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    jdx = as_jacobi(idx)
-    return MuPolynomial([jacobi_deriv_at_one(n, jdx, 2 * k) for k in range(n // 2 + 1)])
+    return MuPolynomial(jacobi_derivs_at_one(n, as_jacobi(idx))[0::2])
 
 
 def jacobi_char_poly(n: int, idx) -> MuPolynomial:

@@ -44,6 +44,7 @@ __all__ = [
     "jacobi_eval",
     "jacobi_at_one",
     "jacobi_deriv_at_one",
+    "jacobi_derivs_at_one",
 ]
 
 
@@ -321,20 +322,36 @@ def jacobi_at_one(n: int, idx):
     return _binom_prod(as_jacobi(idx).alpha + n, n)
 
 
-def jacobi_deriv_at_one(n: int, idx, k: int):
-    """k-th derivative of P_n^(alpha,beta) at x = 1.
+def jacobi_derivs_at_one(n: int, idx) -> list:
+    """Endpoint derivatives [D^k P_n^(alpha,beta)(1) for k = 0..n].
 
     D^k P_n is 2^{-k} prod_{j=1}^{k} (n + alpha + beta + j) times the degree
-    n-k Jacobi polynomial with both exponents raised by k, so the endpoint
-    value is that prefactor times binom(n + alpha, n - k).  Zero for k > n.
+    n-k Jacobi polynomial with both exponents raised by k, so its endpoint
+    value is that prefactor times binom(n + alpha, n - k).  Consecutive
+    values differ by the factor (n - k)(n + alpha + beta + k + 1) /
+    (2 (alpha + k + 1)), so all n + 1 of them cost O(n) from
+    D^0 = binom(n + alpha, n).  Exact when the exponents are Fractions.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    jdx = as_jacobi(idx)
+    a, b = jdx.alpha, jdx.beta
+    val = _binom_prod(a + n, n)
+    out = [val]
+    for k in range(n):
+        val = val * (n - k) * (n + a + b + k + 1) / (2 * (a + k + 1))
+        out.append(val)
+    return out
+
+
+def jacobi_deriv_at_one(n: int, idx, k: int):
+    """k-th derivative of P_n^(alpha,beta) at x = 1; see jacobi_derivs_at_one.
+
+    Zero for k > n.
     """
     if k < 0:
         raise ValueError(f"derivative order must be nonnegative, got {k}")
     jdx = as_jacobi(idx)
     if k > n:
         return jdx.alpha * 0
-    a, b = jdx.alpha, jdx.beta
-    val = _binom_prod(a + n, n - k)
-    for j in range(1, k + 1):
-        val = val * (n + a + b + j) / 2
-    return val
+    return jacobi_derivs_at_one(n, jdx)[k]

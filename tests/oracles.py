@@ -41,6 +41,18 @@ def jacobi_reference(n: int, alpha, beta, x):
     return acc
 
 
+def jacobi_deriv_product(n: int, alpha, beta, k: int):
+    """k-th derivative of P_n^(alpha,beta) at x = 1 as a fresh product per k:
+    binom(n + alpha, n - k) prod_{j=1}^{k} (n + alpha + beta + j) / 2, zero
+    for k > n.  Exact for Fraction exponents."""
+    if k > n:
+        return alpha * 0
+    val = binomial(alpha + n, n - k)
+    for j in range(1, k + 1):
+        val = val * (n + alpha + beta + j) / 2
+    return val
+
+
 def _mul_linear(coeffs, c0, c1):
     """Multiply an ascending coefficient list by (c0 + c1 x)."""
     out = [c0 * c for c in coeffs] + [coeffs[0] * 0]
@@ -147,6 +159,13 @@ def k_constant_recursive(n: int, g):
     return val
 
 
+def k_constant_closed_form(n: int, g):
+    """Boundary constant K_n for n >= 3 from its product form
+    ((2g - 1)(2g - 3)) G_{n-2}(1) / (n (n^2 - 1)(n + 2)), with G_{n-2}(1)
+    from endpoint_value, in that operation order.  Exact for Fraction g."""
+    return ((2 * g - 1) * (2 * g - 3)) * endpoint_value(n - 2, g) / (n * (n * n - 1) * (n + 2))
+
+
 def gegenbauer_derivative_matrix(nmax: int, g: float) -> np.ndarray:
     """Connection matrix D with (D a) the coefficients of the derivative.
 
@@ -210,6 +229,33 @@ def companion_roots_one_by_one(asc) -> np.ndarray:
             roots = np.roots(core[::-1]).astype(complex)
     roots = np.concatenate([roots, np.zeros(nzero, dtype=complex)])
     return roots[np.lexsort((roots.imag, roots.real))]
+
+
+_TINY = 1e-300
+
+
+def root_stats_one_by_one(roots) -> list:
+    """Per root array, the statistics the verify checks read, one numpy call
+    per array: (largest real part by np.max, largest modulus, largest
+    |imag| / |root|, smallest relative step of the sorted real parts, the
+    last sorted real part, the Hurwitz margin largest real part / max(1,
+    largest modulus)).  An empty array gives (-inf, 0, 0, inf, -inf, -inf).
+    """
+    out = []
+    for r in roots:
+        if r.size == 0:
+            out.append((-math.inf, 0.0, 0.0, math.inf, -math.inf, -math.inf))
+            continue
+        top = float(np.max(r.real))
+        radius = float(np.max(np.abs(r)))
+        reality = float(np.max(np.abs(r.imag) / np.maximum(np.abs(r), _TINY)))
+        real_sorted = np.sort(r.real)
+        gap = math.inf
+        if real_sorted.size >= 2:
+            scales = np.maximum(np.abs(real_sorted[:-1]), np.abs(real_sorted[1:]))
+            gap = float(np.min(np.diff(real_sorted) / np.maximum(scales, _TINY)))
+        out.append((top, radius, reality, gap, float(real_sorted[-1]), top / max(1.0, radius)))
+    return out
 
 
 def unbalanced_tau_spectrum(square: np.ndarray, eigvals=general_eigvals):

@@ -109,6 +109,9 @@ def test_poly_roots_batch_is_bitwise_one_call_per_polynomial():
                 pair[:2] = real[0] + 1j * scale * np.array([0.5, -0.5])
                 polys.append(_from_roots(pair, lead=rng.uniform(0.5, 2.0)))
             polys.append(_from_roots(real[: max(degree - 3, 0)], zero_roots=min(degree, 3)))
+            if degree >= 5:  # zero roots between negative, positive and complex ones
+                mixed = np.concatenate((real[:1], -real[1:2], -real[2] + 1j * scale * np.array([0.5, -0.5])))
+                polys.append(_from_roots(mixed, zero_roots=degree - 4))
     # a leading coefficient that underflows to 0.0 leaves numpy.roots a leading zero
     polys.append(MuPolynomial((F(2), F(3), F(1), F(1, 10**400))))
     polys.append(MuPolynomial((F(0), F(1), F(1, 10**400))))
@@ -154,6 +157,18 @@ def test_boundary_constants_share_one_product():
         assert k_constants([], idx) == []
     with pytest.raises(ValueError):
         k_constants([3, -1], 0.5)
+
+
+def test_boundary_constants_integer_product_matches_the_fraction_routes():
+    degrees = list(range(101))
+    for gamma in (F(-3, 7), F(0), F(1, 2), F(3, 2), F(12, 7), F(16, 7)):
+        got = k_constants(degrees, GegenbauerIndex(gamma))
+        assert all(isinstance(k, F) for k in got)
+        assert got == [oracles.k_constant_recursive(n, gamma) for n in degrees]
+        assert got[3:] == [oracles.k_constant_closed_form(n, gamma) for n in degrees[3:]]
+        # the float route is the product form in float arithmetic, bit for bit
+        floats = k_constants(degrees, GegenbauerIndex(float(gamma)))
+        assert floats[3:] == [oracles.k_constant_closed_form(n, float(gamma)) for n in degrees[3:]]
 
 
 def test_boundary_constant_exact_rational_equality():

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 
 from gegtau.orthopoly import (
     GegenbauerIndex,
@@ -27,6 +28,7 @@ from gegtau.orthopoly import (
     gegenbauer_norms,
     jacobi_at_one,
     jacobi_deriv_at_one,
+    jacobi_derivs_at_one,
     jacobi_eval,
     one_minus_x2_block,
     second_derivative_block,
@@ -357,3 +359,34 @@ def test_jacobi_deriv_at_one_finite_difference():
                 lambda t: jacobi_eval(n, idx, t), 1.0, k, h=1e-2
             )
             assert jacobi_deriv_at_one(n, idx, k) == pytest.approx(fd, rel=1e-6)
+
+
+# p/q > -1 with q <= 20
+_JACOBI_EXPONENTS = st.integers(1, 20).flatmap(lambda q: st.integers(-q + 1, 5 * q).map(lambda p: Fraction(p, q)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=_JACOBI_EXPONENTS, beta=_JACOBI_EXPONENTS, n=st.integers(0, 30))
+def test_jacobi_derivs_at_one_is_exact_on_fractions(alpha, beta, n):
+    derivs = jacobi_derivs_at_one(n, JacobiIndex(alpha, beta))
+    assert derivs == [oracles.jacobi_deriv_product(n, alpha, beta, k) for k in range(n + 1)]
+    assert all(isinstance(d, Fraction) for d in derivs)
+
+
+def test_jacobi_derivs_at_one_float_error():
+    # the exact reference is the same recurrence on the floats' own rational
+    # values, which the Fraction test above pins to the per-k product
+    grid = (-0.9, -0.5, 0.0, 0.25, 1 / 3, 0.5, 1.0, 1.7, 3.0)
+    for alpha in grid:
+        for beta in grid:
+            for n in range(31):
+                derivs = jacobi_derivs_at_one(n, JacobiIndex(alpha, beta))
+                exact = jacobi_derivs_at_one(n, JacobiIndex(Fraction(alpha), Fraction(beta)))
+                assert len(derivs) == len(exact) == n + 1
+                for k, (got, want) in enumerate(zip(derivs, exact)):
+                    assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * abs(want), (alpha, beta, n, k)
+
+
+def test_jacobi_derivs_at_one_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        jacobi_derivs_at_one(-1, JacobiIndex(0.0, 0.0))

@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gegtau.charpoly import MuPolynomial, omega_poly, poly_roots
+from gegtau.charpoly import MuPolynomial, omega_poly, poly_roots, poly_roots_batch
 from gegtau.orthopoly import JacobiIndex, Parity
 from gegtau.verify import (
     DEFAULT_GAMMA_GRID,
@@ -26,6 +29,9 @@ from gegtau.verify import (
     sharpness_suite,
     spectrum_error_report,
 )
+from gegtau.verify import _hurwitz_margins, _root_stats
+
+import oracles
 
 F = Fraction
 
@@ -239,3 +245,56 @@ def test_sweep_result_serialization():
 
 def test_default_gamma_grid_value():
     assert DEFAULT_GAMMA_GRID == (-0.49, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
+
+
+_REAL_ROOT = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.25, 1.0]), st.floats(-5.0, 5.0).filter(lambda x: abs(x) > 1e-3))
+_PAIR = st.tuples(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), st.floats(0.1, 3.0))  # (real, imag), pure imaginary included
+
+
+@st.composite
+def _member(draw):
+    """Roots of one real polynomial: real, conjugate pairs, repeats, zeros; 0-14 in all."""
+    roots = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["real", "pair", "repeat", "zero"]))
+        if kind == "real":
+            roots.append(complex(draw(_REAL_ROOT)))
+        elif kind == "pair" and len(roots) <= 12:
+            re, im = draw(_PAIR)
+            roots += [complex(re, im), complex(re, -im)]
+        elif kind == "repeat" and roots and roots[-1].imag == 0.0:
+            roots.append(roots[-1])
+        elif kind == "zero":
+            roots += [0j] * draw(st.integers(1, 2))
+    roots = roots[:14]
+    if sum(r.imag != 0.0 for r in roots) % 2:  # a pair cut in half
+        roots = [r for r in roots if r.imag == 0.0]
+    lead = draw(st.sampled_from([1.0, -2.5, 0.125]))
+    desc = np.atleast_1d(np.real(np.poly(np.array(roots, dtype=complex)))) * lead
+    return MuPolynomial(list(desc[::-1]))
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return (a == b or (math.isnan(a) and math.isnan(b))) and np.signbit(a) == np.signbit(b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.lists(_member(), min_size=0, max_size=12))
+# mu^8 (mu^2 + 1): roots 0 x 8 and +-i, real parts +0.0 and -0.0 that np.sort reorders
+@example(family=[MuPolynomial([0.0] * 8 + [1.0, 0.0, 1.0]), MuPolynomial((4.0, 0.0, 5.0, 0.0, 1.0)), MuPolynomial((3.0,))])
+def test_root_stats_are_bitwise_the_per_polynomial_values(family):
+    roots = poly_roots_batch(family)
+    stats = _root_stats(roots)
+    margins = _hurwitz_margins(roots)
+    assert all(len(column) == len(family) for column in (*stats, margins))
+    for i, want in enumerate(oracles.root_stats_one_by_one(roots)):
+        got = (*(column[i] for column in stats), margins[i])
+        assert all(_same_bits(g, w) for g, w in zip(got, want)), (i, got, want)
+
+
+def test_root_stats_of_no_roots():
+    assert _root_stats([]) == ([], [], [], [], [])
+    empty = np.array([], dtype=complex)
+    assert _root_stats([empty, np.array([-1.0 + 0j])]) == ([-math.inf, -1.0], [0.0, 1.0], [0.0, 0.0], [math.inf, math.inf], [-math.inf, -1.0])
+    assert _hurwitz_margins([empty]) == [-math.inf]
+    assert check_stable(MuPolynomial((2.0,))).margin == -math.inf
