@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .orthopoly import (
+    JacobiIndex,
     Parity,
     as_gegenbauer,
     as_jacobi,
@@ -38,6 +39,7 @@ __all__ = [
     "MuPolynomial",
     "poly_roots",
     "poly_roots_batch",
+    "poly_roots_stacks",
     "k_constant",
     "k_constants",
     "charpoly_sequence",
@@ -45,6 +47,8 @@ __all__ = [
     "omega_poly",
     "jacobi_char_poly",
     "mixed_char_poly",
+    "jacobi_char_stacks",
+    "mixed_char_stacks",
 ]
 
 
@@ -141,64 +145,96 @@ def poly_roots(p) -> np.ndarray:
     When the roots cluster inside the unit disk (geometric mean below one,
     read off the coefficient ends) the companion of the reversed polynomial
     is much better conditioned, so the roots are computed there and
-    inverted.  Exact zero roots are stripped first.  The same as
+    inverted.  Exact zero roots are stripped first, and so are leading
+    coefficients that are 0.0 in floating point.  The same as
     poly_roots_batch([p])[0].
     """
     return poly_roots_batch([p])[0]
 
 
 def poly_roots_batch(polys) -> list:
-    """poly_roots of every polynomial in polys, one eigensolve per size.
+    """poly_roots of every polynomial in polys (MuPolynomials or ascending
+    coefficient sequences, rows of a 2-D array included).
 
-    Each polynomial gets the companion matrix numpy.roots builds for it in
-    poly_roots (its own reversal choice, leading zeros stripped); the
-    matrices are stacked by size and each stack goes to one
-    numpy.linalg.eigvals call, so the roots are bitwise those of a call per
-    polynomial while the per-call overhead is paid once per size.
+    The float coefficients are grouped by degree into the stacks of one
+    poly_roots_stacks call, so the roots are bitwise those of a call per
+    polynomial while the per-call overhead is paid once per companion size.
     """
-    plans = []  # per polynomial: (companion size, slot in its stack, zero roots)
-    stacks = {}  # companion size -> descending coefficients of its members
-    inverts = {}  # companion size -> per member, whether its roots are inverted
+    rows = []
     for p in polys:
         if not isinstance(p, MuPolynomial):
             p = MuPolynomial(p)
-        if p.is_zero():
-            raise ValueError("the zero polynomial has no well-defined roots")
         asc = [float(c) for c in p.coeffs]
-        nzero = 0
-        while asc[nzero] == 0.0:
-            nzero += 1
-        core = asc[nzero:]
-        size = slot = 0
-        invert = False
-        if len(core) > 1:
-            # a leading coefficient that underflows to 0.0 counts as infinitely small
-            gmean = (abs(core[0]) / abs(core[-1])) ** (1.0 / (len(core) - 1)) if core[-1] else math.inf
-            invert = gmean < 1.0
-            desc = core if invert else core[::-1]
-            while desc[0] == 0.0:  # numpy.roots drops leading zeros
-                desc = desc[1:]
-            size = len(desc) - 1
+        while len(asc) > 1 and asc[-1] == 0.0:
+            asc.pop()
+        if asc == [0.0]:
+            raise ValueError("the zero polynomial has no well-defined roots")
+        rows.append(asc)
+    by_width = {}
+    for i, asc in enumerate(rows):
+        by_width.setdefault(len(asc), []).append(i)
+    out = [None] * len(rows)
+    stacks = poly_roots_stacks([[rows[i] for i in members] for members in by_width.values()])
+    for members, roots in zip(by_width.values(), stacks):
+        for i, r in zip(members, roots):
+            out[i] = r
+    return out
+
+
+def poly_roots_stacks(stacks) -> list:
+    """poly_roots of every row of every coefficient stack, one eigensolve
+    per companion size.
+
+    A stack is a 2-D array (converted to float) whose row i holds the
+    ascending coefficients of one polynomial of degree shape[1] - 1, so its
+    last entry must be nonzero.  Returns per stack a complex array whose
+    row i holds the roots of row i, bitwise poly_roots of that row: each row
+    gets the companion matrix numpy.roots builds for it (its own reversal
+    choice, zero roots stripped), and the matrices of one size, from all
+    stacks, go to one numpy.linalg.eigvals call.
+    """
+    plans = []  # per stack: (rows, degree, [(row mask, zero roots, companion size, first slot, rows)])
+    blocks = {}  # companion size -> [(descending coefficients, roots inverted)]
+    for stack in stacks:
+        c = np.asarray(stack, dtype=float)
+        if c.ndim != 2 or c.shape[1] == 0:
+            raise ValueError(f"a coefficient stack is a 2-D array with at least one column, got shape {c.shape}")
+        if not c[:, -1].all():
+            raise ValueError("every row of a coefficient stack needs a nonzero leading coefficient")
+        degree = c.shape[1] - 1
+        parts = []
+        nzero = np.argmax(c != 0.0, axis=1)
+        for z in np.unique(nzero).tolist() if degree else []:
+            rows = nzero == z
+            core = c[rows, z:]
+            size = degree - z
+            slot = 0
             if size:
-                members = stacks.setdefault(size, [])
-                slot = len(members)
-                members.append(desc)
-                inverts.setdefault(size, []).append(invert)
-        plans.append((size, slot, nzero))
+                ratio = np.abs(core[:, 0]) / np.abs(core[:, -1])
+                expo = 1.0 / size
+                invert = np.array([r**expo < 1.0 for r in ratio.tolist()])  # geometric mean below one
+                sized = blocks.setdefault(size, [])
+                slot = sum(len(d) for d, _ in sized)
+                sized.append((np.where(invert[:, None], core, core[:, ::-1]), invert))
+            parts.append((rows, z, size, slot, len(core)))
+        plans.append((len(c), degree, parts))
     solved = {}
-    for size, members in stacks.items():
-        desc = np.array(members)
-        comp = np.zeros((len(members), size, size))
+    for size, sized in blocks.items():
+        desc = np.concatenate([d for d, _ in sized])
+        comp = np.zeros((len(desc), size, size))
         comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
         sub = np.arange(1, size)
         comp[:, sub, sub - 1] = 1.0
-        solved[size] = _stack_roots(np.linalg.eigvals(comp), np.array(inverts[size]))
+        solved[size] = _stack_roots(np.linalg.eigvals(comp), np.concatenate([i for _, i in sized]))
     out = []
-    for size, slot, nzero in plans:
-        roots = solved[size][slot] if size else np.array([], dtype=complex)
-        if nzero:
-            roots = np.concatenate((roots, np.zeros(nzero, dtype=complex)))
-            roots = roots[np.lexsort((roots.imag, roots.real))]
+    for count, degree, parts in plans:
+        roots = np.empty((count, degree), dtype=complex)
+        for rows, z, size, slot, k in parts:
+            part = solved[size][slot : slot + k] if size else np.empty((k, 0), dtype=complex)
+            if z:
+                part = np.concatenate((part, np.zeros((k, z), dtype=complex)), axis=1)
+                part = np.take_along_axis(part, np.lexsort((part.imag, part.real), axis=-1), axis=-1)
+            roots[rows] = part
         out.append(roots)
     return out
 
@@ -396,6 +432,48 @@ def charpoly_direct(n: int, idx) -> MuPolynomial:
     return MuPolynomial(coeffs)
 
 
+def _as_stack(rows) -> np.ndarray:
+    """Equal-length coefficient lists as the rows of one array: float, or
+    object (Python arithmetic) when they hold Fractions."""
+    stack = np.array(rows)
+    return stack if stack.dtype == object else stack.astype(float)
+
+
+def _stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of two coefficient stacks, accumulated in the order
+    of MuPolynomial.__mul__ (the high coefficients of a first), so each row
+    is bitwise that product."""
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1), dtype=np.result_type(a, b))
+    for i in range(a.shape[1] - 1, -1, -1):
+        out[:, i : i + b.shape[1]] += a[:, i : i + 1] * b
+    return out
+
+
+def _stack_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise sums of two coefficient stacks as MuPolynomial.__add__ forms
+    them: the longer stack's extra coefficients are kept as they are."""
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    out = a.copy()
+    out[:, : b.shape[1]] += b
+    return out
+
+
+def _endpoint_rows(n: int, pairs, memo: dict, step: int = 1) -> np.ndarray:
+    """jacobi_derivs_at_one(n, (alpha, beta))[::step] for each (alpha, beta)
+    in pairs, as the rows of one stack; memo keeps each list by degree and
+    exponents (values and types, since 0 == 0.0 == Fraction(0)), so it is
+    computed once."""
+    rows = []
+    for a, b in pairs:
+        key = (n, a, b, type(a), type(b))
+        derivs = memo.get(key)
+        if derivs is None:
+            derivs = memo[key] = jacobi_derivs_at_one(n, JacobiIndex(a, b))
+        rows.append(derivs[::step])
+    return _as_stack(rows)
+
+
 def omega_poly(n: int, idx) -> MuPolynomial:
     """Even-order endpoint derivative generating polynomial for Jacobi.
 
@@ -412,26 +490,62 @@ def jacobi_char_poly(n: int, idx) -> MuPolynomial:
 
     Symmetrized product of the even-order endpoint polynomials at (alpha,
     beta) and (beta, alpha); its roots are the reciprocal eigenvalues.
+    Exact for Fraction exponents.  The one-member case of
+    jacobi_char_stacks.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    jdx = as_jacobi(idx)
-    swp = jdx.swapped()
-    return omega_poly(n, jdx) * omega_poly(n - 1, swp) + omega_poly(n, swp) * omega_poly(n - 1, jdx)
+    return MuPolynomial(jacobi_char_stacks([n], [idx])[0][0].tolist())
 
 
 def mixed_char_poly(n: int, idx) -> MuPolynomial:
     """Characteristic polynomial for one Dirichlet end and one Neumann end.
 
     Built from the swapped-exponent endpoint polynomials together with the
-    raised-exponent family that represents first derivatives.
+    raised-exponent family that represents first derivatives.  The
+    one-member case of mixed_char_stacks.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    jdx = as_jacobi(idx)
-    a, b = jdx.alpha, jdx.beta
-    swp = jdx.swapped()
-    up = jdx.raised()
-    k_prev = (n + a + b) / 2  # (n-1) + a + b + 1
-    k_cur = (n + a + b + 1) / 2
-    return omega_poly(n, swp) * omega_poly(n - 2, up) * k_prev + omega_poly(n - 1, swp) * omega_poly(n - 1, up) * k_cur
+    return MuPolynomial(mixed_char_stacks([n], [idx])[0][0].tolist())
+
+
+def jacobi_char_stacks(degrees, idxs, derivs=None) -> list:
+    """jacobi_char_poly(n, idx) for every n in degrees and idx in idxs, as
+    one coefficient stack per n with a row per idx.
+
+    Each row is bitwise that polynomial's coefficients: the products and the
+    sum take the same operations in the same order, on float rows or, for
+    Fraction exponents, on object rows in exact arithmetic.  Every endpoint
+    derivative list is computed once, in derivs (a dict, which calls may
+    share) when it is given.
+    """
+    pairs = [(j.alpha, j.beta) for j in map(as_jacobi, idxs)]
+    swapped = [(b, a) for a, b in pairs]
+    memo = {} if derivs is None else derivs
+    out = []
+    for n in degrees:
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        own = _stack_mul(_endpoint_rows(n, pairs, memo, 2), _endpoint_rows(n - 1, swapped, memo, 2))
+        swp = _stack_mul(_endpoint_rows(n, swapped, memo, 2), _endpoint_rows(n - 1, pairs, memo, 2))
+        out.append(_stack_add(own, swp))
+    return out
+
+
+def mixed_char_stacks(degrees, idxs, derivs=None) -> list:
+    """mixed_char_poly(n, idx) for every n in degrees and idx in idxs, as
+    one coefficient stack per n with a row per idx; bitwise as in
+    jacobi_char_stacks."""
+    pairs = [(j.alpha, j.beta) for j in map(as_jacobi, idxs)]
+    swapped = [(b, a) for a, b in pairs]
+    raised = [(a + 1, b + 1) for a, b in pairs]
+    alpha = np.array([a for a, _ in pairs])
+    beta = np.array([b for _, b in pairs])
+    memo = {} if derivs is None else derivs
+    out = []
+    for n in degrees:
+        if n < 2:
+            raise ValueError(f"need n >= 2, got {n}")
+        k_prev = (n + alpha + beta) / 2  # (n-1) + a + b + 1
+        k_cur = (n + alpha + beta + 1) / 2
+        low = _stack_mul(_endpoint_rows(n, swapped, memo, 2), _endpoint_rows(n - 2, raised, memo, 2))
+        mid = _stack_mul(_endpoint_rows(n - 1, swapped, memo, 2), _endpoint_rows(n - 1, raised, memo, 2))
+        out.append(_stack_add(low * k_prev[:, None], mid * k_cur[:, None]))
+    return out

@@ -162,11 +162,7 @@ def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     gammas = _parse_grid(args.gamma_grid, verify.DEFAULT_GAMMA_GRID)
     reports = [rep for name in names for rep in _SUITES[name](gammas, args.seed)]
-    for rep in reports:
-        print(rep.line())
-    failures = [r for r in reports if not r.passed and not r.advisory]
-    print(f"{len(reports) - len(failures)}/{len(reports)} checks passed")
-    if args.out:
+    if args.out:  # first, so an unwritable --out fails before any report line
         _emit(
             args,
             json=lambda: {
@@ -174,6 +170,10 @@ def _cmd_verify(args) -> int:
                 "data": {"reports": [r.to_json_dict() for r in reports]},
             },
         )
+    for rep in reports:
+        print(rep.line())
+    failures = [r for r in reports if not r.passed and not r.advisory]
+    print(f"{len(reports) - len(failures)}/{len(reports)} checks passed")
     return 1 if failures else 0
 
 
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except np.linalg.LinAlgError:
         raise
-    except ValueError as exc:  # an out-of-range parameter, from the library or the command
+    except (ValueError, OSError) as exc:  # an out-of-range parameter or an unwritable --out
         ap.exit(2, f"gegtau {args.command}: error: {exc}\n")
 
 

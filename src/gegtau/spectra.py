@@ -125,28 +125,36 @@ def _hessenberg_eigvals(h: np.ndarray) -> np.ndarray:
 _TINY = 1e-300
 
 
-def reality_ratio(values: np.ndarray) -> float:
-    """Largest |imag| / |value| over the entries (0 when there are none)."""
-    if values.size == 0:
-        return 0.0
-    return float(np.max(np.abs(values.imag) / np.maximum(np.abs(values), _TINY)))
+def reality_ratio(values: np.ndarray):
+    """Largest |imag| / |value| along the last axis (0 where there are no
+    entries): a float for a 1-D array, an array with one per row for a 2-D
+    one."""
+    if values.shape[-1] == 0:
+        return _per_row(np.zeros(values.shape[:-1]))
+    return _per_row(np.max(np.abs(values.imag) / np.maximum(np.abs(values), _TINY), axis=-1))
 
 
-def min_rel_gap(values: np.ndarray) -> float:
-    """Smallest step between consecutive entries relative to the larger
-    magnitude of the two.
+def min_rel_gap(values: np.ndarray):
+    """Smallest step between consecutive entries along the last axis,
+    relative to the larger magnitude of the two (inf for fewer than two
+    entries): a float for a 1-D array, an array with one per row for a 2-D
+    one.
 
     Real steps keep their sign, so entries out of ascending order (a broken
     interlacing) give a negative ratio; complex steps are measured by their
     modulus.
     """
-    if values.size < 2:
-        return math.inf
-    gaps = np.diff(values)
+    if values.shape[-1] < 2:
+        return _per_row(np.full(values.shape[:-1], math.inf))
+    gaps = np.diff(values, axis=-1)
     if np.iscomplexobj(gaps):
         gaps = np.abs(gaps)
-    scales = np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
-    return float(np.min(gaps / np.maximum(scales, _TINY)))
+    scales = np.maximum(np.abs(values[..., :-1]), np.abs(values[..., 1:]))
+    return _per_row(np.min(gaps / np.maximum(scales, _TINY), axis=-1))
+
+
+def _per_row(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass

@@ -20,13 +20,17 @@ import numpy as np
 
 from .charpoly import (
     MuPolynomial,
+    _as_stack,
+    _endpoint_rows,
+    _stack_add,
+    _stack_mul,
     charpoly_sequence,
-    jacobi_char_poly,
-    mixed_char_poly,
-    poly_roots_batch,
+    jacobi_char_stacks,
+    mixed_char_stacks,
+    poly_roots_stacks,
 )
-from .orthopoly import JacobiIndex, Parity, as_gegenbauer, as_jacobi, as_parity, jacobi_derivs_at_one
-from .spectra import _TINY, SweepResult, exact_spectrum, min_rel_gap, pencil_spectrum, reality_ratio, tau_spectrum
+from .orthopoly import JacobiIndex, Parity, as_gegenbauer, as_jacobi, as_parity
+from .spectra import SweepResult, exact_spectrum, min_rel_gap, pencil_spectrum, reality_ratio, tau_spectrum
 from .tau_operator import DIFF_VARIANTS, build_diff_pencil
 
 __all__ = [
@@ -93,22 +97,15 @@ def check_stable(p, tol: float = 1e-9) -> VerificationReport:
     """
     if not isinstance(p, MuPolynomial):
         p = MuPolynomial(p)
-    margin = _hurwitz_margins(poly_roots_batch([p.to_float()]))[0]
+    margin = _hurwitz_margins(_row_stats([np.array([p.coeffs], dtype=float)])[0])[0]
     return VerificationReport(
         check="hurwitz-stable",
         params={"degree": p.degree},
         passed=bool(margin < -tol),
-        margin=margin,
+        margin=float(margin),
         tolerance=tol,
         comparison="< -",
     )
-
-
-def _hurwitz_margins(roots) -> list:
-    """check_stable's margin for each root array: the largest real part over
-    max(1, largest modulus), or -inf for an array with no roots."""
-    top, radius, *_ = _root_stats(roots)
-    return [t / (r if r > 1.0 else 1.0) for t, r in zip(top, radius)]
 
 
 def check_positive_pair(p1, p2, tol_real: float = 1e-9, tol_gap: float = 1e-8) -> VerificationReport:
@@ -118,83 +115,101 @@ def check_positive_pair(p1, p2, tol_real: float = 1e-9, tol_gap: float = 1e-8) -
     strictly negative, each set distinct, strict interlacing in the pattern
     fixed by the degree difference (equal degrees: p2's roots come first),
     and leading coefficients of like sign.  margin is the smallest relative
-    gap in the merged root sequence.
+    gap in the merged root sequence.  The one-pair case of _pair_verdicts.
     """
     if not isinstance(p1, MuPolynomial):
         p1 = MuPolynomial(p1)
     if not isinstance(p2, MuPolynomial):
         p2 = MuPolynomial(p2)
-    roots = None
-    if _pair_degrees_fit(p1, p2):
-        roots = poly_roots_batch([p1.to_float(), p2.to_float()])
-    return _pair_report(p1, p2, roots, tol_real, tol_gap)
+    verdict = (False, -math.inf, "degree-mismatch")
+    if p1.degree >= 1 and p2.degree in (p1.degree - 1, p1.degree):
+        c1, c2 = np.array([p1.coeffs], dtype=float), np.array([p2.coeffs], dtype=float)
+        verdict = _pair_verdicts(*poly_roots_stacks([c1, c2]), c1[:, -1], c2[:, -1], tol_real, tol_gap)[0]
+    return _pair_report(p1.degree, p2.degree, verdict, tol_gap)
 
 
-def _pair_degrees_fit(p1: MuPolynomial, p2: MuPolynomial) -> bool:
-    return p1.degree >= 1 and p2.degree in (p1.degree - 1, p1.degree)
+def _pair_verdicts(roots1, roots2, lead1, lead2, tol_real: float = 1e-9, tol_gap: float = 1e-8) -> list:
+    """check_positive_pair's verdict for row i of each stack: roots1 and
+    roots2 are root stacks (poly_roots_stacks) of degree n >= 1 and n or
+    n - 1, lead1 and lead2 the leading coefficients.
+
+    Returns one (passed, margin, reason) per row, reason None unless a
+    structural test failed.  Each is bitwise the per-pair test: the sorts,
+    the interleaved merge and the gaps run row-wise on the stacks.
+    """
+    re1, re2 = reality_ratio(roots1), reality_ratio(roots2)
+    reality = np.where(re2 > re1, re2, re1)  # Python's max(re1, re2): re1 unless re2 is larger
+    r1 = np.sort(roots1.real, axis=1)
+    r2 = np.sort(roots2.real, axis=1)
+    low, high = (r2, r1) if r2.shape[1] == r1.shape[1] else (r1, r2)
+    merged = np.empty((len(r1), r1.shape[1] + r2.shape[1]))
+    merged[:, 0::2] = low
+    merged[:, 1::2] = high
+    margins = min_rel_gap(merged)
+    columns = (reality, margins, merged[:, -1] >= 0.0, lead1 * lead2 <= 0.0)
+    out = []
+    for ratio, margin, nonnegative, sign_mismatch in zip(*(c.tolist() for c in columns)):
+        if ratio > tol_real:
+            out.append((False, -math.inf, f"non-real-roots ratio={ratio:.3e}"))
+        elif nonnegative:
+            out.append((False, margin, "nonnegative-root"))
+        elif sign_mismatch:
+            out.append((False, margin, "leading-sign-mismatch"))
+        else:
+            out.append((margin > tol_gap, margin, None))
+    return out
 
 
-def _pair_report(p1, p2, roots, tol_real: float = 1e-9, tol_gap: float = 1e-8) -> VerificationReport:
-    """check_positive_pair's report for (p1, p2) from roots, the roots of
-    p1.to_float() and p2.to_float() (not read when the degrees do not fit)."""
-    n = p1.degree
-    params = {"deg1": n, "deg2": p2.degree}
-
-    def fail(reason, margin=-math.inf):
+def _pair_report(deg1: int, deg2: int, verdict, tol_gap: float) -> VerificationReport:
+    passed, margin, reason = verdict
+    params = {"deg1": deg1, "deg2": deg2}
+    if reason is not None:
         params["reason"] = reason
-        return VerificationReport(
-            check="positive-pair",
-            params=params,
-            passed=False,
-            margin=margin,
-            tolerance=tol_gap,
-            comparison=">",
-        )
-
-    if not _pair_degrees_fit(p1, p2):
-        return fail("degree-mismatch")
-    r1, r2 = roots
-    reality = max(reality_ratio(r1), reality_ratio(r2))
-    if reality > tol_real:
-        return fail(f"non-real-roots ratio={reality:.3e}")
-    r1 = np.sort(r1.real)
-    r2 = np.sort(r2.real)
-    if p2.degree == n:
-        merged = np.empty(2 * n)
-        merged[0::2] = r2
-        merged[1::2] = r1
-    else:
-        merged = np.empty(2 * n - 1)
-        merged[0::2] = r1
-        merged[1::2] = r2
-    margin = min_rel_gap(merged)
-    if merged.size and merged[-1] >= 0.0:
-        return fail("nonnegative-root", margin=margin)
-    if float(p1.leading) * float(p2.leading) <= 0.0:
-        return fail("leading-sign-mismatch", margin=margin)
     return VerificationReport(
         check="positive-pair",
         params=params,
-        passed=bool(margin > tol_gap),
+        passed=passed,
         margin=margin,
         tolerance=tol_gap,
         comparison=">",
     )
 
 
+def _worst_positive_pair(check, params, outcomes, tol_gap, advisory=False) -> VerificationReport:
+    """The weakest of several (deg1, deg2, verdict) pair outcomes (a failure
+    over a pass, else the smallest margin) as one report named check and
+    tagged with params."""
+    worst = None
+    for outcome in outcomes:
+        passed, margin, _ = outcome[2]
+        if worst is None or margin < worst[2][1] or (worst[2][0] and not passed):
+            worst = outcome
+    report = _pair_report(*worst, tol_gap)
+    report.check = check
+    report.params.update(params)
+    report.advisory = advisory
+    return report
+
+
 def hb_compose(p1, p2) -> MuPolynomial:
-    """Interleave two polynomials into p(z) = p1(z^2) + z p2(z^2)."""
+    """Interleave two polynomials into p(z) = p1(z^2) + z p2(z^2); the
+    one-member case of _hb_stack."""
     if not isinstance(p1, MuPolynomial):
         p1 = MuPolynomial(p1)
     if not isinstance(p2, MuPolynomial):
         p2 = MuPolynomial(p2)
-    zero = p1.coeffs[0] * 0
-    out = [zero] * max(2 * len(p1.coeffs) - 1, 2 * len(p2.coeffs))
-    for k, c in enumerate(p1.coeffs):
-        out[2 * k] = out[2 * k] + c
-    for k, c in enumerate(p2.coeffs):
-        out[2 * k + 1] = out[2 * k + 1] + c
-    return MuPolynomial(out)
+    return MuPolynomial(_hb_stack(_as_stack([p1.coeffs]), _as_stack([p2.coeffs]))[0].tolist())
+
+
+def _hb_stack(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Row-wise p1(z^2) + z p2(z^2) of two coefficient stacks: each
+    coefficient is added to a zero of its row's p1 sign (p1[0] * 0), as
+    coefficient lists add them."""
+    width = max(2 * c1.shape[1] - 1, 2 * c2.shape[1])
+    out = np.repeat((c1[:, :1] * 0).astype(np.result_type(c1, c2)), width, axis=1)
+    out[:, 0 : 2 * c1.shape[1] - 1 : 2] += c1
+    out[:, 1 : 2 * c2.shape[1] : 2] += c2
+    return out
 
 
 def phi_poly(n: int, idx, variant: str = "base", weight: float = 0.0) -> MuPolynomial:
@@ -203,105 +218,86 @@ def phi_poly(n: int, idx, variant: str = "base", weight: float = 0.0) -> MuPolyn
     base      coefficient k is the k-th derivative of P_n at 1, k = 0..n
     prev      base(n) + weight * base(n-1)
     prev-mu2  base(n) + weight * mu^2 * base(n-1)
+
+    The one-member case of _phi_stack.
     """
     jdx = as_jacobi(idx)
+    return MuPolynomial(_phi_stack(n, [(jdx.alpha, jdx.beta)], variant, [weight], {})[0].tolist())
 
-    def base(nn):
-        return MuPolynomial(jacobi_derivs_at_one(nn, jdx))
 
+def _phi_stack(n: int, pairs, variant: str, weights, derivs: dict) -> np.ndarray:
+    """phi_poly(n, (alpha, beta), variant, weight) for each (alpha, beta) of
+    pairs with the weight of the same position, as the rows of one
+    coefficient stack in the same operations as the polynomial sums;
+    derivs keeps the endpoint derivative lists across calls."""
+    base = _endpoint_rows(n, pairs, derivs)
     if variant == "base":
-        return base(n)
+        return base
     if n < 1:
         raise ValueError(f"variant {variant!r} needs n >= 1, got {n}")
+    prev = _endpoint_rows(n - 1, pairs, derivs)
+    w = np.array(weights, dtype=prev.dtype)[:, None]
     if variant == "prev":
-        return base(n) + base(n - 1) * weight
+        return _stack_add(base, prev * w)
     if variant == "prev-mu2":
-        return base(n) + base(n - 1).shifted(2) * weight
+        zero = prev[:, :1] * 0
+        return _stack_add(base, np.concatenate((zero, zero, prev), axis=1) * w)
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _float_roots(families) -> list:
-    """poly_roots of p.to_float() for every p of every family (a list of
-    polynomials), in one poly_roots_batch call; one list of roots per family."""
-    flat = poly_roots_batch([p.to_float() for family in families for p in family])
-    out, start = [], 0
-    for family in families:
-        out.append(flat[start : start + len(family)])
-        start += len(family)
+def _root_stats(roots: np.ndarray) -> tuple:
+    """Per-row statistics of a root stack (from poly_roots_stacks).
+
+    Returns float arrays (top, radius, reality, gap, last), one entry per
+    row: the largest real part, the largest modulus, reality_ratio,
+    min_rel_gap of the sorted real parts, and the last of those.  Each is
+    bitwise what the per-row numpy call gives; rows without roots get top =
+    last = -inf, radius = reality = 0 and gap = inf.
+    """
+    count, degree = roots.shape
+    if degree == 0:
+        return (np.full(count, -math.inf), np.zeros(count), np.zeros(count), np.full(count, math.inf), np.full(count, -math.inf))
+    real_sorted = np.sort(roots.real, axis=1)
+    top = np.max(roots.real, axis=1)
+    return top, np.max(np.abs(roots), axis=1), reality_ratio(roots), min_rel_gap(real_sorted), real_sorted[:, -1]
+
+
+def _row_stats(stacks) -> list:
+    """_root_stats of the roots of every row of each float coefficient
+    stack, all from one poly_roots_stacks call.  A row whose leading
+    coefficient is 0.0 counts at its lower degree, as the polynomial trims
+    it."""
+    full = [c[:, -1] != 0.0 for c in stacks]
+    out = []
+    for c, keep, roots in zip(stacks, full, poly_roots_stacks([c[keep] for c, keep in zip(stacks, full)])):
+        stats = _root_stats(roots)
+        if not keep.all():
+            if c.shape[1] == 1:
+                raise ValueError("the zero polynomial has no well-defined roots")
+            whole = np.empty((5, len(c)))
+            whole[:, keep] = stats
+            whole[:, ~keep] = _row_stats([c[~keep, :-1]])[0]
+            stats = tuple(whole)
+        out.append(stats)
     return out
 
 
-def _root_stats(roots) -> tuple:
-    """Per-polynomial statistics of root arrays (poly_roots_batch's output),
-    computed on one concatenated array with segment offsets.
-
-    Returns float lists (top, radius, reality, gap, last), one entry per
-    array: the largest real part (np.max), the largest modulus,
-    reality_ratio, min_rel_gap of the sorted real parts, and the last of
-    those.  Each is bitwise what the per-array call gives; an empty array
-    gets top = last = -inf, radius = reality = 0 and gap = inf.  An array
-    with two or more zero real parts takes gap and last from its own np.sort:
-    np.sort may order -0.0 and 0.0 either way, and their order decides the
-    sign of a zero gap and of last.
-    """
-    sizes = np.array([r.size for r in roots], dtype=int)
-    count = sizes.size
-    top = np.full(count, -math.inf)
-    radius = np.zeros(count)
-    reality = np.zeros(count)
-    gap = np.full(count, math.inf)
-    last = np.full(count, -math.inf)
-    full = sizes > 0
-    if full.any():
-        ends = np.cumsum(sizes)
-        starts = (ends - sizes)[full]
-        flat = np.concatenate(roots)
-        seg = np.repeat(np.arange(count), sizes)
-        re = flat.real
-        mod = np.abs(flat)
-        top[full] = np.maximum.reduceat(re, starts)
-        radius[full] = np.maximum.reduceat(mod, starts)
-        reality[full] = np.maximum.reduceat(np.abs(flat.imag) / np.maximum(mod, _TINY), starts)
-        srt = re[np.lexsort((re, seg))]
-        same = seg[1:] == seg[:-1]
-        ratio = np.full(flat.size, math.inf)  # inf across a segment boundary
-        scales = np.maximum(np.abs(srt[:-1]), np.abs(srt[1:]))[same]
-        ratio[:-1][same] = np.diff(srt)[same] / np.maximum(scales, _TINY)
-        gap[full] = np.minimum.reduceat(ratio, starts)
-        last[full] = srt[ends[full] - 1]
-        zeros = np.zeros(count, dtype=int)
-        zeros[full] = np.add.reduceat((re == 0.0).astype(int), starts)
-        for i in np.flatnonzero(zeros >= 2):
-            real_sorted = np.sort(roots[i].real)
-            gap[i] = min_rel_gap(real_sorted)
-            last[i] = real_sorted[-1]
-    return top.tolist(), radius.tolist(), reality.tolist(), gap.tolist(), last.tolist()
+def _hurwitz_margins(stats) -> np.ndarray:
+    """check_stable's margin for each row of _root_stats: the largest real
+    part over max(1, largest modulus), or -inf for a row with no roots."""
+    top, radius = stats[:2]
+    return top / np.where(radius > 1.0, radius, 1.0)
 
 
-def _worst_positive_pair(check, params, reports, advisory=False) -> VerificationReport:
-    """The weakest of several positive-pair reports: a failure over a pass,
-    else the smallest margin, renamed to check and tagged with params."""
-    worst = None
-    for rep in reports:
-        if worst is None or rep.margin < worst.margin or (worst.passed and not rep.passed):
-            worst = rep
-    worst.check = check
-    worst.params.update(params)
-    worst.advisory = advisory
-    return worst
-
-
-def _roots_report(check, params, roots, tol_real, tol_gap, advisory=False) -> VerificationReport:
-    """Aggregate real/negative/distinct over the roots of a family of
-    polynomials."""
+def _roots_report(check, params, reality, gaps, tops, tol_real, tol_gap, advisory=False) -> VerificationReport:
+    """Aggregate real/negative/distinct over a family of polynomials, from
+    the reality, gap and last entries of their _root_stats in family
+    order."""
     worst_real = 0.0
     worst_gap = math.inf
     worst_top = -math.inf
     ok = True
-    _, _, reality, gaps, tops = _root_stats(roots)
-    for r, ratio, gap, top in zip(roots, reality, gaps, tops):
-        if r.size == 0:
-            continue
+    for ratio, gap, top in zip(reality.tolist(), gaps.tolist(), tops.tolist()):
         worst_real = max(worst_real, ratio)
         worst_top = max(worst_top, top)
         worst_gap = min(worst_gap, gap)
@@ -319,6 +315,14 @@ def _roots_report(check, params, roots, tol_real, tol_gap, advisory=False) -> Ve
     )
 
 
+def _sequence_stacks(seqs, degrees) -> tuple:
+    """Coefficient and root stacks of charpoly sequences: for each m in
+    degrees the float stack of seq[m] over seqs (a row per sequence) and its
+    roots."""
+    stacks = [np.array([seq[m].coeffs for seq in seqs], dtype=float) for m in degrees]
+    return stacks, poly_roots_stacks(stacks)
+
+
 def realness_suite(
     gammas=DEFAULT_GAMMA_GRID,
     m_poly: int = 20,
@@ -332,31 +336,41 @@ def realness_suite(
 
     Polynomial route up to m_poly modes (roots of the characteristic
     sequences, including the two parity interlacing patterns), matrix route
-    at the sizes in m_matrix via the integration operator.
+    at the sizes in m_matrix via the integration operator.  The polynomials
+    of one degree are checked as one stack, a row per (gamma, parity).
     """
     seqs = [charpoly_sequence(m_poly, g, parity) for g in gammas for parity in (Parity.EVEN, Parity.ODD)]
-    roots = _float_roots(seqs)
+    if not seqs:
+        return []
+    stacks, roots = _sequence_stacks(seqs, range(m_poly + 1))
+    stats = np.array([_root_stats(r)[2:] for r in roots[1:]])  # (m, reality/gap/last, row)
+    lead = [c[:, -1] for c in stacks]
+    tols = (tol_real_poly, tol_gap_poly)
+    degrees = range(1, m_poly + 1)
+    patterns = (
+        (
+            "odd-vs-even-equal-degree",
+            [(m, m, _pair_verdicts(roots[m][1::2], roots[m][0::2], lead[m][1::2], lead[m][0::2], *tols)) for m in degrees],
+        ),
+        (
+            "even-vs-lower-odd",
+            [(m, m - 1, _pair_verdicts(roots[m][0::2], roots[m - 1][1::2], lead[m][0::2], lead[m - 1][1::2], *tols)) for m in degrees],
+        ),
+    )
     reports = []
     for i, g in enumerate(gammas):
-        pe, qo = seqs[2 * i : 2 * i + 2]
-        rpe, rqo = roots[2 * i : 2 * i + 2]
-        for parity, rs in (("even", rpe), ("odd", rqo)):
+        for j, parity in enumerate(("even", "odd")):
             reports.append(
                 _roots_report(
                     "charpoly-roots-real-negative-distinct",
                     {"gamma": g, "parity": parity, "m_max": m_poly},
-                    rs[1:],
-                    tol_real_poly,
-                    tol_gap_poly,
+                    *stats[:, :, 2 * i + j].T,
+                    *tols,
                 )
             )
-        for pattern, pairs in (
-            ("odd-vs-even-equal-degree", [(qo[m], pe[m], (rqo[m], rpe[m])) for m in range(1, m_poly + 1)]),
-            ("even-vs-lower-odd", [(pe[m], qo[m - 1], (rpe[m], rqo[m - 1])) for m in range(1, m_poly + 1)]),
-        ):
+        for pattern, outcomes in patterns:
             params = {"gamma": g, "pattern": pattern, "m_max": m_poly}
-            pair_reports = [_pair_report(*pair, tol_real_poly, tol_gap_poly) for pair in pairs]
-            reports.append(_worst_positive_pair("parity-interlacing", params, pair_reports))
+            reports.append(_worst_positive_pair("parity-interlacing", params, [(d1, d2, v[i]) for d1, d2, v in outcomes], tol_gap_poly))
         for m in m_matrix:
             for parity in (Parity.EVEN, Parity.ODD):
                 spec = tau_spectrum(m, g, parity, tol_real=tol_real_matrix)
@@ -409,9 +423,29 @@ def sharpness_suite(gammas=(2.6, 3.0), m: int = 200, ratio: float = 1e-3) -> lis
     return reports
 
 
-def _poly_from_roots(roots, lead: float) -> MuPolynomial:
-    desc = np.poly(np.asarray(roots, dtype=float)) * lead
-    return MuPolynomial(list(desc[::-1]))
+
+
+def _poly_from_roots(roots: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of np.real(np.poly(roots[i])) * lead[i] for
+    each row i of a root stack, bitwise.  np.poly convolves with one factor
+    (1, -z) at a time; each step here forms every new coefficient a[j] +
+    a[j-1] (-z) with the sums in the order numpy's convolution (a real or,
+    for complex roots, a BLAS complex dot) takes them."""
+    count, n = roots.shape
+    ar = np.zeros((count, n + 1))
+    ar[:, 0] = 1.0
+    if not np.iscomplexobj(roots):
+        for k in range(n):
+            ar[:, 1 : k + 2] += ar[:, : k + 1] * -roots[:, k : k + 1]
+        return (ar * lead[:, None])[:, ::-1]
+    ai = np.zeros((count, n + 1))
+    for k in range(n):
+        yr, yi = -roots[:, k : k + 1].real, -roots[:, k : k + 1].imag
+        xr, xi = ar[:, : k + 1], ai[:, : k + 1]  # a[j - 1] for the new a[j], j = 1..k+1
+        real = (ar[:, 1 : k + 2] + xr * yr) - xi * yi
+        imag = xr * yi + (ai[:, 1 : k + 2] + xi * yr)
+        ar[:, 1 : k + 2], ai[:, 1 : k + 2] = real, imag
+    return (ar * lead[:, None])[:, ::-1]
 
 
 def _random_positive_pair(rng, n: int, equal_degree: bool):
@@ -432,15 +466,26 @@ def _random_positive_pair(rng, n: int, equal_degree: bool):
     return r1, r2, lead1, lead2
 
 
+def _by_shape(drawn) -> list:
+    """(shape, row) pairs, each row a tuple, as one list of column arrays
+    per shape, in first-seen order."""
+    groups = {}
+    for shape, row in drawn:
+        groups.setdefault(shape, []).append(row)
+    return [[np.array(column) for column in zip(*rows)] for rows in groups.values()]
+
+
 def hb_random_suite(cases: int = 200, seed: int = 20260813) -> list:
     """Cross-validate the Hurwitz test against the positive-pair test.
 
     Half the instances are constructed positive pairs, half are decisively
     broken (sign flip, interlacing violation, positive root, or a complex
     conjugate root pair).  The two predicates must agree on every case.
+    The pairs are drawn one by one and checked as one coefficient stack per
+    shape (degree, degree pattern, complex pair or not).
     """
     rng = np.random.default_rng(seed)
-    pairs = []
+    drawn = []
     for case in range(cases):
         n = int(rng.integers(2, 9))
         equal_degree = bool(rng.integers(0, 2))
@@ -465,22 +510,22 @@ def hb_random_suite(cases: int = 200, seed: int = 20260813) -> list:
             spread = 0.6 * abs(r1[1] - r1[0])
             rc[0] = mid + 1j * spread
             rc[1] = mid - 1j * spread
-            desc = np.real(np.poly(rc)) * lead1
-            p1 = MuPolynomial(list(desc[::-1]))
-        else:
-            p1 = _poly_from_roots(r1, lead1)
-        pairs.append((p1, _poly_from_roots(r2, lead2)))
-    composed = [hb_compose(p1, p2) for p1, p2 in pairs]
-    roots1, roots2, roots_hb = _float_roots([[p1 for p1, _ in pairs], [p2 for _, p2 in pairs], composed])
-    disagreements = 0
-    stable_count = 0
-    worst_abs_margin = math.inf
-    for (p1, p2), r1, r2, margin in zip(pairs, roots1, roots2, _hurwitz_margins(roots_hb)):
-        stable = margin < -1e-9  # check_stable at its default tolerance
-        if _pair_report(p1, p2, (r1, r2)).passed != stable:
-            disagreements += 1
-        stable_count += int(stable)
-        worst_abs_margin = min(worst_abs_margin, abs(margin + 1e-9))
+            r1 = rc
+        drawn.append(((n, equal_degree, complex_pair), (r1, r2, lead1, lead2)))
+    built = []  # per shape: p1, p2 and their composition
+    for r1, r2, lead1, lead2 in _by_shape(drawn):
+        c1, c2 = _poly_from_roots(r1, lead1), _poly_from_roots(r2, lead2)
+        built += [c1, c2, _hb_stack(c1, c2)]
+    roots = poly_roots_stacks(built)
+    passed, margins = [], []
+    for k in range(0, len(built), 3):
+        passed += [v[0] for v in _pair_verdicts(roots[k], roots[k + 1], built[k][:, -1], built[k + 1][:, -1])]
+        margins.append(_hurwitz_margins(_root_stats(roots[k + 2])))
+    margins = np.concatenate(margins)
+    stable = margins < -1e-9  # check_stable at its default tolerance
+    disagreements = int(np.count_nonzero(stable != np.array(passed)))
+    stable_count = int(np.count_nonzero(stable))
+    worst_abs_margin = min([math.inf, *np.abs(margins + 1e-9).tolist()])
     return [
         VerificationReport(
             check="hurwitz-positive-pair-agreement",
@@ -503,30 +548,38 @@ def lemma_suite(cases: int = 50, seed: int = 20260813) -> list:
 
     Linear combinations a p1 + b p2 of a positive pair keep real roots;
     the symmetrized product p1 t2 + p2 t1 of two positive pairs has real,
-    negative, distinct roots.
+    negative, distinct roots.  The instances are drawn one by one and built
+    and checked as one coefficient stack per shape.
     """
     rng = np.random.default_rng(seed)
     combs = []
     for _ in range(cases):
         n = int(rng.integers(2, 8))
-        r1, r2, lead1, lead2 = _random_positive_pair(rng, n, bool(rng.integers(0, 2)))
-        p1 = _poly_from_roots(r1, lead1)
-        p2 = _poly_from_roots(r2, lead2)
+        equal_degree = bool(rng.integers(0, 2))
+        r1, r2, lead1, lead2 = _random_positive_pair(rng, n, equal_degree)
         a = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
         b = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-        combs.append(p1 * a + p2 * b)
+        combs.append(((n, equal_degree), (r1, r2, lead1, lead2, a, b)))
     products = []
-    for _ in range(cases):
+    for case in range(cases):
         n = int(rng.integers(2, 8))
         r1, r2, lead1, lead2 = _random_positive_pair(rng, n, False)
         t1, t2, lead3, lead4 = _random_positive_pair(rng, n, False)
-        p1 = _poly_from_roots(r1, lead1)
-        p2 = _poly_from_roots(r2, lead2)
-        q1 = _poly_from_roots(t1, lead3)
-        q2 = _poly_from_roots(t2, lead4)
-        products.append(p1 * q2 + p2 * q1)
-    comb_roots, product_roots = _float_roots([combs, products])
-    worst_comb = max([0.0, *_root_stats(comb_roots)[2]])
+        products.append((n, (case, r1, r2, t1, t2, lead1, lead2, lead3, lead4)))
+    comb_stacks = []
+    for r1, r2, lead1, lead2, a, b in _by_shape(combs):
+        comb_stacks.append(_stack_add(_poly_from_roots(r1, lead1) * a[:, None], _poly_from_roots(r2, lead2) * b[:, None]))
+    product_stacks, order = [], []
+    for case, r1, r2, t1, t2, lead1, lead2, lead3, lead4 in _by_shape(products):
+        p1, p2 = _poly_from_roots(r1, lead1), _poly_from_roots(r2, lead2)
+        q1, q2 = _poly_from_roots(t1, lead3), _poly_from_roots(t2, lead4)
+        product_stacks.append(_stack_add(_stack_mul(p1, q2), _stack_mul(p2, q1)))
+        order.append(case)
+    stats = _row_stats(comb_stacks + product_stacks)
+    worst_comb = max([0.0, *(ratio for s in stats[: len(comb_stacks)] for ratio in s[2].tolist())])
+    family = np.empty((3, cases))  # reality, gap, last per product, in draw order
+    for case, s in zip(order, stats[len(comb_stacks) :]):
+        family[:, case] = s[2:]
     rep1 = VerificationReport(
         check="positive-pair-combination-real-roots",
         params={"cases": cases, "seed": seed},
@@ -538,7 +591,7 @@ def lemma_suite(cases: int = 50, seed: int = 20260813) -> list:
     rep2 = _roots_report(
         "positive-pair-product-real-negative-distinct",
         {"cases": cases, "seed": seed},
-        product_roots,
+        *family,
         tol_real=1e-7,
         tol_gap=1e-9,
     )
@@ -550,9 +603,10 @@ def phi_suite(n_max: int = 12, weights=(0.1, 1.0, 10.0), tol: float = 1e-9) -> l
 
     base over alpha in (-1, 1], prev over alpha <= 0, prev-mu2 over
     alpha <= 1, each crossed with a beta grid and nonnegative weights.
-    The defaults build 1180 polynomials from 2140 O(n) endpoint-derivative
-    lists and check them in about 65 ms on one core of a 2-vCPU Xeon VM
-    (one BLAS thread), a third of it in numpy.linalg.eigvals.
+    The defaults build 1180 polynomials, one coefficient stack per variant
+    and degree from 220 O(n) endpoint-derivative lists, and check them in
+    about 35 ms (65 ms one polynomial at a time) on one core of a 2-vCPU
+    Xeon VM (one BLAS thread), about 25 ms of it in numpy.linalg.eigvals.
     """
     betas = (-0.9, 0.0, 1.0, 3.0)
     scans = (
@@ -560,28 +614,26 @@ def phi_suite(n_max: int = 12, weights=(0.1, 1.0, 10.0), tol: float = 1e-9) -> l
         ("prev", (-0.9, -0.5, 0.0), weights, 3),
         ("prev-mu2", (-0.9, -0.5, 0.0, 0.5, 1.0), weights, 3),
     )
-    families = []  # per scan: ((a, b, w, n), polynomial) in scan order
+    derivs = {}
+    families = []  # per scan: (a, b, w) combinations, degrees, one stack per degree
     for variant, alphas, ws, n_min in scans:
-        families.append(
-            [
-                ((a, b, w, n), phi_poly(n, JacobiIndex(a, b), variant, w))
-                for a in alphas
-                for b in betas
-                for w in ws
-                for n in range(n_min, n_max + 1)
-            ]
-        )
-    roots = _float_roots([[p for _, p in family] for family in families])
+        combos = [(a, b, w) for a in alphas for b in betas for w in ws]
+        pairs = [(a, b) for a, b, _ in combos]
+        degrees = range(n_min, n_max + 1)
+        families.append((combos, degrees, [_phi_stack(n, pairs, variant, [w for *_, w in combos], derivs) for n in degrees]))
+    stats = iter(_row_stats([c for *_, stacks in families for c in stacks]))
     reports = []
-    for (variant, *_), family, family_roots in zip(scans, families, roots):
+    for (variant, *_), (combos, degrees, stacks) in zip(scans, families):
+        margins = np.array([_hurwitz_margins(next(stats)) for _ in stacks])
         worst = -math.inf
         worst_at = None
         ok = True
-        for (at, _), margin in zip(family, _hurwitz_margins(family_roots)):
-            if margin > worst:
-                worst = margin
-                worst_at = at
-            ok = ok and margin < -tol
+        for (a, b, w), row in zip(combos, margins.T.tolist()):  # scan order: n innermost
+            for n, margin in zip(degrees, row):
+                if margin > worst:
+                    worst = margin
+                    worst_at = (a, b, w, n)
+                ok = ok and margin < -tol
         reports.append(
             VerificationReport(
                 check=f"endpoint-poly-stable-{variant}",
@@ -599,50 +651,70 @@ def jacobi_suite(n_max: int = 15, tol_real: float = 1e-9, tol_gap: float = 1e-8)
     """Root location for the Jacobi characteristic polynomials.
 
     Dirichlet: real, negative, distinct over exponent boxes (-1, 0]^2 and
-    (0, 1]^2.  Mixed ends: same over (-1, 0]^2.  The defaults check 378
-    polynomials in about 34 ms on one core of a 2-vCPU Xeon VM (one BLAS
+    (0, 1]^2.  Mixed ends: same over (-1, 0]^2.  The defaults build 378
+    polynomials, one coefficient stack per box and degree from 349
+    endpoint-derivative lists, and check them in about 20 ms (34 ms one
+    polynomial at a time) on one core of a 2-vCPU Xeon VM (one BLAS
     thread).
     """
     neg = (-0.9, -0.5, 0.0)
     pos = (0.25, 0.5, 1.0)
     boxes = (
-        ("dirichlet-neg-box", neg, jacobi_char_poly, 2),
-        ("dirichlet-pos-box", pos, jacobi_char_poly, 2),
-        ("mixed-neg-box", neg, mixed_char_poly, 2),
+        ("dirichlet-neg-box", neg, jacobi_char_stacks, 2),
+        ("dirichlet-pos-box", pos, jacobi_char_stacks, 2),
+        ("mixed-neg-box", neg, mixed_char_stacks, 2),
     )
-    families = [
-        [builder(n, JacobiIndex(a, b)) for a in grid for b in grid for n in range(n_lo, n_max + 1)]
+    derivs = {}
+    stacks = [
+        builder(range(n_lo, n_max + 1), [JacobiIndex(a, b) for a in grid for b in grid], derivs)
         for _, grid, builder, n_lo in boxes
     ]
-    return [
-        _roots_report(
-            f"jacobi-roots-real-negative-distinct-{label}",
-            {"n_max": n_max, "grid": f"{grid}"},
-            roots,
-            tol_real,
-            tol_gap,
+    stats = iter(_row_stats([c for box in stacks for c in box]))
+    reports = []
+    for (label, grid, _, _), box in zip(boxes, stacks):
+        box_stats = np.array([next(stats)[2:] for _ in box])  # (n, reality/gap/last, (a, b))
+        family = box_stats.transpose(1, 2, 0).reshape(3, -1)  # (a, b) outer, n inner
+        reports.append(
+            _roots_report(
+                f"jacobi-roots-real-negative-distinct-{label}",
+                {"n_max": n_max, "grid": f"{grid}"},
+                *family,
+                tol_real,
+                tol_gap,
+            )
         )
-        for (label, grid, _, _), roots in zip(boxes, _float_roots(families))
-    ]
+    return reports
 
 
 def interlace_conjecture_suite(gammas=DEFAULT_GAMMA_GRID, m_max: int = 12) -> list:
     """Observed (not proven) interlacing of successive same-parity
-    truncations; reported as advisory only."""
+    truncations; reported as advisory only.
+
+    The polynomials are exact for Fraction gammas, but their roots are
+    floats.  At gamma 1/2 and 3/2 (m_max 12) the margins of the degree 10
+    and 12 pairs come out between -2.3e-13 and -7.9e-15 and the check
+    prints four FAILs, yet the exact Sturm test in
+    tests/test_charpoly.py (test_legendre_like_consecutive_interlacing)
+    finds every successive pair there strictly interlaced.
+    """
     cases = [(g, parity) for g in gammas for parity in (Parity.EVEN, Parity.ODD)]
+    if not cases:
+        return []
     seqs = [charpoly_sequence(m_max, g, parity) for g, parity in cases]
-    reports = []
-    for (g, parity), seq, roots in zip(cases, seqs, _float_roots(seqs)):
-        pairs = [_pair_report(seq[m + 1], seq[m], (roots[m + 1], roots[m])) for m in range(1, m_max)]
-        reports.append(
-            _worst_positive_pair(
-                "successive-truncation-interlacing",
-                {"gamma": g, "parity": parity.value, "m_max": m_max},
-                pairs,
-                advisory=True,
-            )
+    stacks, roots = _sequence_stacks(seqs, range(m_max + 1))
+    verdicts = [
+        _pair_verdicts(roots[m + 1], roots[m], stacks[m + 1][:, -1], stacks[m][:, -1]) for m in range(1, m_max)
+    ]
+    return [
+        _worst_positive_pair(
+            "successive-truncation-interlacing",
+            {"gamma": g, "parity": parity.value, "m_max": m_max},
+            [(m + 1, m, verdicts[m - 1][i]) for m in range(1, m_max)],
+            tol_gap=1e-8,
+            advisory=True,
         )
-    return reports
+        for i, (g, parity) in enumerate(cases)
+    ]
 
 
 def spectrum_error_report(m: int, idx, parity, threshold: float = 1e-8) -> SweepResult:

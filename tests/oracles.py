@@ -4,8 +4,9 @@ Every numerical claim in the tests is compared to a second route to the
 same number: classical recurrences from scipy.special, the binomial-sum
 definition of Jacobi polynomials in exact rational arithmetic, plain
 bisection on the real line, high-precision polynomial roots via mpmath,
-finite differences, and a deliberately un-vectorized transcription of the
-banded integration-matrix construction.
+finite differences, and deliberately un-vectorized transcriptions of the
+banded integration-matrix construction and of the verify suites'
+per-polynomial builders and positive-pair test.
 
 Nothing here imports from gegtau.
 """
@@ -248,14 +249,130 @@ def root_stats_one_by_one(roots) -> list:
             continue
         top = float(np.max(r.real))
         radius = float(np.max(np.abs(r)))
-        reality = float(np.max(np.abs(r.imag) / np.maximum(np.abs(r), _TINY)))
         real_sorted = np.sort(r.real)
-        gap = math.inf
-        if real_sorted.size >= 2:
-            scales = np.maximum(np.abs(real_sorted[:-1]), np.abs(real_sorted[1:]))
-            gap = float(np.min(np.diff(real_sorted) / np.maximum(scales, _TINY)))
-        out.append((top, radius, reality, gap, float(real_sorted[-1]), top / max(1.0, radius)))
+        gap = min_rel_gap_one_by_one(real_sorted)
+        out.append((top, radius, reality_one_by_one(r), gap, float(real_sorted[-1]), top / max(1.0, radius)))
     return out
+
+
+def reality_one_by_one(values: np.ndarray) -> float:
+    """Largest |imag| / |value| of a 1-D array (0 when it is empty)."""
+    if values.size == 0:
+        return 0.0
+    return float(np.max(np.abs(values.imag) / np.maximum(np.abs(values), _TINY)))
+
+
+def min_rel_gap_one_by_one(values: np.ndarray) -> float:
+    """Smallest signed step of a real 1-D array relative to the larger
+    magnitude of its two ends (inf for fewer than two entries)."""
+    if values.size < 2:
+        return math.inf
+    scales = np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
+    return float(np.min(np.diff(values) / np.maximum(scales, _TINY)))
+
+
+def positive_pair_one_by_one(roots1, roots2, lead1, lead2, tol_real: float = 1e-9, tol_gap: float = 1e-8):
+    """(passed, margin, reason) of the positive-pair test of two polynomials
+    from their roots (as many as the degree) and leading coefficients, one
+    numpy call per array: real roots, the interleaved merge of the sorted
+    real parts (equal degrees: the second polynomial's roots first), its
+    smallest relative gap, no nonnegative root and leading coefficients of
+    like sign.  reason is None unless a structural test failed."""
+    n = roots1.size
+    if n < 1 or roots2.size not in (n - 1, n):
+        return False, -math.inf, "degree-mismatch"
+    reality = max(reality_one_by_one(roots1), reality_one_by_one(roots2))
+    if reality > tol_real:
+        return False, -math.inf, f"non-real-roots ratio={reality:.3e}"
+    r1 = np.sort(roots1.real)
+    r2 = np.sort(roots2.real)
+    merged = np.empty(n + r2.size)
+    if r2.size == n:
+        merged[0::2], merged[1::2] = r2, r1
+    else:
+        merged[0::2], merged[1::2] = r1, r2
+    margin = min_rel_gap_one_by_one(merged)
+    if merged[-1] >= 0.0:
+        return False, margin, "nonnegative-root"
+    if float(lead1) * float(lead2) <= 0.0:
+        return False, margin, "leading-sign-mismatch"
+    return bool(margin > tol_gap), margin, None
+
+
+def mu_trim(coeffs) -> list:
+    """Coefficients without trailing zeros (one kept), as a gegtau
+    MuPolynomial stores them."""
+    cs = list(coeffs)
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def mu_add(a, b) -> list:
+    """Sum of two ascending coefficient lists in MuPolynomial's order: the
+    shorter list added term by term into a copy of the longer one."""
+    if len(a) < len(b):
+        a, b = b, a
+    cs = list(a)
+    for k, c in enumerate(b):
+        cs[k] = cs[k] + c
+    return mu_trim(cs)
+
+
+def mu_scale(a, s) -> list:
+    return mu_trim([c * s for c in a])
+
+
+def mu_mul(a, b) -> list:
+    """Product of two ascending coefficient lists in MuPolynomial's order:
+    a's high coefficients first, each against b in ascending order."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i in range(len(a) - 1, -1, -1):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + a[i] * bj
+    return mu_trim(out)
+
+
+def poly_from_roots_one_by_one(roots, lead) -> list:
+    """Ascending coefficients of np.real(np.poly(roots)) * lead: one
+    polynomial of a random positive pair, built by numpy's convolutions."""
+    desc = np.atleast_1d(np.real(np.poly(np.asarray(roots)))) * lead
+    return mu_trim(list(desc[::-1]))
+
+
+def hb_compose_one_by_one(p1, p2) -> list:
+    """p1(z^2) + z p2(z^2), each coefficient added to a zero of p1's type."""
+    zero = p1[0] * 0
+    out = [zero] * max(2 * len(p1) - 1, 2 * len(p2))
+    for k, c in enumerate(p1):
+        out[2 * k] = out[2 * k] + c
+    for k, c in enumerate(p2):
+        out[2 * k + 1] = out[2 * k + 1] + c
+    return mu_trim(out)
+
+
+def phi_one_by_one(base, prev, variant: str, weight) -> list:
+    """The endpoint polynomial of gegtau.verify.phi_poly from the derivative
+    lists base (degree n) and prev (degree n - 1)."""
+    if variant == "base":
+        return mu_trim(base)
+    if variant == "prev":
+        return mu_add(mu_trim(base), mu_scale(mu_trim(prev), weight))
+    shifted = [prev[0] * 0] * 2 + mu_trim(prev)
+    return mu_add(mu_trim(base), mu_scale(shifted, weight))
+
+
+def jacobi_char_one_by_one(om_n, om_prev_swapped, om_n_swapped, om_prev) -> list:
+    """omega_n(a, b) omega_{n-1}(b, a) + omega_n(b, a) omega_{n-1}(a, b)
+    from the even-order endpoint derivative lists."""
+    return mu_add(mu_mul(om_n, om_prev_swapped), mu_mul(om_n_swapped, om_prev))
+
+
+def mixed_char_one_by_one(om_n_swapped, om_low_raised, om_prev_swapped, om_prev_raised, k_prev, k_cur) -> list:
+    """omega_n(b, a) omega_{n-2}(a+1, b+1) k_prev + omega_{n-1}(b, a)
+    omega_{n-1}(a+1, b+1) k_cur from the even-order derivative lists."""
+    low = mu_scale(mu_mul(om_n_swapped, om_low_raised), k_prev)
+    return mu_add(low, mu_scale(mu_mul(om_prev_swapped, om_prev_raised), k_cur))
 
 
 def unbalanced_tau_spectrum(square: np.ndarray, eigvals=general_eigvals):

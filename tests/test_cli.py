@@ -141,6 +141,9 @@ def test_eig_bad_choice_is_usage_error(capsys):
         (["eig", "--modes", "6", "--bc", "neumann", "--count", "8"], "count must be between 1 and 7, got 8"),
         (["eig", "--modes", "6", "--bc", "neumann", "--parity", "odd", "--count", "7"], "count must be between 1 and 6, got 7"),
         (["eig", "--modes", "6", "--variant", "diff-elim-last", "--count", "2"], "--count needs the integration variant"),
+        (["eig", "--modes", "6", "--out", "/nonexistent/x.csv"], "[Errno 2] No such file or directory: '/nonexistent/x.csv'"),
+        (["charpoly", "--modes", "3", "--out", "/nonexistent/x.csv"], "[Errno 2] No such file or directory: '/nonexistent/x.csv'"),
+        (["verify", "--suite", "hb", "--out", "/nonexistent/x.json"], "[Errno 2] No such file or directory: '/nonexistent/x.json'"),
     ],
 )
 def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):

@@ -155,7 +155,13 @@ def _null_vector_residual(tau, mu, x):
 def test_null_vector_is_the_eigenvector_at_a_computed_eigenvalue(gamma, m, parity, data):
     # the resolved share of the spectrum; complex pairs from gamma 3 on
     j = data.draw(st.integers(min_value=0, max_value=int(np.ceil(max(1.0, 0.6 * m))) - 1), label="j")
-    mu = tau_spectrum(m, gamma, parity).mu[j]
+    try:
+        mu = tau_spectrum(m, gamma, parity).mu[j]
+    except ValueError as exc:
+        # within rounding of -1/2 the m = 2 even matrix is singular, which
+        # tau_spectrum refuses (see test_exact_zero_eigenvalue_is_usage_error_without_warning)
+        assert "has an exact zero eigenvalue" in str(exc) and gamma < -0.49
+        return
     if mu.imag == 0:
         mu = mu.real
     tau = build_gi2(m, gamma, parity)

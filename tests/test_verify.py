@@ -8,8 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gegtau.charpoly import MuPolynomial, omega_poly, poly_roots, poly_roots_batch
-from gegtau.orthopoly import JacobiIndex, Parity
+from gegtau.charpoly import (
+    MuPolynomial,
+    _stack_add,
+    _stack_mul,
+    jacobi_char_poly,
+    jacobi_char_stacks,
+    mixed_char_poly,
+    mixed_char_stacks,
+    omega_poly,
+    poly_roots_stacks,
+)
+from gegtau.orthopoly import JacobiIndex, Parity, jacobi_derivs_at_one
 from gegtau.verify import (
     DEFAULT_GAMMA_GRID,
     SweepResult,
@@ -29,7 +39,7 @@ from gegtau.verify import (
     sharpness_suite,
     spectrum_error_report,
 )
-from gegtau.verify import _hurwitz_margins, _root_stats
+from gegtau.verify import _hb_stack, _hurwitz_margins, _pair_verdicts, _phi_stack, _poly_from_roots, _root_stats, _row_stats
 
 import oracles
 
@@ -278,23 +288,176 @@ def _same_bits(a: float, b: float) -> bool:
     return (a == b or (math.isnan(a) and math.isnan(b))) and np.signbit(a) == np.signbit(b)
 
 
+def _float_rows(polys) -> np.ndarray:
+    return np.array([p.coeffs for p in polys], dtype=float)
+
+
 @settings(max_examples=120, deadline=None)
 @given(family=st.lists(_member(), min_size=0, max_size=12))
 # mu^8 (mu^2 + 1): roots 0 x 8 and +-i, real parts +0.0 and -0.0 that np.sort reorders
 @example(family=[MuPolynomial([0.0] * 8 + [1.0, 0.0, 1.0]), MuPolynomial((4.0, 0.0, 5.0, 0.0, 1.0)), MuPolynomial((3.0,))])
 def test_root_stats_are_bitwise_the_per_polynomial_values(family):
-    roots = poly_roots_batch(family)
-    stats = _root_stats(roots)
-    margins = _hurwitz_margins(roots)
-    assert all(len(column) == len(family) for column in (*stats, margins))
-    for i, want in enumerate(oracles.root_stats_one_by_one(roots)):
-        got = (*(column[i] for column in stats), margins[i])
-        assert all(_same_bits(g, w) for g, w in zip(got, want)), (i, got, want)
+    groups = {}
+    for p in family:
+        groups.setdefault(p.degree, []).append(p)
+    stacks = [_float_rows(group) for group in groups.values()]
+    # each stack again with a 0.0 leading column: its rows count at their own degree
+    padded = [np.pad(c, ((0, 0), (0, 1))) for c in stacks]
+    for group, stats in zip([*groups.values()] * 2, _row_stats(stacks + padded)):
+        margins = _hurwitz_margins(stats)
+        assert all(len(column) == len(group) for column in (*stats, margins))
+        want = oracles.root_stats_one_by_one([oracles.companion_roots_one_by_one(p.coeffs) for p in group])
+        for i, expected in enumerate(want):
+            got = (*(float(column[i]) for column in stats), float(margins[i]))
+            assert all(_same_bits(g, w) for g, w in zip(got, expected)), (group[i], got, expected)
 
 
 def test_root_stats_of_no_roots():
-    assert _root_stats([]) == ([], [], [], [], [])
-    empty = np.array([], dtype=complex)
-    assert _root_stats([empty, np.array([-1.0 + 0j])]) == ([-math.inf, -1.0], [0.0, 1.0], [0.0, 0.0], [math.inf, math.inf], [-math.inf, -1.0])
-    assert _hurwitz_margins([empty]) == [-math.inf]
+    empty = np.empty((2, 0), dtype=complex)
+    stats = _root_stats(empty)
+    assert [c.tolist() for c in stats] == [[-math.inf] * 2, [0.0] * 2, [0.0] * 2, [math.inf] * 2, [-math.inf] * 2]
+    assert _hurwitz_margins(stats).tolist() == [-math.inf] * 2
+    constants, line = _row_stats([np.array([[2.0], [-1.0]]), np.array([[1.0, 1.0]])])
+    assert constants[0].tolist() == [-math.inf] * 2
+    assert [c.tolist() for c in line] == [[-1.0], [1.0], [0.0], [math.inf], [-1.0]]
     assert check_stable(MuPolynomial((2.0,))).margin == -math.inf
+    with pytest.raises(ValueError):
+        _row_stats([np.array([[1.0, 0.0], [0.0, 0.0]])])
+
+
+_TIE = st.sampled_from([0.0, -0.0, -1.0, -2.0, 1.0])  # repeats, signed zeros, a positive root
+_ROOT = st.one_of(
+    _TIE.map(complex),
+    st.floats(-6.0, 0.5).filter(lambda x: abs(x) > 1e-6).map(complex),
+    st.tuples(st.one_of(st.just(0.0), st.floats(-3.0, -1e-3)), st.floats(1e-6, 2.0)).map(lambda t: complex(*t)),
+)
+_LEAD = st.sampled_from([1.0, 2.5, -0.5, -3.0])
+
+
+@st.composite
+def _root_stack_pair(draw):
+    """Root stacks of degree n and n or n - 1 with their leading coefficients."""
+    n = draw(st.integers(1, 7))
+    n2 = n - draw(st.integers(0, 1))
+    rows = draw(st.integers(1, 5))
+    stack = lambda k: np.array([[draw(_ROOT) for _ in range(k)] for _ in range(rows)], dtype=complex).reshape(rows, k)
+    leads = lambda: np.array([draw(_LEAD) for _ in range(rows)])
+    return stack(n), stack(n2), leads(), leads()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_root_stack_pair())
+# equal degrees, p2 below p1 in every slot; a broken equal-degree order; the
+# tie 0.0 against -0.0 (gap -0.0), complex roots and a leading-sign mismatch
+@example(case=(np.array([[-1.0 + 0j, -3.0]]), np.array([[-2.0 + 0j, -4.0]]), np.array([1.0]), np.array([2.0])))
+@example(case=(np.array([[-2.0 + 0j, -4.0]]), np.array([[-1.0 + 0j, -3.0]]), np.array([1.0]), np.array([2.0])))
+@example(case=(np.array([[-1.0 + 0j, 0.0]]), np.array([[complex(-0.0, 0.0)]]), np.array([1.0]), np.array([1.0])))
+@example(case=(np.full((1, 2), complex(-0.0, 0.0)), np.zeros((1, 2), dtype=complex), np.array([1.0]), np.array([1.0])))
+@example(case=(np.array([[-1.0 + 1j, -1.0 - 1j], [-1.0 + 0j, -2.0]]), np.array([[-1.5 + 0j], [-1.5 + 0j]]), np.array([1.0, 1.0]), np.array([1.0, -1.0])))
+def test_pair_verdicts_are_bitwise_the_per_pair_test(case):
+    roots1, roots2, lead1, lead2 = case
+    for i, (passed, margin, reason) in enumerate(_pair_verdicts(roots1, roots2, lead1, lead2)):
+        want = oracles.positive_pair_one_by_one(roots1[i], roots2[i], lead1[i], lead2[i])
+        assert (passed, reason) == (want[0], want[2])
+        assert _same_bits(margin, want[1]), (i, margin, want)
+
+
+@st.composite
+def _poly_pair(draw):
+    """Two polynomials with roots from _ROOT-like draws (complex ones in
+    conjugate pairs) of degrees that fit the pair test or do not."""
+    def poly(k):
+        roots = []
+        while len(roots) < k:
+            root = draw(_ROOT)
+            roots += [root, root.conjugate()] if root.imag and len(roots) + 2 <= k else [complex(root.real)]
+        desc = np.atleast_1d(np.real(np.poly(np.array(roots, dtype=complex)))) * draw(_LEAD)
+        return MuPolynomial(list(desc[::-1]))
+
+    n = draw(st.integers(0, 6))
+    return poly(n), poly(max(n - draw(st.integers(-1, 2)), 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(_poly_pair(), min_size=1, max_size=8))
+def test_pair_test_one_pair_and_stacked_match_the_oracle(pairs):
+    roots = lambda p: oracles.companion_roots_one_by_one(p.coeffs)
+    fits = {}
+    for p1, p2 in pairs:
+        want = oracles.positive_pair_one_by_one(roots(p1), roots(p2), p1.leading, p2.leading)
+        rep = check_positive_pair(p1, p2)
+        assert (rep.passed, rep.params.get("reason")) == (want[0], want[2])
+        assert _same_bits(rep.margin, want[1])
+        assert (rep.params["deg1"], rep.params["deg2"]) == (p1.degree, p2.degree)
+        if want[2] != "degree-mismatch":
+            fits.setdefault((p1.degree, p2.degree), []).append((p1, p2, want))
+    for group in fits.values():
+        c1, c2 = _float_rows([p1 for p1, _, _ in group]), _float_rows([p2 for _, p2, _ in group])
+        for (_, _, want), got in zip(group, _pair_verdicts(*poly_roots_stacks([c1, c2]), c1[:, -1], c2[:, -1])):
+            assert got[0::2] == want[0::2] and _same_bits(got[1], want[1])
+
+
+def _assert_rows_bitwise(stack, lists):
+    assert len(stack) == len(lists)
+    for row, want in zip(stack, lists):
+        got = oracles.mu_trim(row.tolist())
+        assert len(got) == len(want) and all(_same_bits(g, w) for g, w in zip(got, want)), (got, want)
+
+
+_EXPONENT = st.one_of(st.sampled_from([-0.9, -0.5, 0.0, 0.5, 1.0, 3.0]), st.floats(-0.95, 3.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 17),
+    rows=st.integers(1, 4),
+    data=st.data(),
+)
+def test_built_coefficients_are_bitwise_the_per_polynomial_oracles(n, rows, data):
+    draw = data.draw
+    negative = st.floats(-6.0, -0.05)
+    leads = np.array([draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0])) for _ in range(rows)])
+    real = np.array([[draw(negative) for _ in range(n)] for _ in range(rows)])
+    stacks = {"real": real}
+    if n >= 2:  # hb's broken case: a conjugate pair first, then real roots
+        pair = real.astype(complex)
+        mid, spread = 0.5 * (real[:, 0] + real[:, 1]), 0.6 * np.abs(real[:, 1] - real[:, 0])
+        pair[:, 0], pair[:, 1] = mid + 1j * spread, mid - 1j * spread
+        stacks["complex-pair"] = pair
+    lower = real[:, : n - 1] if n > 1 else np.empty((rows, 0))
+    c2 = _poly_from_roots(lower, leads[::-1].copy())
+    _assert_rows_bitwise(c2, [oracles.poly_from_roots_one_by_one(r, lead) for r, lead in zip(lower, leads[::-1])])
+    for roots in stacks.values():
+        c1 = _poly_from_roots(roots, leads)
+        lists1 = [oracles.poly_from_roots_one_by_one(r, lead) for r, lead in zip(roots, leads)]
+        lists2 = [oracles.mu_trim(row.tolist()) for row in c2]
+        _assert_rows_bitwise(c1, lists1)
+        _assert_rows_bitwise(_hb_stack(c1, c2), [oracles.hb_compose_one_by_one(a, b) for a, b in zip(lists1, lists2)])
+        _assert_rows_bitwise(_stack_mul(c1, c2), [oracles.mu_mul(a, b) for a, b in zip(lists1, lists2)])
+        weights = [draw(st.floats(-2.0, 2.0)) for _ in range(rows)]
+        scaled1, scaled2 = c1 * np.array(weights)[:, None], c2 * leads[:, None]
+        _assert_rows_bitwise(
+            _stack_add(scaled1, scaled2),
+            [oracles.mu_add(oracles.mu_scale(a, w), oracles.mu_scale(b, x)) for a, b, w, x in zip(lists1, lists2, weights, leads)],
+        )
+    pairs = [(draw(_EXPONENT), draw(_EXPONENT)) for _ in range(rows)]
+    variant = draw(st.sampled_from(["base", "prev", "prev-mu2"]))
+    weights = [draw(st.sampled_from([0.0, 0.1, 1.0, 10.0])) for _ in range(rows)]
+    derivs = lambda k, a, b: jacobi_derivs_at_one(k, JacobiIndex(a, b))
+    phi_want = [oracles.phi_one_by_one(derivs(n, a, b), derivs(n - 1, a, b), variant, w) for (a, b), w in zip(pairs, weights)]
+    _assert_rows_bitwise(_phi_stack(n, pairs, variant, weights, {}), phi_want)
+    assert list(phi_poly(n, JacobiIndex(*pairs[0]), variant, weights[0]).coeffs) == phi_want[0]
+    idxs = [JacobiIndex(a, b) for a, b in pairs]
+    om = lambda k, a, b: derivs(k, a, b)[0::2]
+    if n >= 2:
+        jac_want = [oracles.jacobi_char_one_by_one(om(n, a, b), om(n - 1, b, a), om(n, b, a), om(n - 1, a, b)) for a, b in pairs]
+        _assert_rows_bitwise(jacobi_char_stacks([n], idxs)[0], jac_want)
+        mixed_want = [
+            oracles.mixed_char_one_by_one(
+                om(n, b, a), om(n - 2, a + 1, b + 1), om(n - 1, b, a), om(n - 1, a + 1, b + 1), (n + a + b) / 2, (n + a + b + 1) / 2
+            )
+            for a, b in pairs
+        ]
+        _assert_rows_bitwise(mixed_char_stacks([n], idxs)[0], mixed_want)
+        assert list(jacobi_char_poly(n, idxs[0]).coeffs) == jac_want[0]
+        assert list(mixed_char_poly(n, idxs[0]).coeffs) == mixed_want[0]
