@@ -162,7 +162,11 @@ def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     gammas = _parse_grid(args.gamma_grid, verify.DEFAULT_GAMMA_GRID)
     reports = [rep for name in names for rep in _SUITES[name](gammas, args.seed)]
-    if args.out:  # first, so an unwritable --out fails before any report line
+    for rep in reports:
+        print(rep.line())
+    failures = [r for r in reports if not r.passed and not r.advisory]
+    print(f"{len(reports) - len(failures)}/{len(reports)} checks passed")
+    if args.out:
         _emit(
             args,
             json=lambda: {
@@ -170,10 +174,6 @@ def _cmd_verify(args) -> int:
                 "data": {"reports": [r.to_json_dict() for r in reports]},
             },
         )
-    for rep in reports:
-        print(rep.line())
-    failures = [r for r in reports if not r.passed and not r.advisory]
-    print(f"{len(reports) - len(failures)}/{len(reports)} checks passed")
     return 1 if failures else 0
 
 

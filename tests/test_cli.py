@@ -143,7 +143,6 @@ def test_eig_bad_choice_is_usage_error(capsys):
         (["eig", "--modes", "6", "--variant", "diff-elim-last", "--count", "2"], "--count needs the integration variant"),
         (["eig", "--modes", "6", "--out", "/nonexistent/x.csv"], "[Errno 2] No such file or directory: '/nonexistent/x.csv'"),
         (["charpoly", "--modes", "3", "--out", "/nonexistent/x.csv"], "[Errno 2] No such file or directory: '/nonexistent/x.csv'"),
-        (["verify", "--suite", "hb", "--out", "/nonexistent/x.json"], "[Errno 2] No such file or directory: '/nonexistent/x.json'"),
     ],
 )
 def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
@@ -153,6 +152,17 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"gegtau {argv[0]}: error: {message}\n"
+
+
+def test_unwritable_verify_out_is_one_line_usage_error_after_the_report(capsys):
+    # the report lines come first on stdout; the --out JSON write then fails
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "hb", "--out", "/nonexistent/x.json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("PASS hurwitz-positive-pair-agreement ")
+    assert captured.out.endswith("\n1/1 checks passed\n")
+    assert captured.err == "gegtau verify: error: [Errno 2] No such file or directory: '/nonexistent/x.json'\n"
 
 
 def test_exact_zero_eigenvalue_is_usage_error_without_warning(capsys):
