@@ -4,11 +4,11 @@ float array, a row per polynomial in ascending powers of mu.
 The verify suites build and check their polynomial families here, one
 array operation per step for the whole family instead of one Python call
 per polynomial.  Every builder takes the same float operations in the same
-order as the one-polynomial code (MuPolynomial sums and products, np.poly,
-coefficient-list composition), so each row is bitwise what that code gives
-(for np.poly on complex roots, on the BLAS named in poly_from_roots); the
-one-polynomial functions of charpoly and verify are the one-row case
-of these.  poly_roots_stacks finds the roots of every row of every stack.
+order as the one-polynomial code of tests/oracles.py (the coefficient-list
+sums and products mu_add and mu_mul, np.poly, coefficient-list
+composition), so each row is bitwise what that code gives (for np.poly on
+complex roots, on the BLAS named in poly_from_roots); the one-polynomial
+functions of charpoly and verify are the one-row case of these.  poly_roots_stacks finds the roots of every row of every stack.
 The module is internal to the package: charpoly and verify import from it.
 """
 
@@ -41,7 +41,7 @@ def as_stack(rows) -> np.ndarray:
 
 def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise products of two coefficient stacks, accumulated in the order
-    of MuPolynomial.__mul__ (the high coefficients of a first), so each row
+    of tests/oracles.mu_mul (the high coefficients of a first), so each row
     is bitwise that product."""
     out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1), dtype=np.result_type(a, b))
     for i in range(a.shape[1] - 1, -1, -1):
@@ -50,7 +50,7 @@ def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def stack_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise sums of two coefficient stacks as MuPolynomial.__add__ forms
+    """Row-wise sums of two coefficient stacks as tests/oracles.mu_add forms
     them: the longer stack's extra coefficients are kept as they are."""
     if a.shape[1] < b.shape[1]:
         a, b = b, a

@@ -309,6 +309,8 @@ def realness_suite(
     at the sizes in m_matrix via the integration operator.  The polynomials
     of one degree are checked as one stack, a row per (gamma, parity).
     """
+    if m_poly < 1:
+        raise ValueError(f"m_poly must be >= 1, got {m_poly}")
     seqs = [charpoly_sequence(m_poly, g, parity) for g in gammas for parity in (Parity.EVEN, Parity.ODD)]
     if not seqs:
         return []
@@ -644,6 +646,8 @@ def interlace_conjecture_suite(gammas=DEFAULT_GAMMA_GRID, m_max: int = 12) -> li
     tests/test_charpoly.py (test_legendre_like_consecutive_interlacing)
     finds every successive pair there strictly interlaced.
     """
+    if m_max < 2:
+        raise ValueError(f"m_max must be >= 2, got {m_max}")
     cases = [(g, parity) for g in gammas for parity in (Parity.EVEN, Parity.ODD)]
     if not cases:
         return []

@@ -5,8 +5,9 @@ same number: classical recurrences from scipy.special, the binomial-sum
 definition of Jacobi polynomials in exact rational arithmetic, plain
 bisection on the real line, high-precision polynomial roots via mpmath,
 finite differences, and deliberately un-vectorized transcriptions of the
-banded integration-matrix construction and of the verify suites'
-per-polynomial builders and positive-pair test.
+banded integration-matrix construction, of the characteristic-polynomial
+recurrence and of the verify suites' per-polynomial builders and
+positive-pair test.
 
 Nothing here imports from gegtau.
 """
@@ -309,8 +310,8 @@ def mu_trim(coeffs) -> list:
 
 
 def mu_add(a, b) -> list:
-    """Sum of two ascending coefficient lists in MuPolynomial's order: the
-    shorter list added term by term into a copy of the longer one."""
+    """Sum of two ascending coefficient lists: the shorter list added term
+    by term into a copy of the longer one."""
     if len(a) < len(b):
         a, b = b, a
     cs = list(a)
@@ -324,13 +325,40 @@ def mu_scale(a, s) -> list:
 
 
 def mu_mul(a, b) -> list:
-    """Product of two ascending coefficient lists in MuPolynomial's order:
-    a's high coefficients first, each against b in ascending order."""
+    """Product of two ascending coefficient lists: a's high coefficients
+    first, each against b in ascending order."""
     out = [0] * (len(a) + len(b) - 1)
     for i in range(len(a) - 1, -1, -1):
         for j, bj in enumerate(b):
             out[i + j] = out[i + j] + a[i] * bj
     return mu_trim(out)
+
+
+def charpoly_sequence_one_by_one(m_max: int, g, offset: int) -> list:
+    """The characteristic polynomials p_0, ..., p_m_max of
+    gegtau.charpoly.charpoly_sequence as coefficient lists, one polynomial
+    at a time in mu_add/mu_scale arithmetic; offset 0 is the even parity
+    class and 1 the odd one.  Step j, n = 2j + offset, forms
+
+        p_{j+1} = (((mu p_j + mid p_j) + K_n) + (-(f p_{j-1}))) * scale
+
+    (the even j = 1 step has no p_0 term, K_2 holds it), with K_n from
+    k_constant_recursive (n = 2) or k_constant_closed_form and the endpoint
+    values from endpoint_value.  Exact for Fraction g."""
+    if offset == 0:
+        seed = [endpoint_value(2, g), 2 * (g + 1)]
+    else:
+        seed = [endpoint_value(3, g), 4 * (g + 1) * (g + 2)]
+    seq = [[g * 0 + 1], mu_trim(seed)][: m_max + 1]
+    for j in range(1, m_max):
+        n = 2 * j + offset
+        cur = seq[j]
+        acc = mu_add([cur[0] * 0] + cur, mu_scale(cur, 1 / (2 * (g + n + 1) * (g + n - 1))))
+        acc = mu_add(acc, [k_constant_recursive(n, g) if n == 2 else k_constant_closed_form(n, g)])
+        if not (offset == 0 and j == 1):
+            acc = mu_add(acc, [-c for c in mu_scale(seq[j - 1], 1 / (4 * (g + n) * (g + n - 1)))])
+        seq.append(mu_scale(acc, 4 * (g + n + 1) * (g + n)))
+    return seq
 
 
 def poly_from_roots_one_by_one(roots, lead) -> list:

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from gegtau.charpoly import (
     MuPolynomial,
-    _charpoly_sequence_generic,
     charpoly_direct,
     charpoly_sequence,
     jacobi_char_poly,
@@ -38,14 +37,9 @@ def test_mu_polynomial_mechanics():
     p = MuPolynomial((F(1), F(2), F(0)))
     assert p.coeffs == (F(1), F(2))
     assert p.degree == 1
-    assert p(F(1, 2)) == F(2)
-    q = MuPolynomial((1.0, 1.0))
-    assert (q * q).coeffs == (1.0, 2.0, 1.0)
-    assert (q + q).coeffs == (2.0, 2.0)
-    assert (q - q).coeffs == (0.0,)
-    assert p.shifted(2).coeffs == (F(0), F(0), F(1), F(2))
+    assert MuPolynomial((0.0, 0.0)).coeffs == (0.0,)
     pf = p.to_float()
-    assert pf(0.5) == pytest.approx(2.0)
+    assert pf.coeffs == (1.0, 2.0) and all(type(c) is float for c in pf.coeffs)
     assert MuPolynomial((F(1, 3), F(-2))).to_json_obj() == ["1/3", "-2"]
 
 
@@ -79,7 +73,7 @@ def test_poly_roots_against_bisection():
     f = seq[3].to_float()
     got = poly_roots(seq[3])
     assert np.abs(got.imag).max() == 0.0
-    ref = oracles.bisect_roots(lambda t: f(t), -10.0, -1e-12)
+    ref = oracles.bisect_roots(lambda t: oracles.poly_at(f.coeffs, t), -10.0, -1e-12)
     assert len(ref) == 3
     np.testing.assert_allclose(got.real, ref, rtol=1e-10, atol=0)
 
@@ -226,7 +220,7 @@ _EXACT_GAMMAS = st.integers(1, 60).flatmap(lambda q: st.integers(-((q - 1) // 2)
 @example(gamma=F(3, 2), parity=Parity.ODD, m_max=40)
 def test_integer_recurrence_equals_the_generic_one(gamma, parity, m_max):
     got = charpoly_sequence(m_max, gamma, parity)
-    ref = _charpoly_sequence_generic(m_max, gamma, parity)
+    ref = [MuPolynomial(cs) for cs in oracles.charpoly_sequence_one_by_one(m_max, gamma, parity.offset)]
     assert [p.coeffs for p in got] == [p.coeffs for p in ref]
     assert [p.to_json_obj() for p in got] == [p.to_json_obj() for p in ref]
 
@@ -234,9 +228,43 @@ def test_integer_recurrence_equals_the_generic_one(gamma, parity, m_max):
 @pytest.mark.parametrize("parity", list(Parity))
 def test_integer_recurrence_equals_the_generic_one_at_degree_100(parity):
     got = charpoly_sequence(100, F(12, 7), parity)
-    ref = _charpoly_sequence_generic(100, F(12, 7), parity)
+    ref = [MuPolynomial(cs) for cs in oracles.charpoly_sequence_one_by_one(100, F(12, 7), parity.offset)]
     assert [p.coeffs for p in got] == [p.coeffs for p in ref]
     assert [p.to_json_obj() for p in got] == [p.to_json_obj() for p in ref]
+
+
+def _assert_bitwise_oracle(got, ref):
+    """Same lengths, non-finite entries in the same places, and every finite
+    coefficient equal in value and sign bit."""
+    assert len(got) == len(ref)
+    for p, cs in zip(got, ref):
+        a, b = np.array(p.coeffs, dtype=float), np.array(cs, dtype=float)
+        finite = np.isfinite(a)
+        np.testing.assert_array_equal(finite, np.isfinite(b))
+        _assert_bitwise_equal(a[finite], b[finite])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gamma=st.floats(-0.5, 6.0, exclude_min=True, allow_subnormal=False),
+    parity=st.sampled_from(Parity),
+    m_max=st.integers(0, 60),
+)
+@example(gamma=0.7, parity=Parity.EVEN, m_max=60)  # the golden-file gammas
+@example(gamma=0.7, parity=Parity.ODD, m_max=60)
+@example(gamma=2.4, parity=Parity.EVEN, m_max=60)
+@example(gamma=2.4, parity=Parity.ODD, m_max=60)
+def test_float_recurrence_is_bitwise_the_one_by_one_recurrence(gamma, parity, m_max):
+    got = charpoly_sequence(m_max, gamma, parity)
+    _assert_bitwise_oracle(got, oracles.charpoly_sequence_one_by_one(m_max, gamma, parity.offset))
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+def test_float_recurrence_overflows_where_the_one_by_one_recurrence_does(parity):
+    got = charpoly_sequence(80, -0.49, parity)
+    ref = oracles.charpoly_sequence_one_by_one(80, -0.49, parity.offset)
+    assert not np.isfinite(got[80].coeffs).all()
+    _assert_bitwise_oracle(got, ref)
 
 
 def test_sequence_matches_direct_float():

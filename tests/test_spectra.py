@@ -111,7 +111,7 @@ def test_two_mode_case_equals_quadratic_roots():
 
 def test_three_mode_case_against_bisection():
     f = charpoly_sequence(3, Fraction(0), Parity.EVEN)[3].to_float()
-    ref = sorted(1.0 / r for r in oracles.bisect_roots(lambda t: f(t), -10.0, -1e-12))
+    ref = sorted(1.0 / r for r in oracles.bisect_roots(lambda t: oracles.poly_at(f.coeffs, t), -10.0, -1e-12))
     spec = tau_spectrum(3, 0.0, Parity.EVEN)
     np.testing.assert_allclose(np.sort(spec.eigenvalues.real), ref, rtol=1e-10)
 

@@ -177,6 +177,24 @@ def test_interlace_conjecture_reports_are_advisory():
         assert "(advisory)" in rep.line()
 
 
+@pytest.mark.parametrize(
+    "suite, size, message",
+    [
+        (interlace_conjecture_suite, {"m_max": 1}, "m_max must be >= 2, got 1"),
+        (realness_suite, {"m_poly": 0}, "m_poly must be >= 1, got 0"),
+    ],
+)
+def test_suites_reject_a_size_with_no_check_as_one_line_value_error(suite, size, message):
+    with pytest.raises(ValueError) as err:
+        suite(gammas=(0.5,), **size)
+    assert str(err.value) == message
+
+
+def test_suites_accept_their_smallest_sizes():
+    assert len(interlace_conjecture_suite(gammas=(0.5,), m_max=2)) == 2
+    assert len(realness_suite(gammas=(0.5,), m_poly=1, m_matrix=())) == 4
+
+
 def test_spectrum_error_report_meta():
     sw = spectrum_error_report(60, 0.0, Parity.ODD)
     assert sw.columns == ["k", "lambda_re", "lambda_im", "lambda_exact", "rel_err"]
@@ -384,7 +402,7 @@ def test_pair_test_one_pair_and_stacked_match_the_oracle(pairs):
     roots = lambda p: oracles.companion_roots_one_by_one(p.coeffs)
     fits = {}
     for p1, p2 in pairs:
-        want = oracles.positive_pair_one_by_one(roots(p1), roots(p2), p1.leading, p2.leading)
+        want = oracles.positive_pair_one_by_one(roots(p1), roots(p2), p1.coeffs[-1], p2.coeffs[-1])
         rep = check_positive_pair(p1, p2)
         assert (rep.passed, rep.params.get("reason")) == (want[0], want[2])
         assert _same_bits(rep.margin, want[1])
