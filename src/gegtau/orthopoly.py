@@ -226,7 +226,7 @@ def second_derivative_block(rows: int, cols: int, idx, parity) -> np.ndarray:
     Entry [k, l] is the G_{2k+ip} coefficient of D^2 G_{2l+ip} with
     ip = 0 (even) or 1 (odd).  Strictly upper triangular.  Equivalent to
     the parity rows and columns of the square of the full first-derivative
-    connection matrix, but built in O(rows*cols).
+    connection matrix, but built in O(rows*cols) in one rows x cols array.
     """
     g = float(as_gegenbauer(idx).gamma)
     ip = as_parity(parity).offset
@@ -240,10 +240,11 @@ def second_derivative_block(rows: int, cols: int, idx, parity) -> np.ndarray:
     roww = 2.0 * (2.0 * np.arange(rows) + ip + g)
     if ip == 0 and rows > 0:
         roww[0] = 1.0
-    k = np.arange(rows)[:, None]
-    l = np.arange(cols)[None, :]
-    block = roww[:, None] * (csum[np.minimum(l, nmid)] - csum[np.minimum(k, nmid)])
-    return np.where(l > k, block, 0.0)
+    block = csum[np.minimum(np.arange(cols), nmid)] - csum[np.minimum(np.arange(rows), nmid)][:, None]
+    block *= roww[:, None]
+    for k in range(rows):
+        block[k, : k + 1] = 0.0
+    return block
 
 
 def _mult_x_bands(nmax: int, g: float):

@@ -33,27 +33,44 @@ __all__ = [
 ]
 
 
+class _Scratch(np.ndarray):
+    """A matrix handed to dense_eigs to work in.
+
+    tau_spectrum and pencil_spectrum build their matrix only for its
+    eigenvalues and pass it as m.view(_Scratch): dense_eigs may then
+    overwrite it (see _hessenberg_eigvals and _general_eigvals), so the
+    solve makes no m x m copy.  Any other array dense_eigs leaves as it was.
+    """
+
+
 def dense_eigs(a: np.ndarray, vectors: bool = False):
     """Eigenvalues (and optionally right eigenvectors) of a dense matrix.
 
     Eigenvalues of an upper Hessenberg matrix (the integration route's
-    square matrix) come from the Hessenberg QR iteration directly, without
-    the general solver's reduction step, and equal the general solver's
-    bits (see _hessenberg_eigvals).  Any other matrix (the pencil matrices
-    B^{-1} A are full) and every eigenvector request go to the LAPACK
-    general solver.  Output is sorted by (real, imag) so repeated calls are
-    deterministic.  Raises numpy.linalg.LinAlgError on non-finite input or
-    if the QR iteration fails to converge.
+    square matrix) come from LAPACK's Hessenberg QR iteration dhseqr
+    directly, without the general solver's reduction step, and equal the
+    general solver's bits (see _hessenberg_eigvals).  Any other square
+    matrix (the pencil matrices B^{-1} A are full) goes to scipy's LAPACK
+    general solver dgeev, and every eigenvector request to numpy's.  Output
+    is sorted by (real, imag) so repeated calls are deterministic.  Raises
+    numpy.linalg.LinAlgError on non-finite input or if the QR iteration
+    fails to converge.
+
+    The input is never modified, unless it is a _Scratch view: then a
+    Fortran-ordered float64 matrix is LAPACK's working array.
     """
+    overwrite_a = isinstance(a, _Scratch)
     a = np.asarray(a, dtype=float)
     if vectors:
         w, v = np.linalg.eig(a)
         order = np.lexsort((w.imag, w.real))
         return w[order], v[:, order]
-    if a.ndim == 2 and 0 < a.shape[0] == a.shape[1] and scipy.linalg.bandwidth(a)[0] <= 1:
-        w = _hessenberg_eigvals(a)
+    if a.ndim != 2 or not 0 < a.shape[0] == a.shape[1]:
+        w = np.linalg.eigvals(a)  # numpy's errors, and its empty or stacked results
+    elif scipy.linalg.bandwidth(a)[0] <= 1:
+        w = _hessenberg_eigvals(a, overwrite_a)
     else:
-        w = np.linalg.eigvals(a)
+        w = _general_eigvals(a, overwrite_a)
     return w[np.lexsort((w.imag, w.real))]
 
 
@@ -61,6 +78,47 @@ def dense_eigs(a: np.ndarray, vectors: bool = False):
 # [smlnum, bignum], smlnum = sqrt(dlamch('S')) / dlamch('P')
 _GEEV_SMLNUM = 2.0**-511 / 2.0**-52
 _GEEV_BIGNUM = 1.0 / _GEEV_SMLNUM
+
+
+def _rescaled_by_geev(a: np.ndarray) -> bool:
+    """Whether dgeev would rescale a first, read without an |a| temporary.
+
+    scipy's and numpy's LAPACK round that rescaling differently, so such
+    inputs go to numpy.linalg.eigvals.  LinAlgError if a is not finite.
+    """
+    anrm = max(a.max(), -a.min())
+    if not math.isfinite(anrm):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return 0.0 < anrm < _GEEV_SMLNUM or anrm > _GEEV_BIGNUM
+
+
+def _as_eigvals(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
+    """LAPACK's (wr, wi) as numpy.linalg.eigvals returns them: real when
+    every imaginary part is zero."""
+    if not wi.any():
+        return wr
+    w = np.empty(wr.size, dtype=complex)
+    w.real, w.imag = wr, wi  # wr + 1j * wi could flip the sign of a zero
+    return w
+
+
+def _general_eigvals(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+    """Eigenvalues of a square matrix by scipy's LAPACK dgeev (balance,
+    Hessenberg reduction, QR), unsorted.
+
+    dgeev gets the workspace size its own query returns, as inside
+    numpy.linalg.eigvals, whose bits it gives on one BLAS thread.  With
+    overwrite_a a Fortran-ordered float64 a is reduced in place, so no
+    m x m copy is made.
+    """
+    if _rescaled_by_geev(a):
+        return np.linalg.eigvals(a)
+    lapack = scipy.linalg.lapack
+    lwork = int(lapack.dgeev_lwork(a.shape[0], compute_vl=0, compute_vr=0)[0])
+    wr, wi, _, _, info = lapack.dgeev(a, compute_vl=0, compute_vr=0, lwork=lwork, overwrite_a=overwrite_a)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return _as_eigvals(wr, wi)
 
 
 @functools.cache
@@ -79,27 +137,31 @@ def _dhseqr():
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(get_pointer(capsule, get_name(capsule)))
 
 
-def _hessenberg_eigvals(h: np.ndarray) -> np.ndarray:
+def _hessenberg_eigvals(h: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Eigenvalues of an upper Hessenberg matrix, unsorted, as
     numpy.linalg.eigvals returns them, without the Hessenberg reduction.
 
     LAPACK dgeev (eigenvalues only) is dgebal + dgehrd + dhseqr.  On a
     Hessenberg matrix every reflector of dgehrd is the identity, so its
-    (10/3) n^3 flops change nothing; this runs dgebal (one O(n^2) sweep on
-    an already balanced matrix) and then dhseqr with the workspace dgeev
-    itself hands it, which is what keeps the bits.  A real array comes back
-    when every imaginary part is zero, as from numpy.  Inputs that dgeev
-    would first rescale, or that dgebal permutes (which can break the
+    (10/3) n^3 flops change nothing; this runs scipy's dgebal (one O(n^2)
+    sweep on an already balanced matrix) and then dhseqr with the workspace
+    dgeev itself hands it, which is what keeps the bits.  A real array comes
+    back when every imaginary part is zero, as from numpy.  Inputs that
+    dgeev would first rescale, or that dgebal permutes (which can break the
     Hessenberg form), go to numpy.linalg.eigvals instead.
+
+    With overwrite_a, dgebal and dhseqr work in a Fortran-ordered float64 h
+    itself, but only when dgebal cannot permute: every subdiagonal entry
+    nonzero, and a nonzero off-diagonal entry in the first row and in the
+    last column, so that no row or column is zero off the diagonal.  Any
+    other h is balanced in a copy, so the fallback still sees it unbalanced.
     """
     n = h.shape[0]
-    anrm = max(h.max(), -h.min())
-    if not math.isfinite(anrm):
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    if 0.0 < anrm < _GEEV_SMLNUM or anrm > _GEEV_BIGNUM:
+    if _rescaled_by_geev(h):
         return np.linalg.eigvals(h)
     lapack = scipy.linalg.lapack
-    b, lo, hi, _, _ = lapack.dgebal(h, scale=1, permute=1)  # a copy: h stays as it was
+    overwrite_a = bool(overwrite_a and np.diagonal(h, -1).all() and h[0, 1:].any() and h[:-1, -1].any())
+    b, lo, hi, _, _ = lapack.dgebal(h, scale=1, permute=1, overwrite_a=overwrite_a)
     if (lo, hi) != (0, n - 1):
         return np.linalg.eigvals(h)
     b = np.require(b, np.float64, ["F", "W"])  # dhseqr overwrites it in column-major order
@@ -115,11 +177,7 @@ def _hessenberg_eigvals(h: np.ndarray) -> np.ndarray:
     )
     if info.value != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    if not wi.any():
-        return wr
-    w = np.empty(n, dtype=complex)
-    w.real, w.imag = wr, wi  # wr + 1j * wi could flip the sign of a zero
-    return w
+    return _as_eigvals(wr, wi)
 
 
 _TINY = 1e-300
@@ -401,7 +459,7 @@ def tau_spectrum(
     Hessenberg (tridiagonal plus the first row), goes through dense_eigs
     straight to the Hessenberg QR iteration with no O(m^3) reduction: the
     same eigenvalues, bit for bit, as the general solver on the unbalanced
-    matrix.  Neumann reduces by differentiating the eigenfunctions:
+    matrix.  LAPACK's dgebal and dhseqr work in that one m x m array.  Neumann reduces by differentiating the eigenfunctions:
     even modes give a zero eigenvalue plus the odd Dirichlet spectrum with
     the family parameter raised by one, odd modes give the even Dirichlet
     spectrum at the raised parameter with no zero mode.
@@ -433,7 +491,7 @@ def tau_spectrum(
         M = tau.square()
         M *= scale
         M /= scale[:, None]
-        mu = dense_eigs(M)
+        mu = dense_eigs(M.view(_Scratch))
     if not mu.all():
         raise ValueError(f"the integration matrix at m = {m}, gamma = {gdx.gamma} has an exact zero eigenvalue")
     lam, mu = _sorted_by_magnitude(1.0 / mu, mu)
@@ -441,27 +499,34 @@ def tau_spectrum(
 
 
 def _solve_structured(pencil: GeneralizedPencil) -> np.ndarray:
-    """B^{-1} A using the recorded structure of B."""
+    """B^{-1} A using the recorded structure of B, Fortran-ordered when B is
+    diagonal, tridiagonal or first row plus subdiagonal, so dgeev can work
+    in it without a copy."""
     A, B = pencil.A, pencil.B
+    m = B.shape[0]
     if pencil.b_structure == "diagonal":
         d = np.diag(B).copy()
         if np.min(np.abs(d)) == 0.0:
             raise np.linalg.LinAlgError(f"variant {pencil.variant}: diagonal B is singular")
-        return A / d[:, None]
+        return np.divide(A, d[:, None], out=np.empty((m, m), order="F"))
     if pencil.b_structure == "tridiagonal":
-        m = B.shape[0]
         ab = np.zeros((3, m))
         ab[0, 1:] = np.diag(B, 1)
         ab[1, :] = np.diag(B)
         ab[2, :-1] = np.diag(B, -1)
-        return scipy.linalg.solve_banded((1, 1), ab, A)
+        return scipy.linalg.solve_banded((1, 1), ab, A)  # LAPACK dgbsv's Fortran-ordered copy of A
     if pencil.b_structure == "first-row-subdiagonal":
-        # rows 1..m-1 determine x_0..x_{m-2} directly; row 0 closes x_{m-1}
-        m = B.shape[0]
+        # rows 1..m-1 determine x_0..x_{m-2} directly; row 0 closes x_{m-1}.
+        # The closure row's gemv reads those rows in row-major order, whose
+        # rounding the outputs carry: they are staged that way in X's own
+        # memory and then divided again into X's column-major place.
         sub = B[np.arange(1, m), np.arange(0, m - 1)]
-        X = np.zeros_like(A)
-        X[: m - 1, :] = A[1:, :] / sub[:, None]
-        X[m - 1, :] = (A[0, :] - B[0, : m - 1] @ X[: m - 1, :]) / B[0, m - 1]
+        buf = np.empty(m * m)
+        top = np.divide(A[1:, :], sub[:, None], out=buf[: (m - 1) * m].reshape(m - 1, m))
+        last = (A[0, :] - B[0, : m - 1] @ top) / B[0, m - 1]
+        X = buf.reshape((m, m), order="F")
+        np.divide(A[1:, :], sub[:, None], out=X[: m - 1, :])
+        X[m - 1, :] = last
         return X
     return np.linalg.solve(B, A)
 
@@ -469,10 +534,14 @@ def _solve_structured(pencil: GeneralizedPencil) -> np.ndarray:
 def pencil_spectrum(pencil: GeneralizedPencil, tol_real: float = 1e-9) -> Spectrum:
     """Spectrum of a generalized pencil A x = lambda B x via B^{-1} A.
 
+    B^{-1} A is formed once (_solve_structured) and handed to dense_eigs to
+    work in: scipy's LAPACK dgeev reduces it in place (dgebal, dgehrd,
+    dhseqr), so A, B and B^{-1} A are the only m x m arrays of the solve.
+
     The integration route has no pencil form here: tau_spectrum takes the
     eigenvalues of the banded matrix directly and inverts them afterwards.
     """
-    lam = dense_eigs(_solve_structured(pencil))
+    lam = dense_eigs(_solve_structured(pencil).view(_Scratch))
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = np.where(lam != 0, 1.0 / lam, np.inf)
     lam, mu = _sorted_by_magnitude(lam, mu)

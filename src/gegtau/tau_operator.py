@@ -165,41 +165,46 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
     lo, dg, up = np.zeros(m), np.zeros(m), np.zeros(m)
     lo[2:], dg[1:], up[1:-1] = dm[:-1], d0, dp[1:]
     # K_ip, then K_n for the column degrees n = 2j + ip, j = 1..m-1
-    ks = k_constants([ip] + [2 * j + ip for j in range(1, m)], gdx)
-    first = -np.array([float(k) for k in ks])
+    ks = k_constants([ip] + [2 * j + ip for j in range(1, m)], gdx, as_float=True)
+    first = -np.array(ks)
     if par is Parity.EVEN:
         lo[1] = 1.0 / (2.0 * (g + 1.0))
     else:
-        first[1] = 1.0 / (4.0 * (g + 3.0) * (g + 2.0)) - float(ks[1])
+        first[1] = 1.0 / (4.0 * (g + 3.0) * (g + 2.0)) - ks[1]
         lo[1] = 1.0 / (4.0 * (g + 1.0) * (g + 2.0))
     return TauMatrix(m=m, gamma=g, parity=par, first_row=first, lo=lo, dg=dg, up=up, last=dm[-1])
+
+
+# Diagonal offsets (column - row) each structure allows; upper-triangular
+# allows every offset >= 0 and first-row-subdiagonal the whole first row too.
+_BANDS = {"diagonal": (0,), "tridiagonal": (-1, 0, 1), "first-row-subdiagonal": (-1,)}
+_CHECK_ROWS = 32
 
 
 def _assert_structure(mat: np.ndarray, kind: str, variant: str) -> None:
     """Raise AssertionError when an entry outside the pattern of kind exceeds
     1e-13 of the largest |entry|.
 
-    The allowed entries of |mat| are zeroed through diagonal views of one
-    copy, so the check allocates one m x m array (two for upper-triangular)
-    and no index arrays.
+    The check runs over blocks of _CHECK_ROWS rows, zeroing the allowed
+    entries of each block's |entries| through diagonal views, so it holds
+    no m x m temporary.
     """
     if kind == "full":
         return
-    off = np.abs(mat)
-    tol = 1e-13 * (off.max() or 1.0)
-    if kind == "diagonal":
-        np.fill_diagonal(off, 0.0)
-    elif kind == "upper-triangular":
-        off = np.tril(off, -1)
-    elif kind == "tridiagonal":
-        for band in (off, off[1:], off[:, 1:]):  # main, sub- and superdiagonal
-            np.fill_diagonal(band, 0.0)
-    elif kind == "first-row-subdiagonal":
-        off[0] = 0.0
-        np.fill_diagonal(off[1:], 0.0)
-    else:
+    if kind != "upper-triangular" and kind not in _BANDS:
         raise ValueError(f"unknown structure kind {kind!r}")
-    worst = off.max()
+    tol = 1e-13 * (max(mat.max(), -mat.min()) or 1.0)
+    worst = 0.0
+    for r0 in range(0, mat.shape[0], _CHECK_ROWS):
+        off = np.abs(mat[r0 : r0 + _CHECK_ROWS])
+        if kind == "upper-triangular":
+            off = np.tril(off, r0 - 1)
+        else:
+            for k in _BANDS[kind]:  # block row i is matrix row r0 + i, column r0 + i + k
+                np.fill_diagonal(off[:, r0 + k :] if r0 + k >= 0 else off[-(r0 + k) :], 0.0)
+            if kind == "first-row-subdiagonal" and r0 == 0:
+                off[0] = 0.0
+        worst = max(worst, off.max())
     if worst > tol:
         raise AssertionError(f"variant {variant}: matrix is not {kind} (worst off-pattern entry {worst:.3e})")
 
@@ -218,6 +223,9 @@ def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> Generali
     ierley-legendre   same trial functions at gamma = 3/2 where they are
                       eigenfunctions of the weighted second derivative;
                       A diagonal (negative), B symmetric tridiagonal
+
+    Blocks are scaled in place, and the elimination variants drop theirs
+    before B is built, so no more than three m x m arrays are live at once.
     """
     if m < 2:
         raise ValueError(f"need at least 2 modes, got {m}")
@@ -227,33 +235,35 @@ def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> Generali
     degrees = [par.degree(k) for k in range(m + 1)]
     h = gegenbauer_norms(degrees[:m], gdx)
     if variant in ("diff-elim-last", "diff-elim-first"):
-        d2 = second_derivative_block(m, m + 1, gdx, par)
-        a0 = h[:, None] * d2
+        a0 = second_derivative_block(m, m + 1, gdx, par)
+        a0 *= h[:, None]
         gv = np.array([float(v) for v in gegenbauer_at_one_upto(degrees[-1], gdx)[par.offset :: 2]])
         if variant == "diff-elim-last":
             C = np.vstack([np.eye(m), -gv[:m] / gv[m]])
-            A = a0 @ C
+            A = a0 @ C  # one dgemm; a rank-one update would round differently
+            del a0, C
             B = np.diag(h)
             astr, bstr = "full", "diagonal"
         else:
             A = a0[:, 1:].copy()
+            del a0
             B = np.zeros((m, m))
             B[0, :] = -h[0] * gv[1:] / gv[0]
             B[np.arange(1, m), np.arange(0, m - 1)] = h[1:]
             astr, bstr = "upper-triangular", "first-row-subdiagonal"
     elif variant == "galerkin-basis":
         S = one_minus_x2_block(m + 1, m, gdx, par)
-        d2 = second_derivative_block(m, m + 1, gdx, par)
-        A = h[:, None] * (d2 @ S)
+        A = second_derivative_block(m, m + 1, gdx, par) @ S
+        A *= h[:, None]
         B = h[:, None] * S[:m, :]
         astr, bstr = "upper-triangular", "tridiagonal"
     elif variant == "ierley-legendre":
         if abs(g - 1.5) > 1e-12:
             raise ValueError(f"ierley-legendre requires gamma = 3/2, got {g}")
-        S = one_minus_x2_block(m, m, gdx, par)
         nvec = np.array(degrees[:m], dtype=float)
         A = np.diag(-(nvec + 1.0) * (nvec + 2.0) * h)
-        B = h[:, None] * S
+        B = one_minus_x2_block(m, m, gdx, par)
+        B *= h[:, None]
         astr, bstr = "diagonal", "tridiagonal"
     else:
         raise ValueError(f"unknown variant {variant!r}; expected one of {DIFF_VARIANTS}")

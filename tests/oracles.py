@@ -417,6 +417,53 @@ def unbalanced_tau_spectrum(square: np.ndarray, eigvals=general_eigvals):
     return lam[order], mu[order]
 
 
+def solve_structured_row_major(A: np.ndarray, B: np.ndarray, b_structure: str) -> np.ndarray:
+    """B^{-1} A of a pencil, C-ordered, in the operations and memory order
+    that fix the bits of the pencil route's eigenvalues: one division per
+    entry for a diagonal B, LAPACK's banded solve for a tridiagonal one, and
+    for a first row plus subdiagonal the subdiagonal divisions followed by
+    the closure row, one gemv on the row-major top block."""
+    m = B.shape[0]
+    if b_structure == "diagonal":
+        return A / np.diag(B)[:, None]
+    if b_structure == "tridiagonal":
+        ab = np.zeros((3, m))
+        ab[0, 1:], ab[1, :], ab[2, :-1] = np.diag(B, 1), np.diag(B), np.diag(B, -1)
+        return np.ascontiguousarray(scipy.linalg.solve_banded((1, 1), ab, A))
+    assert b_structure == "first-row-subdiagonal", b_structure
+    X = np.zeros_like(A)
+    X[: m - 1, :] = A[1:, :] / np.diag(B, -1)[:, None]
+    X[m - 1, :] = (A[0, :] - B[0, : m - 1] @ X[: m - 1, :]) / B[0, m - 1]
+    return X
+
+
+def pencil_spectrum_row_major(A: np.ndarray, B: np.ndarray, b_structure: str):
+    """(lambda, mu) of a pencil from general_eigvals of the C-ordered
+    B^{-1} A: sorted by (real, imag), mu = 1 / lambda (inf at zero), then
+    sorted by |lambda| (stable)."""
+    lam = general_eigvals(solve_structured_row_major(A, B, b_structure))
+    lam = lam[np.lexsort((lam.imag, lam.real))]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.where(lam != 0, 1.0 / lam, np.inf)
+    order = np.argsort(np.abs(lam), kind="stable")
+    return lam[order], mu[order]
+
+
+def second_derivative_block_masked(rows: int, cols: int, g: float, ip: int) -> np.ndarray:
+    """The parity block of D^2 as the full broadcast product, with the lower
+    part masked out by np.where afterwards."""
+    nmid = max(rows, cols)
+    inter = 2.0 * (2.0 * np.arange(nmid) + (1 + ip) + g)
+    csum = np.concatenate(([0.0], np.cumsum(inter)))
+    roww = 2.0 * (2.0 * np.arange(rows) + ip + g)
+    if ip == 0 and rows > 0:
+        roww[0] = 1.0
+    k = np.arange(rows)[:, None]
+    l = np.arange(cols)[None, :]
+    block = roww[:, None] * (csum[np.minimum(l, nmid)] - csum[np.minimum(k, nmid)])
+    return np.where(l > k, block, 0.0)
+
+
 def reference_gi2(MG: int, g: float, ip: int) -> np.ndarray:
     """Straight-line construction of the (MG+1) x MG integration matrix.
 

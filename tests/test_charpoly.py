@@ -165,6 +165,19 @@ def test_boundary_constants_integer_product_matches_the_fraction_routes():
         assert floats[3:] == [oracles.k_constant_closed_form(n, float(gamma)) for n in degrees[3:]]
 
 
+def test_float_boundary_constants_round_the_exact_ones():
+    # one correctly rounded int / int division per K_n: float() of each reduced Fraction, bit for bit
+    degrees = list(range(2001))
+    for gamma in (F(12, 7), F(1, 2), F(-3, 7)):
+        idx = GegenbauerIndex(gamma)
+        floats = k_constants(degrees, idx, as_float=True)
+        assert all(type(k) is float for k in floats)
+        expected = [float(k) for k in k_constants(degrees, idx)]
+        assert np.array(floats).tobytes() == np.array(expected).tobytes()
+    floats = k_constants(degrees[:50], GegenbauerIndex(0.7), as_float=True)
+    assert floats == k_constants(degrees[:50], GegenbauerIndex(0.7))
+
+
 def test_boundary_constant_exact_rational_equality():
     for gamma in (F(0), F(1, 3), F(5, 2)):
         idx = GegenbauerIndex(gamma)

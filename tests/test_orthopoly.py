@@ -264,6 +264,15 @@ def test_second_derivative_block_matches_full_matrix():
             np.testing.assert_allclose(block, full[np.ix_(rows, cols)], rtol=0, atol=1e-11)
 
 
+def test_second_derivative_block_is_the_masked_product_bit_for_bit():
+    for gamma in (-0.49, 0.0, 1.1, 2.4):
+        for parity in (Parity.EVEN, Parity.ODD):
+            for rows, cols in ((8, 10), (10, 8), (1, 1), (0, 3), (3, 0), (200, 201)):
+                block = second_derivative_block(rows, cols, GegenbauerIndex(gamma), parity)
+                ref = oracles.second_derivative_block_masked(rows, cols, gamma, parity.offset)
+                assert block.shape == ref.shape and block.tobytes() == ref.tobytes()
+
+
 def test_integration_three_term_inverts_second_derivative():
     # dm(n) (G_{n+2})'' + d0(n) (G_n)'' + dp(n) (G_{n-2})'' recovers G_n
     for gamma in (0.0, 0.5, 1.5):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -29,10 +30,12 @@ from gegtau.spectra import (
     dense_eigs,
     eigenfunction,
     exact_spectrum,
+    min_rel_gap,
     pencil_spectrum,
+    reality_ratio,
     tau_spectrum,
 )
-from gegtau.tau_operator import build_diff_pencil, build_gi2
+from gegtau.tau_operator import DIFF_VARIANTS, build_diff_pencil, build_gi2
 from gegtau.verify import DEFAULT_GAMMA_GRID, conditioning_sweep
 
 import oracles
@@ -299,6 +302,118 @@ def test_pencil_ierley_real_negative():
     lam = pencil_spectrum(pen).eigenvalues
     assert np.all(np.abs(lam.imag) <= 1e-9 * np.abs(lam))
     assert np.all(lam.real < 0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 17, 200])
+@pytest.mark.parametrize("variant", DIFF_VARIANTS)
+def test_pencil_spectrum_bitwise_matches_the_row_major_solve(variant, m):
+    # B^{-1} A is Fortran-ordered and reduced in place; the bits, signs of zeros included, are
+    # those of dgeev on the C-ordered B^{-1} A
+    gammas = (1.5,) if variant == "ierley-legendre" else DEFAULT_GAMMA_GRID
+    for gamma in gammas:
+        for parity in (Parity.EVEN, Parity.ODD):
+            pen = build_diff_pencil(m, gamma, variant, parity)
+            spec = pencil_spectrum(pen)
+            lam, mu = oracles.pencil_spectrum_row_major(pen.A, pen.B, pen.b_structure)
+            assert spec.eigenvalues.dtype == lam.dtype, (gamma, parity)
+            assert spec.eigenvalues.tobytes() == lam.tobytes(), (gamma, parity)
+            assert spec.mu.tobytes() == mu.tobytes(), (gamma, parity)
+
+
+def _permuted_by_dgebal():
+    """F-ordered upper Hessenberg matrices, badly scaled, that dgebal permutes."""
+    rng = np.random.default_rng(11)
+    d = 2.0 ** rng.integers(-30, 30, 30)
+    base = np.triu(rng.normal(size=(30, 30)), -1) * d[:, None] / d
+    last_row, middle_row, first_row, last_col = (base.copy() for _ in range(4))
+    last_row[29, 28] = 0.0  # the last row is zero off the diagonal
+    middle_row[14, 13] = 0.0
+    middle_row[14, 15:] = 0.0  # so is row 14
+    first_row[0, 1:] = 0.0
+    last_col[:-1, -1] = 0.0
+    return [np.asfortranarray(a) for a in (last_row, middle_row, first_row, last_col)]
+
+
+def test_hessenberg_eigvals_fallback_sees_the_unbalanced_matrix():
+    for a in _permuted_by_dgebal():
+        n = a.shape[0]
+        assert scipy.linalg.lapack.dgebal(a, permute=1)[1:3] != (0, n - 1)
+        assert np.any(scipy.linalg.lapack.dgebal(a, scale=1, permute=0)[3] != 1.0)  # balancing would change a
+        kept = a.copy(order="F")
+        w = _hessenberg_eigvals(a, overwrite_a=True)
+        np.testing.assert_array_equal(a, kept)
+        ref = np.linalg.eigvals(kept)
+        assert w.dtype == ref.dtype and w.tobytes() == ref.tobytes()
+
+
+def test_hessenberg_eigvals_in_place_only_where_dgebal_cannot_permute():
+    rng = np.random.default_rng(5)
+    in_place = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 12))
+        a = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3))
+        a[np.arange(1, n), np.arange(n - 1)] = rng.normal(size=n - 1) * (rng.random(n - 1) < 0.9)
+        a = np.asfortranarray(a)
+        ref = _hessenberg_eigvals(a)
+        permutes = scipy.linalg.lapack.dgebal(a, permute=1)[1:3] != (0, n - 1)
+        work = a.copy(order="F")
+        w = _hessenberg_eigvals(work, overwrite_a=True)
+        assert w.dtype == ref.dtype and w.tobytes() == ref.tobytes()
+        if permutes:
+            np.testing.assert_array_equal(work, a)
+        in_place += not np.array_equal(work, a)
+    assert in_place > 50
+
+
+def test_dense_eigs_never_modifies_its_input():
+    rng = np.random.default_rng(2)
+    tau = build_gi2(40, 1.8, Parity.EVEN)
+    scale = _balance_scales(tau)
+    unbalanced = tau.square()
+    balanced = unbalanced * scale / scale[:, None]
+    for a in (unbalanced, balanced, rng.normal(size=(40, 40))):
+        for order in ("C", "F"):
+            a = np.asarray(a, order=order)
+            kept = a.copy()
+            dense_eigs(a)
+            np.testing.assert_array_equal(a, kept)
+
+
+def _traced_peak(fn):
+    fn()  # first-call caches (LAPACK handles, workspace queries) stay out of the measurement
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", DIFF_VARIANTS)
+def test_pencil_route_holds_at_most_three_and_a_half_matrices(variant):
+    m = 256
+    gamma = 1.5 if variant == "ierley-legendre" else 0.7
+    for parity in (Parity.EVEN, Parity.ODD):
+        peak = _traced_peak(lambda: pencil_spectrum(build_diff_pencil(m, gamma, variant, parity)))
+        assert peak <= 3.5 * 8 * m * m, (parity, peak / (8 * m * m))
+
+
+def test_dense_integration_route_holds_one_and_a_half_matrices():
+    m = 256
+    for gamma in (0.7, 2.4):
+        for parity in (Parity.EVEN, Parity.ODD):
+            peak = _traced_peak(lambda: tau_spectrum(m, gamma, parity))
+            assert peak <= 1.5 * 8 * m * m, (gamma, parity, peak / (8 * m * m))
+
+
+def test_ratio_floors_are_spectra_tiny():
+    # entries below 1e-200 are divided by their own size, not by the 1e-300 floor
+    np.testing.assert_allclose(reality_ratio(np.array([3e-250 + 4e-250j, -1.0 + 0.0j])), 0.8, rtol=1e-15)
+    np.testing.assert_allclose(reality_ratio(np.array([[1e-290j, 2.0]])), [1.0], rtol=1e-15)
+    np.testing.assert_allclose(min_rel_gap(np.array([1e-250, 4e-250, 5.0])), 0.75, rtol=1e-15)
+    np.testing.assert_allclose(min_rel_gap(np.array([-2e-260 + 0j, 2e-260j])), np.sqrt(2.0), rtol=1e-15)
+    assert reality_ratio(np.array([0j])) == 0.0
+    assert min_rel_gap(np.array([0.0, 0.0])) == 0.0
 
 
 def test_eigenfunction_lowest_odd_is_sine():

@@ -346,6 +346,47 @@ def test_assert_structure_rejects_one_entry_off_the_pattern(kind, order):
         _assert_structure(valid, "banded", "test")
 
 
+@pytest.mark.parametrize("kind", sorted(_PATTERNS))
+def test_assert_structure_checks_every_row_block(kind):
+    # 70 rows span three row blocks: off-pattern entries next to each block edge are caught
+    n = 70
+    i, j = np.indices((n, n))
+    allowed = _PATTERNS[kind](i, j)
+    valid = np.where(allowed, np.random.default_rng(4).uniform(-2.0, 2.0, (n, n)), 0.0)
+    _assert_structure(valid, kind, "test")
+    tol = 1e-13 * np.abs(valid).max()
+    rows = (0, 1, 2, 30, 31, 32, 33, 34, 63, 64, 65, 69)
+    for a, b in zip(*np.nonzero(~allowed)):
+        if a not in rows and b not in rows:
+            continue
+        mat = valid.copy()
+        mat[a, b] = 2.0 * tol
+        with pytest.raises(AssertionError, match=f"matrix is not {kind}"):
+            _assert_structure(mat, kind, "test")
+    for a, b in zip(*np.nonzero(allowed)):  # an allowed entry far larger than the rest is no failure
+        mat = valid.copy()
+        mat[a, b] = 1e20
+        _assert_structure(mat, kind, "test")
+
+
+def test_pencil_blocks_are_the_straight_products():
+    # the in-place scaling and the single C = [I; row] product give the bits of the plain expressions
+    for gamma in (-0.49, 0.7, 2.4):
+        for parity in (Parity.EVEN, Parity.ODD):
+            m = 40
+            idx = GegenbauerIndex(gamma)
+            ip = parity.offset
+            degrees = [parity.degree(k) for k in range(m + 1)]
+            h = gegenbauer_norms(degrees[:m], idx)
+            d2 = oracles.second_derivative_block_masked(m, m + 1, gamma, ip)
+            a0 = h[:, None] * d2
+            gv = np.array([float(gegenbauer_at_one(n, idx)) for n in degrees])
+            last = build_diff_pencil(m, idx, "diff-elim-last", parity)
+            assert last.A.tobytes() == (a0 @ np.vstack([np.eye(m), -gv[:m] / gv[m]])).tobytes()
+            first = build_diff_pencil(m, idx, "diff-elim-first", parity)
+            assert first.A.tobytes() == a0[:, 1:].tobytes()
+
+
 def test_ierley_variant_diagonal_scaling():
     pen = build_diff_pencil(4, 1.5, "ierley-legendre")
     assert pen.a_structure == "diagonal"
