@@ -139,7 +139,9 @@ def k_constants(degrees, idx, as_float: bool = False) -> list:
     of those values, so the cost is O(max(degrees)).  Exact for Fraction
     family parameters: gamma = P/Q runs the product on integer numerators
     and denominators, G_m(1) = prod_{j=1}^{m-1} (2P + jQ) / (Q^{m-1} m!),
-    and reduces once per returned K_n.  Vanishes for n >= 3 at gamma in
+    forms each K_n when the product reaches its degree, so only one
+    numerator and denominator of it are held, and reduces once per returned
+    K_n.  Vanishes for n >= 3 at gamma in
     {1/2, 3/2}.
 
     as_float=True returns floats.  For a Fraction gamma each K_n with
@@ -152,18 +154,18 @@ def k_constants(degrees, idx, as_float: bool = False) -> list:
     if degrees and min(degrees) < 0:
         raise ValueError(f"K_n is defined for n >= 0, got {min(degrees)}")
     g = as_gegenbauer(idx).gamma
-    nmax = max(degrees, default=0) - 2
     exact = isinstance(g, Fraction)
     if exact:
         P, Q = g.numerator, g.denominator
         head = (2 * P - Q) * (2 * P - 3 * Q)
-        at1 = [(1, 1)] * min(nmax + 1, 2)  # (numerator, denominator) of G_m(1)
-        num = den = 1
-        for j in range(1, nmax):
-            num, den = num * (2 * P + j * Q), den * Q * (j + 1)
-            at1.append((num, den))
+        high, num, den, i = {}, 1, 1, 1  # num / den = G_i(1)
+        for n in sorted({n for n in degrees if n >= 3}):
+            while i < n - 2:
+                num, den, i = num * (2 * P + i * Q), den * Q * (i + 1), i + 1
+            kn, kd = head * num, Q * Q * den * (n * (n * n - 1) * (n + 2))
+            high[n] = kn / kd if as_float else Fraction(kn, kd)
     else:
-        at1 = gegenbauer_at_one_upto(nmax, idx)
+        at1 = gegenbauer_at_one_upto(max(degrees, default=0) - 2, idx)
     out = []
     for n in degrees:
         if n == 0:
@@ -173,9 +175,7 @@ def k_constants(degrees, idx, as_float: bool = False) -> list:
         elif n == 2:
             out.append(((2 * g + 1) * (2 * g * g + g - 7)) / (48 * (g + 1) * (g + 2)))
         elif exact:
-            num, den = at1[n - 2]
-            num, den = head * num, Q * Q * den * (n * (n * n - 1) * (n + 2))
-            out.append(num / den if as_float else Fraction(num, den))
+            out.append(high[n])
         else:
             out.append(((2 * g - 1) * (2 * g - 3)) * at1[n - 2] / (n * (n * n - 1) * (n + 2)))
     return [float(k) for k in out] if as_float else out

@@ -407,14 +407,81 @@ def _balance_scales(tau: TauMatrix) -> np.ndarray:
     return np.array(scale)
 
 
-# ARPACK serves count=k requests from m = 96 modes and for k <= m / 8.
+# Both partial routes serve count=k only for k <= m / _PARTIAL_MAX_SHARE;
+# shifted inverse iteration does so at every m.
+_PARTIAL_MAX_SHARE = 8
+_SHIFTED_STEPS = 2  # inverse iteration steps per mode
+_SHIFTED_REL = 1e-8  # how far a mode may lie from its exact value
+_POWER_STEPS = 8  # deflated power iteration steps of the dominance check
+_EPS = 2.0**-53
+
+
+def _shifted_eigs(tau: TauMatrix, k: int):
+    """The k largest-|mu| eigenvalues of tau.square(), from the largest
+    down, or None when a check fails and the next route should serve.
+
+    The low Dirichlet modes are known in closed form to about 1e-14, so
+    inverse iteration shifted to sigma_j = 1 / exact_spectrum's j-th value
+    (TauMatrix.inverse_iteration, two O(m) band solves per vector from a
+    fixed start) gives the j-th right and left vectors x_j, y_j, and
+    mu_j = y_j^T A x_j / y_j^T x_j with A x_j from TauMatrix.apply.  No
+    balancing and no m x m array.  Accepted only if
+
+    - each backward residual ||A x_j - mu_j x_j|| is at most m u ||A||_F;
+    - each mu_j lies within _SHIFTED_REL of sigma_j, so the modes are
+      distinct and in order;
+    - each first-order error bound ||A x_j - mu_j x_j|| / |y_j^T x_j|
+      (residual times condition number, x_j and y_j unit vectors) is within
+      _SHIFTED_REL of |mu_j|.  The residual test alone is void at large
+      gamma, where the first row makes ||A|| huge: at m = 256 and gamma 50
+      inverse iteration returns each shift sigma_j itself to 1e-8, with a
+      residual below m u ||A||, while the dense and ARPACK routes find a
+      complex pair among the eight lowest modes;
+    - a deflated power iteration, _POWER_STEPS steps of
+      (I - X (Y^T X)^{-1} Y^T) A from the same start, grows by less than
+      |mu_k| in its last step: no other eigenvalue found that way is as
+      large, which keeps the "k largest |mu|" of ARPACK's which="LM".  It is
+      a check, not a certificate.
+    """
+    m = tau.m
+    if _PARTIAL_MAX_SHARE * k > m:
+        return None
+    sigma = 1.0 / exact_spectrum(k, tau.parity)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+    mu, X, Y = np.empty(k), np.empty((k, m)), np.empty((k, m))
+    with np.errstate(all="ignore"):  # a NaN or inf fails the checks below
+        bands = (tau.first_row, tau.lo, tau.dg, tau.up)
+        bound = m * _EPS * math.sqrt(sum(b @ b for b in bands))  # m u ||A||_F
+        for j, s in enumerate(sigma):
+            try:
+                x, y = tau.inverse_iteration(s, start, _SHIFTED_STEPS)
+            except np.linalg.LinAlgError:
+                return None
+            ax = tau.apply(x)[:m]
+            yx = y @ x
+            mu[j] = (y @ ax) / yx
+            residual = np.linalg.norm(ax - mu[j] * x)
+            tol = _SHIFTED_REL * abs(mu[j])
+            if not (residual <= bound and abs(mu[j] - s) <= tol and residual <= tol * abs(yx)):
+                return None
+            X[j], Y[j] = x, y / yx
+        v = start - (Y @ start) @ X
+        for _ in range(_POWER_STEPS):
+            v = tau.apply(v / np.linalg.norm(v))[:m]
+            v -= (Y @ v) @ X
+        if not np.linalg.norm(v) < abs(mu[-1]):
+            return None
+    return mu
+
+
+# ARPACK serves the count=k requests that _shifted_eigs refuses (gamma past
+# about 3 to 8, depending on m and k), from m = 96 modes and for k <= m / 8.
 # Measured on one BLAS thread against the dense route (both balance the
 # matrix first), gamma 0.5 and 2.4: at k = 1 it takes 0.4-0.6 of the dense
 # time at m = 96, 0.2-0.5 at m = 128 and 0.01-0.06 at m = 1024; k = m / 8
 # stays below 0.8 from m = 96 on; the two cross near k = m / 4 (0.8-1.2 from
 # m = 96 to 1024); at m = 64 and below the dense solve is as fast or faster.
 _ARPACK_MIN_M = 96
-_ARPACK_MAX_SHARE = 8
 
 
 def _arpack_eigs(tau: TauMatrix, k: int):
@@ -430,11 +497,11 @@ def _arpack_eigs(tau: TauMatrix, k: int):
     missed the lowest mode.  One value beyond k keeps both members of a conjugate pair cut
     at position k, so the caller's sort picks the one the dense order puts
     first.  The starting vector is fixed, so repeated calls give the same
-    bits.  None comes back for m < _ARPACK_MIN_M or k > m / _ARPACK_MAX_SHARE,
+    bits.  None comes back for m < _ARPACK_MIN_M or k > m / _PARTIAL_MAX_SHARE,
     where the dense solve is cheaper, and when ARPACK fails.
     """
     m = tau.m
-    if m < _ARPACK_MIN_M or _ARPACK_MAX_SHARE * k > m:
+    if m < _ARPACK_MIN_M or _PARTIAL_MAX_SHARE * k > m:
         return None
     import scipy.sparse.linalg  # deferred: 35-70 ms and 2 MB that only partial spectra need
 
@@ -465,9 +532,21 @@ def tau_spectrum(
     spectrum at the raised parameter with no zero mode.
 
     count=k keeps the k lowest-|lambda| modes (1 <= k <= m, or m + 1 with
-    the even Neumann zero mode), in the full spectrum's order.  ARPACK on
-    the O(m) matvec computes them where that is cheaper (_arpack_eigs);
-    elsewhere the full dense spectrum is sliced.
+    the even Neumann zero mode), in the full spectrum's order.  Three routes
+    serve it, each taking what the one before refuses:
+
+    - k <= m / 8: inverse iteration shifted to the exact values, O(m) band
+      solves with no m x m array (_shifted_eigs).  On one BLAS thread
+      count=1 takes 0.45-0.6 ms at m = 16-128 and 2 ms at m = 1024 (mostly
+      build_gi2), at gamma 0.5 and 2.4 alike; m = 1024 and k = 128 takes
+      32-34 ms.  Its checks refuse large gamma (past about 3.6 at m = 1024
+      and k = 1) and any request with a conjugate pair among its modes;
+    - m >= 96 and k <= m / 8: ARPACK on the balanced O(m) matvec
+      (_arpack_eigs);
+    - anything else: the full dense spectrum, sliced.
+
+    A request the first route refuses gets the bits it got before that
+    route existed.
     """
     gdx = as_gegenbauer(idx)
     par = as_parity(parity)
@@ -485,7 +564,9 @@ def tau_spectrum(
     if bc != "dirichlet":
         raise ValueError(f"unknown boundary condition {bc!r}")
     tau = build_gi2(m, gdx, par)
-    mu = None if count is None else _arpack_eigs(tau, count)
+    mu = None if count is None else _shifted_eigs(tau, count)
+    if mu is None and count is not None:
+        mu = _arpack_eigs(tau, count)
     if mu is None:
         scale = _balance_scales(tau)
         M = tau.square()
@@ -613,7 +694,9 @@ def eigenfunction(j: int, m: int, idx, parity) -> EigenPair:
 
     The eigenvalue is tau_spectrum(count=j + 1)'s j-th, and the coefficients
     of u'' are the O(m) TauMatrix.null_vector at its reciprocal: real for a
-    real eigenvalue, and no eigenvector of any other mode is formed."""
+    real eigenvalue.  No eigenvector matrix and no Ritz vectors are formed;
+    where shifted inverse iteration serves the count, its O(m) vectors of
+    modes 0..j are the only others."""
     gdx = as_gegenbauer(idx)
     par = as_parity(parity)
     if not 0 <= j < m:

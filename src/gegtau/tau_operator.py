@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.lapack
 
 from .charpoly import k_constants
 from .orthopoly import (
@@ -129,6 +130,50 @@ class TauMatrix:
             x[i - 1] = above
             below, here = here, above
         return x / np.abs(x).max()
+
+    def inverse_iteration(self, sigma: float, start: np.ndarray, steps: int):
+        """Right and left unit vectors after `steps` steps of inverse
+        iteration with A - sigma I from start, O(m) each; sigma real, m >= 3
+        (scipy's dgttrf wrapper refuses order 2).
+
+        A - sigma I is T + e_0 r^T, with T tridiagonal (the first two entries
+        of row 0 and the bands of rows 1..m-1, shifted) and r the first row
+        beyond column 1.  LAPACK dgttrf factors T once; a step solves with the
+        factors (dgttrs, transposed for the left vector) and adds the
+        Sherman-Morrison correction for r as (1 + r^T z) w - (r^T w) z, with
+        w = T^{-1} b and z = T^{-1} e_0.  That is the solution times
+        1 + r^T z, a factor that vanishes when sigma is an eigenvalue, where
+        the step returns z, the eigenvector, so nothing is divided by it.
+        No m x m array is formed.  LinAlgError if T is exactly singular.
+        """
+        if self.m < 3:
+            raise ValueError(f"inverse iteration needs m >= 3, got {self.m}")
+        lapack = scipy.linalg.lapack
+        top = self.first_row
+        d, du = self.dg - sigma, self.up[:-1].copy()
+        d[0], du[0] = top[0] - sigma, top[1]
+        lu = lapack.dgttrf(self.lo[1:], d, du)
+        if lu[-1] != 0:
+            raise np.linalg.LinAlgError(f"the tridiagonal part of A - {sigma!r} I is singular")
+
+        def solve(b, trans="N"):
+            return lapack.dgttrs(*lu[:-1], b, trans=trans)[0]
+
+        r = top.copy()
+        r[:2] = 0.0
+        e0 = np.zeros(self.m)
+        e0[0] = 1.0
+        z, zt = solve(e0), solve(r, "T")
+        rz, rzt = 1.0 + r @ z, 1.0 + zt[0]  # both det(A - sigma I) / det(T)
+        x = y = start
+        for _ in range(steps):
+            w = solve(x)
+            x = rz * w - (r @ w) * z
+            x /= np.linalg.norm(x)
+            w = solve(y, "T")
+            y = rzt * w - w[0] * zt
+            y /= np.linalg.norm(y)
+        return x, y
 
 
 @dataclass(frozen=True)

@@ -691,7 +691,11 @@ def spectrum_error_report(m: int, idx, parity, threshold: float = 1e-8) -> Sweep
 
 def _fit_tail(ms: np.ndarray, errs: np.ndarray) -> dict | None:
     """Least-squares slope of log10 err vs log10 m on the tail that starts
-    at the error minimum (the roundoff-dominated regime)."""
+    at the error minimum (the roundoff-dominated regime).
+
+    An error that reads 0 (the result is the rounded exact value) enters as
+    2**-53, the most the rounding of the exact value leaves it off by."""
+    errs = np.where(errs == 0.0, 2.0**-53, errs)
     start = int(np.argmin(errs))
     ms, errs = ms[start:], errs[start:]
     keep = errs > 0

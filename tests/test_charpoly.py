@@ -7,6 +7,7 @@ Jacobi endpoint polynomials against a 2x2 determinant oracle built from the
 monomial expansion.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,24 @@ def test_float_boundary_constants_round_the_exact_ones():
         assert np.array(floats).tobytes() == np.array(expected).tobytes()
     floats = k_constants(degrees[:50], GegenbauerIndex(0.7), as_float=True)
     assert floats == k_constants(degrees[:50], GegenbauerIndex(0.7))
+
+
+def test_exact_boundary_constants_hold_one_running_product():
+    # each K_n is formed when the product reaches G_{n-2}(1); holding every
+    # G_i(1) numerator and denominator to the end takes about 117 MB
+    tracemalloc.start()
+    try:
+        floats = k_constants(range(0, 8000, 2), F(12, 7), as_float=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(floats) == 4000 and peak < 8e6, peak
+    # unsorted and repeated degrees come back in their own order
+    degrees = [9, 3, 40, 3, 0, 2, 1, 17, 9]
+    for gamma in (F(12, 7), F(-3, 7)):
+        singly = [k_constants([n], gamma)[0] for n in degrees]
+        assert k_constants(degrees, gamma) == singly
+        assert k_constants(degrees, gamma, as_float=True) == [k_constants([n], gamma, as_float=True)[0] for n in degrees]
 
 
 def test_boundary_constant_exact_rational_equality():

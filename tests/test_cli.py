@@ -82,7 +82,7 @@ def test_eig_count_keeps_the_lowest_rows(capsys, modes):
     assert code == 0
     full, part = full.split("\n"), part.split("\n")
     assert len(part) == 8 and part[0] == full[0]
-    if modes == "40":  # below the size ARPACK serves: the dense rows themselves
+    if modes == "40":  # count 6 is above 40 / 8, so no partial route serves: the dense rows themselves
         assert part[1:7] == full[1:7]
     got = np.array([[float(v) for v in row.split(",")] for row in part[1:7]])
     want = np.array([[float(v) for v in row.split(",")] for row in full[1:7]])

@@ -1,5 +1,6 @@
 """Tests for spectrum computation, exact references, and eigenfunctions."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from gegtau.spectra import (
     _arpack_eigs,
     _balance_scales,
     _hessenberg_eigvals,
+    _shifted_eigs,
     EigenPair,
     Spectrum,
     dense_eigs,
@@ -35,7 +37,7 @@ from gegtau.spectra import (
     reality_ratio,
     tau_spectrum,
 )
-from gegtau.tau_operator import DIFF_VARIANTS, build_diff_pencil, build_gi2
+from gegtau.tau_operator import DIFF_VARIANTS, TauMatrix, build_diff_pencil, build_gi2
 from gegtau.verify import DEFAULT_GAMMA_GRID, conditioning_sweep
 
 import oracles
@@ -478,6 +480,13 @@ def test_count_route_matches_dense_on_resolved_modes(m):
 
 
 def test_count_route_serves_small_shares_of_large_spectra():
+    # shifted inverse iteration serves k <= m / 8 at every m, and ARPACK the
+    # same share from m = 96 where that route refuses
+    assert _shifted_eigs(build_gi2(200, 0.5, Parity.EVEN), 1) is not None
+    assert _shifted_eigs(build_gi2(200, 0.5, Parity.EVEN), 25) is not None
+    assert _shifted_eigs(build_gi2(200, 0.5, Parity.EVEN), 26) is None
+    assert _shifted_eigs(build_gi2(16, 0.5, Parity.EVEN), 2) is not None
+    assert _shifted_eigs(build_gi2(15, 0.5, Parity.EVEN), 2) is None
     assert _arpack_eigs(build_gi2(200, 0.5, Parity.EVEN), 1) is not None
     assert _arpack_eigs(build_gi2(200, 0.5, Parity.EVEN), 25) is not None
     assert _arpack_eigs(build_gi2(200, 0.5, Parity.EVEN), 26) is None
@@ -516,11 +525,71 @@ def test_count_route_falls_back_when_arpack_does_not_converge(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular")
+
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    monkeypatch.setattr(TauMatrix, "inverse_iteration", singular)  # the shifted route refuses too
     dense = tau_spectrum(300, 0.5, Parity.EVEN)
     spec = tau_spectrum(300, 0.5, Parity.EVEN, count=7)
     np.testing.assert_array_equal(spec.eigenvalues, dense.eigenvalues[:7])
     np.testing.assert_array_equal(spec.mu, dense.mu[:7])
+
+
+def test_count_route_falls_back_when_a_spurious_mode_dominates(monkeypatch):
+    # add e_0 v^T to the first row, with v orthogonal to the right vectors of
+    # the k lowest modes: they stay eigenpairs, so only the dominance check
+    # sees the new eigenvalue of about 30 |mu_1|
+    m, gamma, parity, k = 200, 0.5, Parity.ODD, 3
+    tau = build_gi2(m, gamma, parity)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+    sigma = 1.0 / exact_spectrum(k, parity)
+    q, _ = np.linalg.qr(np.array([tau.inverse_iteration(s, start, 2)[0] for s in sigma]).T)
+    v = -q @ q[0]
+    v[0] += 1.0
+    spurious = dataclasses.replace(tau, first_row=tau.first_row + (30.0 * abs(sigma[0]) / v[0]) * v)
+    w = np.linalg.eigvals(spurious.square())
+    assert np.sort(np.abs(w))[-1] > 29.0 * abs(sigma[0])
+    assert all(np.min(np.abs(w - s)) <= 1e-12 * abs(s) for s in sigma)
+
+    assert _shifted_eigs(tau, k) is not None
+    assert _shifted_eigs(spurious, k) is None
+    monkeypatch.setattr(spectra, "build_gi2", lambda *args: spurious)
+    spec = tau_spectrum(m, gamma, parity, count=k)
+    monkeypatch.setattr(spectra, "_shifted_eigs", lambda *args: None)
+    fallback = tau_spectrum(m, gamma, parity, count=k)
+    np.testing.assert_array_equal(spec.eigenvalues, fallback.eigenvalues)
+    np.testing.assert_array_equal(spec.mu, fallback.mu)
+    assert abs(spec.mu[0]) > 29.0 * abs(sigma[0])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the shifted inverse iteration route should have served")
+
+
+def test_conditioning_sweep_integration_cells_take_the_shifted_route(monkeypatch):
+    grid = (16, 32, 64, 128, 256, 512, 1024)
+    gammas = (-0.45, 0.0, 0.5, 1.0, 1.5, 1.7, 2.0, 2.4)
+    for name in ("_balance_scales", "_arpack_eigs", "dense_eigs"):
+        monkeypatch.setattr(spectra, name, _refuse)
+    for gamma in gammas:
+        for parity in (Parity.EVEN, Parity.ODD):
+            for (_, m, err) in conditioning_sweep(gamma, grid, ("integration",), parity).rows:
+                assert err < 1e-14, (gamma, parity, m, err)
+
+
+@pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+def test_neumann_count_requests_take_the_shifted_route(monkeypatch, parity):
+    m, gamma = 400, 0.7
+    dense = tau_spectrum(m, gamma, parity, "neumann")
+    for name in ("_balance_scales", "_arpack_eigs", "dense_eigs"):
+        monkeypatch.setattr(spectra, name, _refuse)
+    for k in (1, 2, 12, 50):
+        spec = tau_spectrum(m, gamma, parity, "neumann", count=k)
+        assert spec.bc == "neumann" and spec.count == k
+        zero = parity is Parity.EVEN
+        assert (spec.eigenvalues[0] == 0.0) == zero
+        np.testing.assert_allclose(spec.eigenvalues[zero:], dense.eigenvalues[zero:k], rtol=1e-13, atol=0)
 
 
 def test_count_keeps_the_neumann_zero_mode():
@@ -548,6 +617,7 @@ def test_eigenfunction_from_ritz_vector_matches_dense(monkeypatch):
     m = 200
     cases = [(0, 0.5, Parity.ODD), (4, 1.5, Parity.EVEN), (20, 2.4, Parity.ODD)]
     ritz = [eigenfunction(j, m, gamma, parity) for j, gamma, parity in cases]
+    monkeypatch.setattr(spectra, "_shifted_eigs", lambda *args, **kwargs: None)
     monkeypatch.setattr(spectra, "_arpack_eigs", lambda *args, **kwargs: None)
     for pair, (j, gamma, parity) in zip(ritz, cases):
         dense = eigenfunction(j, m, gamma, parity)
@@ -571,13 +641,23 @@ def test_eigenfunction_forms_no_other_eigenvector(monkeypatch):
         calls.append(kwargs["k"])
         return eigs(*args, **kwargs)
 
+    shifted, served = spectra._shifted_eigs, []
+
+    def recorded(tau, k):
+        mu = shifted(tau, k)
+        served.append((tau.m, k, mu is not None))
+        return mu
+
     monkeypatch.setattr(np.linalg, "eig", no_dense_vectors)
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", values_only)
-    # (5, 60) takes its eigenvalue from the dense route, (0, 200) from ARPACK
-    for j, m in ((5, 60), (0, 200)):
-        pair = eigenfunction(j, m, 0.5, Parity.ODD)
+    monkeypatch.setattr(spectra, "_shifted_eigs", recorded)
+    # (7, 60) takes its eigenvalue from the dense route (k = 8 > m / 8), (0, 200)
+    # from shifted inverse iteration and (1, 200) at gamma 10 from ARPACK
+    for j, m, gamma in ((7, 60, 0.5), (0, 200, 0.5), (1, 200, 10.0)):
+        pair = eigenfunction(j, m, gamma, Parity.ODD)
         assert abs(pair.eigenvalue - exact_spectrum(j + 1, Parity.ODD)[j]) <= 1e-10 * abs(pair.eigenvalue)
-    assert calls == [2]
+    assert served == [(60, 8, False), (200, 1, True), (200, 2, False)]
+    assert calls == [3]
 
 
 def test_spectrum_csv_format():

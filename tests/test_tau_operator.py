@@ -6,6 +6,7 @@ the algebraic column identities that tie it to the characteristic-polynomial
 sequences, and to the left-eigenvector property at high-precision roots.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath as mp
@@ -178,6 +179,44 @@ def test_null_vector_rescales_where_the_recurrence_overflows():
     x = tau.null_vector(mu)
     assert np.isfinite(x).all() and np.abs(x).max() == 1.0
     assert _null_vector_residual(tau, mu, x) <= 1e-12
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+@pytest.mark.parametrize("m", [3, 4, 17, 60])
+def test_inverse_iteration_step_is_the_shifted_solve(m, parity):
+    # one step from b points along (A - sigma I)^{-1} b and its transpose
+    rng = np.random.default_rng(m)
+    for gamma in (-0.3, 0.5, 2.4):
+        tau = build_gi2(m, gamma, parity)
+        b = rng.uniform(-1.0, 1.0, m)
+        shifted = tau.square() - 0.37 * np.eye(m)  # no eigenvalue of A
+        x, y = tau.inverse_iteration(0.37, b, 1)
+        for got, want in ((x, np.linalg.solve(shifted, b)), (y, np.linalg.solve(shifted.T, b))):
+            want /= np.linalg.norm(want)
+            assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_allclose(np.sign(got @ want) * got, want, rtol=0, atol=1e-12)
+
+
+def test_inverse_iteration_at_an_eigenvalue_gives_its_right_and_left_vectors():
+    # sigma equal to an eigenvalue: the correction factor vanishes, nothing
+    # is divided by it, and the vectors are the eigenvectors
+    tau = build_gi2(40, 0.5, Parity.EVEN)
+    square = tau.square()
+    mu = float(tau_spectrum(40, 0.5, Parity.EVEN).mu[0].real)
+    x, y = tau.inverse_iteration(mu, np.ones(40), 2)
+    assert np.isfinite(x).all() and np.isfinite(y).all()
+    assert np.linalg.norm(square @ x - mu * x) <= 1e-14
+    assert np.linalg.norm(square.T @ y - mu * y) <= 1e-14
+
+
+def test_inverse_iteration_refuses_a_singular_tridiagonal_part():
+    with pytest.raises(ValueError, match="m >= 3"):
+        build_gi2(2, 0.5, Parity.EVEN).inverse_iteration(0.1, np.ones(2), 1)
+    # with no subdiagonal, T is upper bidiagonal and singular at sigma = dg[3]
+    tau = build_gi2(6, 0.5, Parity.EVEN)
+    tau = dataclasses.replace(tau, lo=np.zeros(6))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        tau.inverse_iteration(tau.dg[3], np.ones(6), 1)
 
 
 def test_double_integration_of_unit_source():

@@ -39,7 +39,7 @@ from gegtau.verify import (
     sharpness_suite,
     spectrum_error_report,
 )
-from gegtau.verify import _hurwitz_margins, _pair_verdicts, _root_stats, _row_stats
+from gegtau.verify import _fit_tail, _hurwitz_margins, _pair_verdicts, _root_stats, _row_stats
 
 import oracles
 
@@ -328,6 +328,15 @@ def test_root_stats_are_bitwise_the_per_polynomial_values(family):
         for i, expected in enumerate(want):
             got = (*(float(column[i]) for column in stats), float(margins[i]))
             assert all(_same_bits(g, w) for g, w in zip(got, expected)), (group[i], got, expected)
+
+
+def test_fit_tail_counts_an_exact_hit_at_the_rounding_unit():
+    ms = np.array([8, 16, 32, 64])
+    fit = _fit_tail(ms, np.zeros(4))
+    assert (fit["m_start"], fit["points"]) == (8, 4)
+    assert fit["slope"] == pytest.approx(0.0, abs=1e-12) and fit["stderr"] == pytest.approx(0.0, abs=1e-12)
+    fit = _fit_tail(ms, np.array([2.0**-52, 0.0, 2.0**-52, 2.0**-51]))
+    assert (fit["m_start"], fit["points"]) == (16, 3) and fit["slope"] == pytest.approx(1.0)
 
 
 def test_root_stats_of_no_roots():
