@@ -9,19 +9,24 @@ which is what charpoly_direct does and what the recurrence is tested against.
 charpoly_sequence has two routes.  A float family parameter runs the
 recurrence on numpy coefficient rows, one array operation per step.  With a
 fractions.Fraction family parameter every routine below runs in exact
-rational arithmetic, and charpoly_sequence runs on integer numerators over
-one denominator per polynomial: about 6 ms for m = 48 and 45 ms for m = 100
-on one core of a 2-vCPU Xeon VM.  The coefficients grow factorially, so
-their digits, and with them the cost per operation, grow with m.  Both
-routes are checked against the one-polynomial recurrence of
-tests/oracles.py, the float one bit for bit.  Roots are computed in
-floating point from companion matrices (poly_roots, or poly_roots_batch for
-many polynomials at once).
+rational arithmetic, and charpoly_sequence follows the closed form instead:
+coefficient k of p_j is the endpoint value D^{2k} G_n(1), and each step from
+one coefficient to the next multiplies by a small rational, so the
+coefficients come out as reduced integer pairs without a gcd between two
+large integers, and output that needs no Fraction builds none.  The
+coefficients grow factorially, so their digits, and with them the cost per
+operation, grow with m.  Both routes are checked against the one-polynomial
+recurrence of tests/oracles.py, the float one bit for bit.  Roots are
+computed in floating point from companion matrices (poly_roots, or
+poly_roots_batch for many polynomials at once).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,51 +139,60 @@ def k_constants(degrees, idx, as_float: bool = False) -> list:
     """Boundary constants K_n of the first matrix row (closed forms).
 
     Returns K_n for each n in degrees.  n = 0, 1, 2 have their own
-    expressions; n >= 3 uses the product form built on the endpoint value of
-    the degree n-2 basis function, and all degrees share one running product
-    of those values, so the cost is O(max(degrees)).  Exact for Fraction
-    family parameters: gamma = P/Q runs the product on integer numerators
-    and denominators, G_m(1) = prod_{j=1}^{m-1} (2P + jQ) / (Q^{m-1} m!),
-    forms each K_n when the product reaches its degree, so only one
-    numerator and denominator of it are held, and reduces once per returned
-    K_n.  Vanishes for n >= 3 at gamma in
-    {1/2, 3/2}.
+    expressions; n >= 3 uses the product form
+    K_n = (2g - 1)(2g - 3) G_{n-2}(1) / (n (n^2 - 1)(n + 2)), and all
+    degrees share one running product of the endpoint values, so the cost
+    is O(max(degrees)).  A float gamma forms every K_n, n >= 3, in one array
+    expression on gegenbauer_at_one_upto's values, its integer denominator
+    exact before its one rounding to float.  Exact for Fraction family
+    parameters: gamma = P/Q runs the product on integer numerators and
+    denominators, G_m(1) = prod_{j=1}^{m-1} (2P + jQ) / (Q^{m-1} m!), forms
+    each K_n when the product reaches its degree, so only one numerator and
+    denominator of it are held, and reduces once per returned K_n.
+    Vanishes for n >= 3 at gamma in {1/2, 3/2}.
 
     as_float=True returns floats.  For a Fraction gamma each K_n with
     n >= 3 is then the correctly rounded quotient of its unreduced integer
     numerator and denominator, which is float() of the reduced Fraction
     without the gcd that reduces it: build_gi2 at m = 4000 and gamma = 12/7
-    takes 0.32 s this way, against 24 s through reduced Fractions.
+    takes 0.32 s this way, against 24 s through reduced Fractions.  That
+    quotient raises OverflowError past the float range; a float gamma gives
+    inf there instead.
     """
-    degrees = list(degrees)
-    if degrees and min(degrees) < 0:
-        raise ValueError(f"K_n is defined for n >= 0, got {min(degrees)}")
+    ns = np.asarray(degrees if isinstance(degrees, np.ndarray) else list(degrees), dtype=np.int64)
+    if ns.size and ns.min() < 0:
+        raise ValueError(f"K_n is defined for n >= 0, got {ns.min()}")
     g = as_gegenbauer(idx).gamma
-    exact = isinstance(g, Fraction)
-    if exact:
-        P, Q = g.numerator, g.denominator
-        head = (2 * P - Q) * (2 * P - 3 * Q)
-        high, num, den, i = {}, 1, 1, 1  # num / den = G_i(1)
-        for n in sorted({n for n in degrees if n >= 3}):
-            while i < n - 2:
-                num, den, i = num * (2 * P + i * Q), den * Q * (i + 1), i + 1
-            kn, kd = head * num, Q * Q * den * (n * (n * n - 1) * (n + 2))
-            high[n] = kn / kd if as_float else Fraction(kn, kd)
-    else:
-        at1 = gegenbauer_at_one_upto(max(degrees, default=0) - 2, idx)
-    out = []
-    for n in degrees:
-        if n == 0:
-            out.append((2 * g + 1) / (4 * (g + 1)))
-        elif n == 1:
-            out.append((2 * g + 1) / (12 * (g + 2)))
-        elif n == 2:
-            out.append(((2 * g + 1) * (2 * g * g + g - 7)) / (48 * (g + 1) * (g + 2)))
-        elif exact:
-            out.append(high[n])
-        else:
-            out.append(((2 * g - 1) * (2 * g - 3)) * at1[n - 2] / (n * (n * n - 1) * (n + 2)))
+    high = ns >= 3
+    if not isinstance(g, Fraction):
+        top = int(ns.max(initial=3))
+        at1 = np.array(gegenbauer_at_one_upto(top - 2, idx))
+        n = np.maximum(ns, 3)  # n <= 2 are overwritten below
+        exact_n = n if top < 55000 else n.astype(object)  # so that n^4 is exact: below 2^63, or ints
+        with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, as in scalar arithmetic
+            out = ((2 * g - 1) * (2 * g - 3)) * at1[n - 2] / (exact_n * (n * n - 1) * (n + 2)).astype(float)
+        for i in np.flatnonzero(~high).tolist():
+            out[i] = _k_low(ns[i], g)
+        return out.tolist()
+    P, Q = g.numerator, g.denominator
+    head = (2 * P - Q) * (2 * P - 3 * Q)
+    ks, num, den, i = {}, 1, 1, 1  # num / den = G_i(1)
+    for n in sorted(set(ns[high].tolist())):
+        while i < n - 2:
+            num, den, i = num * (2 * P + i * Q), den * Q * (i + 1), i + 1
+        kn, kd = head * num, Q * Q * den * (n * (n * n - 1) * (n + 2))
+        ks[n] = kn / kd if as_float else Fraction(kn, kd)
+    out = [ks[n] if n >= 3 else _k_low(n, g) for n in ns.tolist()]
     return [float(k) for k in out] if as_float else out
+
+
+def _k_low(n: int, g):
+    """K_0, K_1 and K_2, which have closed forms of their own."""
+    if n == 0:
+        return (2 * g + 1) / (4 * (g + 1))
+    if n == 1:
+        return (2 * g + 1) / (12 * (g + 2))
+    return ((2 * g + 1) * (2 * g * g + g - 7)) / (48 * (g + 1) * (g + 2))
 
 
 def k_constant(n: int, idx):
@@ -191,17 +205,18 @@ def charpoly_sequence(m_max: int, idx, parity) -> list:
 
     Returns [p_0, ..., p_m_max] for the requested parity class; p_m has
     degree m and its roots are the mu values (reciprocal eigenvalues) of the
-    m-mode truncation.  Generated by the boundary-augmented three-term
-    recurrence: on float coefficient rows, or exactly when gamma is a
-    Fraction, in which case the recurrence runs on integer numerators over
-    one denominator per polynomial.
+    m-mode truncation.  A float gamma runs the boundary-augmented three-term
+    recurrence on float coefficient rows.  A Fraction gamma follows the
+    endpoint-derivative closed form, each coefficient the previous one times
+    a small rational, in reduced integer pairs; the polynomials' coeffs are
+    the reduced Fractions, built on first use.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
     g = as_gegenbauer(idx).gamma
     par = as_parity(parity)
     if isinstance(g, Fraction):
-        return _charpoly_sequence_integer(m_max, idx, par)
+        return _charpoly_sequence_exact(m_max, g, par)
     return _charpoly_sequence_float(m_max, idx, par)
 
 
@@ -240,57 +255,74 @@ def _charpoly_sequence_float(m_max: int, idx, par: Parity) -> list:
     return [MuPolynomial(row.tolist()) for row in rows]
 
 
-def _charpoly_sequence_integer(m_max: int, idx, par: Parity) -> list:
-    """charpoly_sequence for gamma = P/Q in integer arithmetic.
+def _charpoly_sequence_exact(m_max: int, g: Fraction, par: Parity) -> list:
+    """charpoly_sequence for gamma = P/Q from the endpoint-derivative closed form.
 
-    With u = P + nQ, u1 = u + Q and um = u - Q (positive for gamma > -1/2)
-    step j of the recurrence, n = 2j + offset, reads
-
-        p_{j+1} = (4 u1 u / Q^2) mu p_j + (2 u / um) p_j
-                  - (u1 / um) p_{j-1} + 4 u1 u K_n / Q^2.
-
-    Each p_j is a list of integer numerators over one integer denominator;
-    a step joins the denominators with one lcm and divides out the content
-    with one gcd, so no gcd is taken per coefficient until the Fractions are
-    built at the end.
+    Coefficient k of p_j is D^{2k} G_n(1), n = 2j + offset (what
+    charpoly_direct computes).  p_j starts from G_n(1), which is G_{n-2}(1)
+    times (2g + n - 2)(2g + n - 1) / (n (n - 1)), and steps from k to k + 1 by
+    (n - 2k)(n - 2k - 1)(2g + n + 2k)(2g + n + 2k + 1) / ((2g + 4k + 1)(2g + 4k + 3)).
+    With u_t = Q (2g + t) = 2P + tQ the Q^2 cancels; every factor is positive
+    for gamma > -1/2.  Each ratio, reduced by one small gcd, is folded into
+    the running reduced pair and cancelled crosswise as Fraction.__mul__
+    does, so no gcd is taken between two large integers.
     """
-    g = as_gegenbauer(idx).gamma
     P, Q = g.numerator, g.denominator
-    Q2 = Q * Q
     ip = par.offset
-    seq = [([1], 1)]
-    if m_max >= 1:
-        seed = _charpoly_seed(idx, par)
-        den = math.lcm(*(c.denominator for c in seed))
-        seq.append(([c.numerator * (den // c.denominator) for c in seed], den))
-    ks = k_constants([2 * j + ip for j in range(1, m_max)], idx)
-    for j in range(1, m_max):
+    u = [Q] + [2 * P + t * Q for t in range(1, 4 * m_max + ip + 1)]  # u_0 = Q: G_2(1) = (2g + 1) / 2
+    w = list(map(operator.mul, u, u[1:]))  # w_t = u_t u_{t+1}
+    f = [t * (t - 1) for t in range(2 * m_max + ip + 1)]  # (n - 2k)(n - 2k - 1) at t = n - 2k
+    low = [u[4 * k + 1] * u[4 * k + 3] for k in range(m_max)]
+    seq, head = [], (1, 1)  # G_{n-2}(1), then G_n(1)
+    for j in range(m_max + 1):
         n = 2 * j + ip
-        u = P + n * Q
-        u1, um = u + Q, u - Q
-        cur, dcur = seq[j]
-        prev, dprev = seq[j - 1]
-        if par is Parity.EVEN and j == 1:
-            # the even j = 1 step folds the p_0 coupling into K_2 already
-            prev = []
-        kn, kd = ks[j - 1].numerator, ks[j - 1].denominator
-        den = math.lcm(dcur * Q2, dcur * um, dprev * um, kd * Q2)
-        f_shift = 4 * u1 * u * (den // (dcur * Q2))
-        f_mid = 2 * u * (den // (dcur * um))
-        f_prev = u1 * (den // (dprev * um))
-        new = [f_mid * c for c in cur]
-        new.append(0)
-        for k, c in enumerate(cur, 1):
-            new[k] += f_shift * c
-        for k, c in enumerate(prev):
-            new[k] -= f_prev * c
-        new[0] += 4 * u1 * u * kn * (den // (kd * Q2))
-        content = math.gcd(den, *new)
-        if content > 1:
-            new = [c // content for c in new]
-            den //= content
-        seq.append((new, den))
-    return [MuPolynomial([Fraction(c, den) for c in nums]) for nums, den in seq]
+        steps = [(w[n - 2], f[n] * Q * Q) if n >= 2 else (1, 1)]
+        steps += zip(map(operator.mul, f[n:ip:-2], w[n : n + 2 * j : 2]), low)
+        num, den = head
+        pairs = []
+        for a, b in steps:
+            c = math.gcd(a, b)
+            a, b = a // c, b // c
+            g1, g2 = math.gcd(num, b), math.gcd(a, den)
+            num, den = (num // g1) * (a // g2), (den // g2) * (b // g1)
+            pairs.append((num, den))
+        head = pairs[0]
+        seq.append(_ExactPolynomial(pairs))
+    return seq
+
+
+class _ExactPolynomial(MuPolynomial):
+    """Exact coefficients held as reduced integer pairs (denominator > 0).
+
+    coeffs builds the Fractions on first use; to_float and to_json_obj read
+    the pairs (n / d is float() of the Fraction), so output builds none.
+    """
+
+    def __init__(self, pairs):
+        object.__setattr__(self, "pairs", tuple(pairs))
+
+    @functools.cached_property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(_LowestTerms(p)) for p in self.pairs)
+
+    def to_float(self) -> MuPolynomial:
+        return MuPolynomial([n / d for n, d in self.pairs])
+
+    def to_json_obj(self) -> list:
+        return [f"{n}/{d}" if d != 1 else str(n) for n, d in self.pairs]
+
+
+class _LowestTerms(tuple):
+    """A (numerator, denominator) pair in lowest terms with a positive
+    denominator, as numbers.Rational promises: Fraction(r) of a Rational r
+    takes the pair over without the gcd of Fraction(n, d)."""
+
+    __slots__ = ()
+    numerator = property(operator.itemgetter(0))
+    denominator = property(operator.itemgetter(1))
+
+
+numbers.Rational.register(_LowestTerms)
 
 
 def charpoly_direct(n: int, idx) -> MuPolynomial:

@@ -129,7 +129,7 @@ def _cmd_charpoly(args) -> int:
         )
     gamma = Fraction(args.gamma) if args.exact and not isinstance(args.gamma, Fraction) else args.gamma
     seq = charpoly_sequence(args.modes, GegenbauerIndex(gamma), Parity(args.parity))
-    rows = ((m, k, float(c)) for m, p in enumerate(seq) for k, c in enumerate(p.coeffs))
+    rows = ((m, k, c) for m, p in enumerate(seq) for k, c in enumerate(_float_coeffs(m, p)))
     return _emit(
         args,
         csv=lambda: SweepResult("charpoly", ["m", "k", "coefficient"], list(rows)).to_csv(),
@@ -143,6 +143,15 @@ def _cmd_charpoly(args) -> int:
             "data": {"polynomials": [p.to_json_obj() for p in seq]},
         },
     )
+
+
+def _float_coeffs(m: int, p) -> tuple:
+    """p's coefficients as floats, with a one-line error for exact ones past
+    the float range."""
+    try:
+        return p.to_float().coeffs
+    except OverflowError:
+        raise ValueError(f"p_{m} has coefficients past the float range; --format json writes them exactly") from None
 
 
 # suite name -> callable(gammas, seed); each looks its suite up in verify at

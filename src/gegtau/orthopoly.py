@@ -148,13 +148,16 @@ def gegenbauer_at_one_upto(nmax: int, idx) -> list:
     """Endpoint values [G_0(1), ..., G_nmax(1)] by one running product.
 
     G_n(1) = G_{n-1}(1) (2g + n - 1) / n for n >= 2, so all nmax + 1 values
-    cost O(nmax).  Exact when gamma is a Fraction; empty for nmax < 0.
+    cost O(nmax).  Exact when gamma is a Fraction; empty for nmax < 0.  The
+    product runs in sequence, val * (2g + j) / (j + 1), which fixes the
+    bits of a float gamma.
     """
     g = as_gegenbauer(idx).gamma
     val = g * 0 + 1
     out = [val] * min(nmax + 1, 2)
+    g2 = 2 * g
     for j in range(1, nmax):
-        val = val * (2 * g + j) / (j + 1)
+        val = val * (g2 + j) / (j + 1)
         out.append(val)
     return out
 

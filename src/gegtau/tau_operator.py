@@ -195,7 +195,9 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
 
     The bands are reciprocals of quadratic polynomials in the mode degree;
     the first row carries the boundary constants (negated K values).  Needs
-    m >= 2 so the band structure exists.
+    m >= 2 so the band structure exists, and boundary constants inside the
+    float range: K_n grows like G_{n-2}(1), about (2 gamma)^n / n!, so large
+    gamma and m raise ValueError.
     """
     if m < 2:
         raise ValueError(f"need at least 2 modes, got {m}")
@@ -209,9 +211,14 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
     dp = 1.0 / (4.0 * (g + n) * (g + n - 1.0))  # A[j-1, j]
     lo, dg, up = np.zeros(m), np.zeros(m), np.zeros(m)
     lo[2:], dg[1:], up[1:-1] = dm[:-1], d0, dp[1:]
-    # K_ip, then K_n for the column degrees n = 2j + ip, j = 1..m-1
-    ks = k_constants([ip] + [2 * j + ip for j in range(1, m)], gdx, as_float=True)
-    first = -np.array(ks)
+    try:  # K_ip, then K_n for the column degrees n = 2j + ip, j = 1..m-1
+        ks = np.array(k_constants(2 * np.arange(m) + ip, gdx, as_float=True))
+        finite = np.isfinite(ks).all()
+    except OverflowError:  # an exact K_n of a Fraction gamma past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"the boundary constants K_n of m = {m} modes at gamma = {gdx.gamma} exceed the float range")
+    first = -ks
     if par is Parity.EVEN:
         lo[1] = 1.0 / (2.0 * (g + 1.0))
     else:

@@ -141,6 +141,48 @@ def endpoint_value(n: int, g):
     return val
 
 
+def gegenbauer_at_one_loop(nmax: int, g) -> list:
+    """[G_0(1), ..., G_nmax(1)] by one running product in plain scalar
+    arithmetic, val * (2g + j) / (j + 1) for j = 1..nmax-1."""
+    val = g * 0 + 1
+    out = [val] * min(nmax + 1, 2)
+    for j in range(1, nmax):
+        val = val * (2 * g + j) / (j + 1)
+        out.append(val)
+    return out
+
+
+def k_constants_loop(degrees, g: float) -> list:
+    """K_n for each n in degrees, one scalar expression per degree: the
+    closed forms of k_constant_recursive for n <= 2, and
+    ((2g - 1)(2g - 3)) G_{n-2}(1) / (n (n^2 - 1)(n + 2)) with
+    G_{n-2}(1) from gegenbauer_at_one_loop for n >= 3."""
+    at1 = gegenbauer_at_one_loop(max(degrees, default=0) - 2, g)
+    return [
+        k_constant_recursive(n, g) if n < 3 else ((2 * g - 1) * (2 * g - 3)) * at1[n - 2] / (n * (n * n - 1) * (n + 2))
+        for n in degrees
+    ]
+
+
+def gi2_bands_loop(m: int, g: float, ip: int) -> dict:
+    """The TauMatrix arrays of gegtau's build_gi2 (first_row, lo, dg, up,
+    last) for a float g, with the boundary constants of k_constants_loop."""
+    n = 2.0 * np.arange(1, m) + ip
+    dm = 1.0 / (4.0 * (g + n + 1.0) * (g + n))
+    d0 = -1.0 / (2.0 * (g + n + 1.0) * (g + n - 1.0))
+    dp = 1.0 / (4.0 * (g + n) * (g + n - 1.0))
+    lo, dg, up = np.zeros(m), np.zeros(m), np.zeros(m)
+    lo[2:], dg[1:], up[1:-1] = dm[:-1], d0, dp[1:]
+    ks = k_constants_loop([ip] + [2 * j + ip for j in range(1, m)], g)
+    first = -np.array(ks)
+    if ip == 0:
+        lo[1] = 1.0 / (2.0 * (g + 1.0))
+    else:
+        first[1] = 1.0 / (4.0 * (g + 3.0) * (g + 2.0)) - ks[1]
+        lo[1] = 1.0 / (4.0 * (g + 1.0) * (g + 2.0))
+    return {"first_row": first, "lo": lo, "dg": dg, "up": up, "last": np.array([dm[-1]])}
+
+
 def k_constant_recursive(n: int, g):
     """Boundary constant K_n by the two-step upward recurrence from the
     seeds K_3 and K_4; n <= 2 use their own closed forms.  Exact for

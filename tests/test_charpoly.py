@@ -7,6 +7,7 @@ Jacobi endpoint polynomials against a 2x2 determinant oracle built from the
 monomial expansion.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -263,6 +264,28 @@ def test_integer_recurrence_equals_the_generic_one_at_degree_100(parity):
     ref = [MuPolynomial(cs) for cs in oracles.charpoly_sequence_one_by_one(100, F(12, 7), parity.offset)]
     assert [p.coeffs for p in got] == [p.coeffs for p in ref]
     assert [p.to_json_obj() for p in got] == [p.to_json_obj() for p in ref]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=_EXACT_GAMMAS, parity=st.sampled_from(Parity), m_max=st.integers(0, 40))
+@example(gamma=F(1, 2), parity=Parity.EVEN, m_max=40)
+@example(gamma=F(-29, 60), parity=Parity.ODD, m_max=40)
+def test_exact_pairs_are_reduced_and_are_the_fractions(gamma, parity, m_max):
+    # every coefficient is an endpoint derivative value, so positive
+    for p in charpoly_sequence(m_max, gamma, parity):
+        assert all(n > 0 and d > 0 and math.gcd(n, d) == 1 for n, d in p.pairs)
+        assert all(type(c) is F for c in p.coeffs)
+        assert [(c.numerator, c.denominator) for c in p.coeffs] == list(p.pairs)
+        plain = MuPolynomial(p.coeffs)
+        assert p.to_json_obj() == plain.to_json_obj()
+        assert np.array(p.to_float().coeffs).tobytes() == np.array(plain.to_float().coeffs).tobytes()
+
+
+def test_exact_route_takes_a_float_gamma_as_its_binary_fraction():
+    for gamma in (0.7, -0.49, 1e-9):
+        for parity in Parity:
+            got = charpoly_sequence(25, F(gamma), parity)
+            assert [list(p.coeffs) for p in got] == oracles.charpoly_sequence_one_by_one(25, F(gamma), parity.offset)
 
 
 def _assert_bitwise_oracle(got, ref):

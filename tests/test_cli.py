@@ -7,12 +7,16 @@ compared as text, exit codes via the returned status or SystemExit.
 import argparse
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gegtau import cli
+from gegtau.charpoly import MuPolynomial, charpoly_sequence
 from gegtau.cli import main
+from gegtau.orthopoly import GegenbauerIndex, Parity
+from gegtau.spectra import SweepResult
 
 
 def _run(capsys, argv):
@@ -154,6 +158,39 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
     assert captured.err == f"gegtau {argv[0]}: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["eig", "--modes", "1000", "--count", "3", "--gamma", "150"],
+            "the boundary constants K_n of m = 1000 modes at gamma = 150.0 exceed the float range",
+        ),
+        (
+            ["eig", "--modes", "1000", "--count", "3", "--gamma", "301/2"],
+            "the boundary constants K_n of m = 1000 modes at gamma = 301/2 exceed the float range",
+        ),
+        (
+            ["gi2", "--modes", "600", "--gamma", "150", "--square"],
+            "the boundary constants K_n of m = 600 modes at gamma = 150.0 exceed the float range",
+        ),
+        (
+            ["charpoly", "--modes", "4", "--gamma", "1e50", "--exact"],
+            "p_4 has coefficients past the float range; --format json writes them exactly",
+        ),
+    ],
+)
+def test_values_past_the_float_range_are_one_line_usage_errors(capsys, argv, message):
+    # K_n grows like (2 gamma)^n / n!; no inf reaches the eigensolver or the output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gegtau {argv[0]}: error: {message}\n"
+
+
 def test_unwritable_verify_out_is_one_line_usage_error_after_the_report(capsys):
     # the report lines come first on stdout; the --out JSON write then fails
     with pytest.raises(SystemExit) as exc:
@@ -225,6 +262,26 @@ def test_charpoly_exact_json(capsys):
     assert doc["meta"]["gamma"] == "1/3"
     polys = doc["data"]["polynomials"]
     assert polys[1] == ["5/6", "8/3"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("gamma", ["-3/7", "0", "1/2", "11/7", "3/2", "16/7", "0.7"])
+def test_exact_charpoly_bytes_are_the_fraction_rendering(capsys, gamma, parity, fmt):
+    # the command writes from integer pairs what charpoly_sequence's Fractions
+    # give through the same emitters; a float gamma is its exact binary fraction
+    code, out = _run(capsys, ["charpoly", "--modes", "48", f"--gamma={gamma}", "--parity", parity, "--exact", "--format", fmt])
+    assert code == 0
+    exact = Fraction(gamma) if "/" in gamma else Fraction(float(gamma))
+    seq = charpoly_sequence(48, GegenbauerIndex(exact), Parity(parity))
+    if fmt == "csv":
+        rows = [(m, k, float(c)) for m, p in enumerate(seq) for k, c in enumerate(p.coeffs)]
+        expect = SweepResult("charpoly", ["m", "k", "coefficient"], rows).to_csv()
+    else:
+        meta = {"m_max": 48, "gamma": str(exact), "parity": parity, "exact": True}
+        doc = {"meta": meta, "data": {"polynomials": [MuPolynomial(p.coeffs).to_json_obj() for p in seq]}}
+        expect = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert out == expect
 
 
 def test_charpoly_jacobi_route(capsys):

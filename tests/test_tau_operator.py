@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gegtau.charpoly import charpoly_sequence, k_constant, poly_roots
+from gegtau.charpoly import charpoly_sequence, k_constant, k_constants, poly_roots
 from gegtau.orthopoly import (
     GegenbauerIndex,
     Parity,
     gegenbauer_at_one,
+    gegenbauer_at_one_upto,
     gegenbauer_norms,
     second_derivative_block,
 )
@@ -31,6 +32,7 @@ from gegtau.tau_operator import (
     matrix_to_coord,
     matrix_to_csv,
 )
+from gegtau.verify import DEFAULT_GAMMA_GRID
 
 import oracles
 
@@ -97,6 +99,40 @@ def test_all_entries_finite():
         for parity in (Parity.EVEN, Parity.ODD):
             rect = build_gi2(30, gamma, parity).rectangular()
             assert np.isfinite(rect).all()
+
+
+def _assert_same_bits(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("gamma", sorted({*DEFAULT_GAMMA_GRID, 1 / 3, 2.4, 7.3, 20.0}))
+def test_assembly_is_bitwise_the_scalar_loops(gamma):
+    # endpoint values, boundary constants and every band, against the
+    # one-scalar-at-a-time products of tests/oracles.py
+    for parity in Parity:
+        for m in (2, 3, 17, 1024, 5000):
+            tau = build_gi2(m, gamma, parity)
+            for name, ref in oracles.gi2_bands_loop(m, gamma, parity.offset).items():
+                _assert_same_bits(np.atleast_1d(getattr(tau, name)), ref)
+            degrees = [parity.degree(j) for j in range(m)]
+            _assert_same_bits(k_constants(degrees, gamma), oracles.k_constants_loop(degrees, gamma))
+    _assert_same_bits(gegenbauer_at_one_upto(10001, gamma), oracles.gegenbauer_at_one_loop(10001, gamma))
+
+
+def test_float_boundary_constants_keep_exact_denominators_past_int64():
+    # n (n^2 - 1)(n + 2) leaves int64 at n = 55109; unsorted and repeated degrees
+    degrees = [60001, 3, 54999, 55000, 70000, 0, 60001, 2]
+    for gamma in (0.7, 2.4):
+        _assert_same_bits(k_constants(degrees, gamma), oracles.k_constants_loop(degrees, gamma))
+
+
+def test_boundary_constants_past_the_float_range_are_a_value_error():
+    for gamma in (150.0, Fraction(301, 2)):  # the float overflows to inf, the exact quotient raises
+        with pytest.raises(ValueError, match=f"m = 1000 modes at gamma = {gamma} exceed the float range"):
+            build_gi2(1000, gamma, "odd")
+    assert np.isfinite(build_gi2(1000, 20.0, "odd").first_row).all()
 
 
 def test_builder_validation():
