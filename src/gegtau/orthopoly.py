@@ -231,22 +231,25 @@ def second_derivative_block(rows: int, cols: int, idx, parity) -> np.ndarray:
     the parity rows and columns of the square of the full first-derivative
     connection matrix, but built in O(rows*cols) in one rows x cols array.
     """
-    g = float(as_gegenbauer(idx).gamma)
-    ip = as_parity(parity).offset
     if rows < 0 or cols < 0:
         raise ValueError("block dimensions must be nonnegative")
-    nmid = max(rows, cols)
+    return _second_derivative_rows(0, rows, cols, float(as_gegenbauer(idx).gamma), as_parity(parity).offset)
+
+
+def _second_derivative_rows(start: int, stop: int, cols: int, g: float, ip: int) -> np.ndarray:
+    """Rows start..stop-1 of second_derivative_block(stop, cols), with the
+    float operations of the whole block, so a row tile has its bits."""
     # cumulative weights of the intermediate (opposite-parity) levels:
     # even block: intermediates 2i+1, i = k..l-1; odd block: 2i+2, i = k..l-1
-    inter = 2.0 * (2.0 * np.arange(nmid) + (1 + ip) + g)
+    inter = 2.0 * (2.0 * np.arange(max(stop, cols)) + (1 + ip) + g)
     csum = np.concatenate(([0.0], np.cumsum(inter)))  # csum[i] = sum of first i
-    roww = 2.0 * (2.0 * np.arange(rows) + ip + g)
-    if ip == 0 and rows > 0:
+    roww = 2.0 * (2.0 * np.arange(start, stop) + ip + g)
+    if ip == 0 and start == 0 < stop:
         roww[0] = 1.0
-    block = csum[np.minimum(np.arange(cols), nmid)] - csum[np.minimum(np.arange(rows), nmid)][:, None]
+    block = csum[:cols] - csum[start:stop, None]
     block *= roww[:, None]
-    for k in range(rows):
-        block[k, : k + 1] = 0.0
+    for i in range(stop - start):
+        block[i, : start + i + 1] = 0.0
     return block
 
 
@@ -272,23 +275,27 @@ def one_minus_x2_block(rows: int, cols: int, idx, parity) -> np.ndarray:
     Entry [j, l] is the G_{2j+ip} coefficient of (1 - x^2) G_{2l+ip};
     tridiagonal in the parity index (pentadiagonal in degree).
     """
-    g = float(as_gegenbauer(idx).gamma)
-    ip = as_parity(parity).offset
-    nmax = 2 * max(rows, cols) + ip + 2
-    up, down = _mult_x_bands(nmax, g)
+    ab = _one_minus_x2_bands(cols, float(as_gegenbauer(idx).gamma), as_parity(parity).offset)
     S = np.zeros((rows, cols))
-    for l in range(cols):
-        n = 2 * l + ip
-        diag = 1.0 - down[n + 1] * up[n]
-        if n >= 1:
-            diag -= up[n - 1] * down[n]
-        if l < rows:
-            S[l, l] = diag
-        if l + 1 < rows:
-            S[l + 1, l] = -up[n + 1] * up[n]
-        if l >= 1 and l - 1 < rows:
-            S[l - 1, l] = -down[n - 1] * down[n]
+    for k in (-1, 0, 1):  # S[l + k, l] is ab[1 + k, l]
+        l = np.arange(max(0, -k), min(cols, rows - k))
+        S[l + k, l] = ab[1 + k, l]
     return S
+
+
+def _one_minus_x2_bands(cols: int, g: float, ip: int) -> np.ndarray:
+    """The nonzero entries of columns 0..cols-1 of one_minus_x2_block in
+    scipy.linalg.solve_banded's (1, 1) layout: row 0 holds S[l - 1, l] (0 at
+    l = 0), row 1 S[l, l] and row 2 S[l + 1, l]."""
+    up, down = _mult_x_bands(2 * cols + ip + 2, g)
+    n = 2 * np.arange(cols) + ip
+    ab = np.zeros((3, cols))
+    ab[1] = 1.0 - down[n + 1] * up[n]
+    inner = n >= 1
+    ab[1, inner] -= up[n[inner] - 1] * down[n[inner]]
+    ab[2] = -up[n + 1] * up[n]
+    ab[0, 1:] = -down[n[1:] - 1] * down[n[1:]]
+    return ab
 
 
 def _binom_prod(top, k: int):

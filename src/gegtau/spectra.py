@@ -580,44 +580,46 @@ def tau_spectrum(
 
 
 def _solve_structured(pencil: GeneralizedPencil) -> np.ndarray:
-    """B^{-1} A using the recorded structure of B, Fortran-ordered when B is
-    diagonal, tridiagonal or first row plus subdiagonal, so dgeev can work
-    in it without a copy."""
-    A, B = pencil.A, pencil.B
-    m = B.shape[0]
+    """B^{-1} A written straight into one Fortran-ordered m x m array X, so
+    dgeev can work in it without a copy; the pencil's O(m) factors give A
+    tile by tile (GeneralizedPencil.write_a), and no other m x m array is
+    made."""
+    m, h = pencil.m, pencil.h
     if pencil.b_structure == "diagonal":
-        d = np.diag(B).copy()
-        if np.min(np.abs(d)) == 0.0:
+        if not h.all():
             raise np.linalg.LinAlgError(f"variant {pencil.variant}: diagonal B is singular")
-        return np.divide(A, d[:, None], out=np.empty((m, m), order="F"))
-    if pencil.b_structure == "tridiagonal":
-        ab = np.zeros((3, m))
-        ab[0, 1:] = np.diag(B, 1)
-        ab[1, :] = np.diag(B)
-        ab[2, :-1] = np.diag(B, -1)
-        return scipy.linalg.solve_banded((1, 1), ab, A)  # LAPACK dgbsv's Fortran-ordered copy of A
-    if pencil.b_structure == "first-row-subdiagonal":
-        # rows 1..m-1 determine x_0..x_{m-2} directly; row 0 closes x_{m-1}.
-        # The closure row's gemv reads those rows in row-major order, whose
-        # rounding the outputs carry: they are staged that way in X's own
-        # memory and then divided again into X's column-major place.
-        sub = B[np.arange(1, m), np.arange(0, m - 1)]
-        buf = np.empty(m * m)
-        top = np.divide(A[1:, :], sub[:, None], out=buf[: (m - 1) * m].reshape(m - 1, m))
-        last = (A[0, :] - B[0, : m - 1] @ top) / B[0, m - 1]
-        X = buf.reshape((m, m), order="F")
-        np.divide(A[1:, :], sub[:, None], out=X[: m - 1, :])
-        X[m - 1, :] = last
+        X = np.empty((m, m), order="F")
+        pencil.write_a(X, over_h=True)
         return X
-    return np.linalg.solve(B, A)
+    if pencil.b_structure == "tridiagonal":
+        X = np.empty((m, m), order="F")
+        pencil.write_a(X)
+        return scipy.linalg.solve_banded((1, 1), pencil.b_bands(), X, overwrite_b=True)  # LAPACK dgtsv in X
+    # first row plus subdiagonal h[1:]: rows 1..m-1 determine x_0..x_{m-2}
+    # directly; row 0 closes x_{m-1}.  The closure row's gemv reads those
+    # rows in row-major order, whose rounding the outputs carry: they are
+    # staged that way in X's own memory, and then written again into X's
+    # column-major place.
+    brow = pencil.b_first_row()
+    buf = np.empty(m * m)
+    top = buf[: (m - 1) * m].reshape(m - 1, m)
+    pencil.write_a(top, rows=(1, m), over_h=True)
+    a_first = np.empty((1, m))
+    pencil.write_a(a_first, rows=(0, 1))
+    last = (a_first[0] - brow[: m - 1] @ top) / brow[m - 1]
+    X = buf.reshape((m, m), order="F")
+    pencil.write_a(X[: m - 1], rows=(1, m), over_h=True)
+    X[m - 1, :] = last
+    return X
 
 
 def pencil_spectrum(pencil: GeneralizedPencil, tol_real: float = 1e-9) -> Spectrum:
     """Spectrum of a generalized pencil A x = lambda B x via B^{-1} A.
 
-    B^{-1} A is formed once (_solve_structured) and handed to dense_eigs to
-    work in: scipy's LAPACK dgeev reduces it in place (dgebal, dgehrd,
-    dhseqr), so A, B and B^{-1} A are the only m x m arrays of the solve.
+    B^{-1} A is written once into a Fortran-ordered array
+    (_solve_structured) and handed to dense_eigs to work in: scipy's LAPACK
+    dgeev reduces it in place (dgebal, dgehrd, dhseqr), so B^{-1} A is the
+    only m x m array of the solve.
 
     The integration route has no pencil form here: tau_spectrum takes the
     eigenvalues of the banded matrix directly and inverts them afterwards.

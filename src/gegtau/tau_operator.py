@@ -13,7 +13,8 @@ Two families:
   the bubble trial basis (1 - x^2) G_n; these are the classically
   ill-conditioned routes kept for comparison.
 
-Entries are float64; the assembled structures are asserted at build time.
+Entries are float64.  A pencil is a recipe of O(m) factors; its dense
+matrices are built tile by tile where they are needed.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ import scipy.linalg.lapack
 from .charpoly import k_constants
 from .orthopoly import (
     Parity,
+    _one_minus_x2_bands,
+    _second_derivative_rows,
     as_gegenbauer,
     as_parity,
     gegenbauer_at_one_upto,
     gegenbauer_norms,
-    one_minus_x2_block,
-    second_derivative_block,
 )
 
 __all__ = [
@@ -176,18 +177,162 @@ class TauMatrix:
         return x, y
 
 
+# Row and column widths of the tiles the dense pencil matrices are built in.
+_TILE_ROWS, _TILE_COLS = 48, 128
+
+
+def _tiles(m: int, width: int, min_last: int = 0) -> list:
+    """(start, stop) pairs that cut range(m) every `width` entries, the last
+    pair taking the rest and at least min_last entries; a single pair when
+    m < 2 * _TILE_COLS."""
+    if m < 2 * _TILE_COLS:
+        return [(0, m)]
+    k = m // width
+    while k > 1 and m - width * (k - 1) < min_last:
+        k -= 1
+    cuts = [width * i for i in range(k)] + [m]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _column_tiles(m: int) -> list:
+    """Column tiles of the pencil products.
+
+    With one BLAS thread each tile's dgemm rounds every entry as the single
+    m x m dgemm does; this was checked for every m up to 1100 with OpenBLAS
+    0.3.31 (SkylakeX kernels).  The row tiles start at multiples of 48, so
+    they keep OpenBLAS's row blocks.  OpenBLAS computes the last m mod 16
+    columns with an edge kernel, which rounds them one way in the first
+    192-column block of a call and another way in later blocks, so those
+    columns stay in a tile wider than 192.  With several threads the single
+    dgemm's own bits depend on the thread count; with two, the tiles match
+    it up to m = 257 and at 512, 1024 and 2048, but not at 259, 300 or 511.
+    """
+    return _tiles(m, _TILE_COLS, 193 if m % 16 else 0)
+
+
 @dataclass(frozen=True)
 class GeneralizedPencil:
-    """Matrix pair (A, B) for A x = lambda B x plus structure bookkeeping."""
+    """Recipe for the pair (A, B) of A x = lambda B x: O(m) factors and no
+    m x m array.
 
-    A: np.ndarray
-    B: np.ndarray
+    h        weighted norms of the m test degrees; row i of A and B carries
+             h[i]
+    ends     G_n(1) of the m + 1 trial degrees (elimination variants)
+    s_bands  the (m + 1) x m block of multiplication by (1 - x^2) in
+             scipy.linalg.solve_banded's (1, 1) layout (galerkin-basis,
+             ierley-legendre); B is its top m rows times h
+    a_diag   the diagonal of A (ierley-legendre)
+
+    write_a writes A into a caller's array tile by tile from the closed
+    form of the second-derivative block, and b_bands and b_first_row give
+    the nonzero entries of B.  A and B build the dense matrices on access,
+    for tests and inspection; the eigenvalue route reads neither.
+    """
+
     variant: str
     a_structure: str
     b_structure: str
     m: int
     gamma: float
     parity: Parity
+    h: np.ndarray
+    ends: np.ndarray | None = None
+    s_bands: np.ndarray | None = None
+    a_diag: np.ndarray | None = None
+
+    @property
+    def A(self) -> np.ndarray:
+        A = np.empty((self.m, self.m))
+        self.write_a(A)
+        return A
+
+    @property
+    def B(self) -> np.ndarray:
+        m, h = self.m, self.h
+        if self.b_structure == "diagonal":
+            return np.diag(h)
+        B = np.zeros((m, m))
+        i = np.arange(m)
+        if self.b_structure == "first-row-subdiagonal":
+            B[0] = self.b_first_row()
+            B[i[1:], i[:-1]] = h[1:]
+        else:
+            ab = self.b_bands()
+            B[i[:-1], i[1:]], B[i, i], B[i[1:], i[:-1]] = ab[0, 1:], ab[1], ab[2, :-1]
+        return B
+
+    def b_bands(self) -> np.ndarray:
+        """Tridiagonal B in scipy.linalg.solve_banded's (1, 1) layout."""
+        s, h = self.s_bands, self.h
+        ab = np.zeros((3, self.m))
+        ab[0, 1:] = h[:-1] * s[0, 1:]
+        ab[1] = h * s[1]
+        ab[2, :-1] = h[1:] * s[2, :-1]
+        return ab
+
+    def b_first_row(self) -> np.ndarray:
+        """Row 0 of B for diff-elim-first: the boundary condition times h[0]."""
+        return -self.h[0] * self.ends[1:] / self.ends[0]
+
+    def write_a(self, out: np.ndarray, rows=None, over_h: bool = False) -> None:
+        """Write rows start..stop-1 of A (rows = (start, stop), default all)
+        into out, an array of shape (stop - start, m) in any memory order.
+
+        Tile by tile: the second-derivative block is generated _TILE_ROWS
+        rows at a time, and the products of diff-elim-last and
+        galerkin-basis are dgemms of a row tile and a column tile, each a
+        C-ordered temporary copied into place (a dgemm written straight into
+        a Fortran-ordered out rounds differently).  With over_h, for the
+        elimination variants, row i is divided by h[i]: B is diag(h) for
+        diff-elim-last, and h[i] is row i's subdiagonal entry of B for
+        diff-elim-first.
+        """
+        m, h, variant = self.m, self.h, self.variant
+        start, stop = rows or (0, m)
+        for r0, r1 in _tiles(m, _TILE_ROWS):
+            r0, r1 = max(r0, start), min(r1, stop)
+            if r0 >= r1:
+                continue
+            dest, hr = out[r0 - start : r1 - start], h[r0:r1, None]
+            if variant == "ierley-legendre":
+                dest[...] = 0.0
+                dest[np.arange(r1 - r0), np.arange(r0, r1)] = self.a_diag[r0:r1]
+                continue
+            left = _second_derivative_rows(r0, r1, m + 1, self.gamma, self.parity.offset)
+            if variant == "diff-elim-first":
+                left *= hr
+                if over_h:
+                    np.divide(left[:, 1:], hr, out=dest)
+                else:
+                    dest[...] = left[:, 1:]
+                continue
+            if variant == "diff-elim-last":
+                left *= hr
+            for c0, c1 in _column_tiles(m):
+                if variant == "galerkin-basis":  # A = (D2 @ S) h
+                    np.multiply(left @ self._right_tile(c0, c1), hr, out=dest[:, c0:c1])
+                elif over_h:
+                    np.divide(left @ self._right_tile(c0, c1), hr, out=dest[:, c0:c1])
+                else:
+                    dest[:, c0:c1] = left @ self._right_tile(c0, c1)
+            del left
+
+    def _right_tile(self, c0: int, c1: int) -> np.ndarray:
+        """Columns c0..c1-1 of the (m + 1) x m right factor of A's product:
+        C = [I; -G(1) row / G_m(1)] for diff-elim-last, the (1 - x^2) block
+        for galerkin-basis."""
+        m = self.m
+        R = np.zeros((m + 1, c1 - c0))
+        j = np.arange(c1 - c0)
+        if self.variant == "diff-elim-last":
+            R[c0 + j, j] = 1.0
+            R[m] = -self.ends[c0:c1] / self.ends[m]
+            return R
+        s = self.s_bands
+        R[c0 + j, j], R[c0 + j + 1, j] = s[1, c0:c1], s[2, c0:c1]
+        up = j[c0 + j >= 1]
+        R[c0 + up - 1, up] = s[0, c0 + up]
+        return R
 
 
 def build_gi2(m: int, idx, parity) -> TauMatrix:
@@ -227,40 +372,6 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
     return TauMatrix(m=m, gamma=g, parity=par, first_row=first, lo=lo, dg=dg, up=up, last=dm[-1])
 
 
-# Diagonal offsets (column - row) each structure allows; upper-triangular
-# allows every offset >= 0 and first-row-subdiagonal the whole first row too.
-_BANDS = {"diagonal": (0,), "tridiagonal": (-1, 0, 1), "first-row-subdiagonal": (-1,)}
-_CHECK_ROWS = 32
-
-
-def _assert_structure(mat: np.ndarray, kind: str, variant: str) -> None:
-    """Raise AssertionError when an entry outside the pattern of kind exceeds
-    1e-13 of the largest |entry|.
-
-    The check runs over blocks of _CHECK_ROWS rows, zeroing the allowed
-    entries of each block's |entries| through diagonal views, so it holds
-    no m x m temporary.
-    """
-    if kind == "full":
-        return
-    if kind != "upper-triangular" and kind not in _BANDS:
-        raise ValueError(f"unknown structure kind {kind!r}")
-    tol = 1e-13 * (max(mat.max(), -mat.min()) or 1.0)
-    worst = 0.0
-    for r0 in range(0, mat.shape[0], _CHECK_ROWS):
-        off = np.abs(mat[r0 : r0 + _CHECK_ROWS])
-        if kind == "upper-triangular":
-            off = np.tril(off, r0 - 1)
-        else:
-            for k in _BANDS[kind]:  # block row i is matrix row r0 + i, column r0 + i + k
-                np.fill_diagonal(off[:, r0 + k :] if r0 + k >= 0 else off[-(r0 + k) :], 0.0)
-            if kind == "first-row-subdiagonal" and r0 == 0:
-                off[0] = 0.0
-        worst = max(worst, off.max())
-    if worst > tol:
-        raise AssertionError(f"variant {variant}: matrix is not {kind} (worst off-pattern entry {worst:.3e})")
-
-
 def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> GeneralizedPencil:
     """Differentiation/Galerkin pencil for one parity class.
 
@@ -276,8 +387,9 @@ def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> Generali
                       eigenfunctions of the weighted second derivative;
                       A diagonal (negative), B symmetric tridiagonal
 
-    Blocks are scaled in place, and the elimination variants drop theirs
-    before B is built, so no more than three m x m arrays are live at once.
+    Only O(m) factors are computed here (see GeneralizedPencil), so the
+    build holds no m x m array.  ValueError when a norm h_n of the m modes
+    exceeds the float range (large gamma and m).
     """
     if m < 2:
         raise ValueError(f"need at least 2 modes, got {m}")
@@ -285,43 +397,26 @@ def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> Generali
     g = float(gdx.gamma)
     par = as_parity(parity)
     degrees = [par.degree(k) for k in range(m + 1)]
-    h = gegenbauer_norms(degrees[:m], gdx)
+    try:
+        h = gegenbauer_norms(degrees[:m], gdx)
+    except OverflowError:
+        raise ValueError(f"the norms h_n of m = {m} modes at gamma = {gdx.gamma} exceed the float range") from None
+    factors = dict(variant=variant, m=m, gamma=g, parity=par, h=h)
     if variant in ("diff-elim-last", "diff-elim-first"):
-        a0 = second_derivative_block(m, m + 1, gdx, par)
-        a0 *= h[:, None]
-        gv = np.array([float(v) for v in gegenbauer_at_one_upto(degrees[-1], gdx)[par.offset :: 2]])
+        ends = np.array([float(v) for v in gegenbauer_at_one_upto(degrees[-1], gdx)[par.offset :: 2]])
         if variant == "diff-elim-last":
-            C = np.vstack([np.eye(m), -gv[:m] / gv[m]])
-            A = a0 @ C  # one dgemm; a rank-one update would round differently
-            del a0, C
-            B = np.diag(h)
-            astr, bstr = "full", "diagonal"
-        else:
-            A = a0[:, 1:].copy()
-            del a0
-            B = np.zeros((m, m))
-            B[0, :] = -h[0] * gv[1:] / gv[0]
-            B[np.arange(1, m), np.arange(0, m - 1)] = h[1:]
-            astr, bstr = "upper-triangular", "first-row-subdiagonal"
-    elif variant == "galerkin-basis":
-        S = one_minus_x2_block(m + 1, m, gdx, par)
-        A = second_derivative_block(m, m + 1, gdx, par) @ S
-        A *= h[:, None]
-        B = h[:, None] * S[:m, :]
-        astr, bstr = "upper-triangular", "tridiagonal"
-    elif variant == "ierley-legendre":
+            return GeneralizedPencil(a_structure="full", b_structure="diagonal", ends=ends, **factors)
+        return GeneralizedPencil(a_structure="upper-triangular", b_structure="first-row-subdiagonal", ends=ends, **factors)
+    s_bands = _one_minus_x2_bands(m, g, par.offset)
+    if variant == "galerkin-basis":
+        return GeneralizedPencil(a_structure="upper-triangular", b_structure="tridiagonal", s_bands=s_bands, **factors)
+    if variant == "ierley-legendre":
         if abs(g - 1.5) > 1e-12:
             raise ValueError(f"ierley-legendre requires gamma = 3/2, got {g}")
         nvec = np.array(degrees[:m], dtype=float)
-        A = np.diag(-(nvec + 1.0) * (nvec + 2.0) * h)
-        B = one_minus_x2_block(m, m, gdx, par)
-        B *= h[:, None]
-        astr, bstr = "diagonal", "tridiagonal"
-    else:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {DIFF_VARIANTS}")
-    _assert_structure(A, astr, variant)
-    _assert_structure(B, bstr, variant)
-    return GeneralizedPencil(A=A, B=B, variant=variant, a_structure=astr, b_structure=bstr, m=m, gamma=g, parity=par)
+        a_diag = -(nvec + 1.0) * (nvec + 2.0) * h
+        return GeneralizedPencil(a_structure="diagonal", b_structure="tridiagonal", s_bands=s_bands, a_diag=a_diag, **factors)
+    raise ValueError(f"unknown variant {variant!r}; expected one of {DIFF_VARIANTS}")
 
 
 def matrix_to_csv(mat: np.ndarray) -> str:

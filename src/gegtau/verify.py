@@ -288,8 +288,9 @@ def _roots_report(check, params, reality, gaps, tops, tol_real, tol_gap, advisor
 def _sequence_stacks(seqs, degrees) -> tuple:
     """Coefficient and root stacks of charpoly sequences: for each m in
     degrees the float stack of seq[m] over seqs (a row per sequence) and its
-    roots."""
-    stacks = [np.array([seq[m].coeffs for seq in seqs], dtype=float) for m in degrees]
+    roots.  Exact polynomials give their floats through to_float, which
+    reads the integer pairs and builds no Fraction."""
+    stacks = [np.array([seq[m].to_float().coeffs for seq in seqs], dtype=float) for m in degrees]
     return stacks, poly_roots_stacks(stacks)
 
 

@@ -479,6 +479,41 @@ def solve_structured_row_major(A: np.ndarray, B: np.ndarray, b_structure: str) -
     return X
 
 
+# Diagonal offsets (column - row) each structure allows; upper-triangular
+# allows every offset >= 0 and first-row-subdiagonal the whole first row too.
+_BANDS = {"diagonal": (0,), "tridiagonal": (-1, 0, 1), "first-row-subdiagonal": (-1,)}
+_CHECK_ROWS = 32
+
+
+def assert_structure(mat: np.ndarray, kind: str, variant: str) -> None:
+    """Raise AssertionError when an entry outside the pattern of kind exceeds
+    1e-13 of the largest |entry|; the check of the pencils' materialized A
+    and B.
+
+    The check runs over blocks of _CHECK_ROWS rows, zeroing the allowed
+    entries of each block's |entries| through diagonal views, so it holds
+    no m x m temporary.
+    """
+    if kind == "full":
+        return
+    if kind != "upper-triangular" and kind not in _BANDS:
+        raise ValueError(f"unknown structure kind {kind!r}")
+    tol = 1e-13 * (max(mat.max(), -mat.min()) or 1.0)
+    worst = 0.0
+    for r0 in range(0, mat.shape[0], _CHECK_ROWS):
+        off = np.abs(mat[r0 : r0 + _CHECK_ROWS])
+        if kind == "upper-triangular":
+            off = np.tril(off, r0 - 1)
+        else:
+            for k in _BANDS[kind]:  # block row i is matrix row r0 + i, column r0 + i + k
+                np.fill_diagonal(off[:, r0 + k :] if r0 + k >= 0 else off[-(r0 + k) :], 0.0)
+            if kind == "first-row-subdiagonal" and r0 == 0:
+                off[0] = 0.0
+        worst = max(worst, off.max())
+    if worst > tol:
+        raise AssertionError(f"variant {variant}: matrix is not {kind} (worst off-pattern entry {worst:.3e})")
+
+
 def pencil_spectrum_row_major(A: np.ndarray, B: np.ndarray, b_structure: str):
     """(lambda, mu) of a pencil from general_eigvals of the C-ordered
     B^{-1} A: sorted by (real, imag), mu = 1 / lambda (inf at zero), then

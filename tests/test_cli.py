@@ -177,6 +177,18 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
             ["charpoly", "--modes", "4", "--gamma", "1e50", "--exact"],
             "p_4 has coefficients past the float range; --format json writes them exactly",
         ),
+        (
+            ["eig", "--modes", "300", "--variant", "diff-elim-last", "--gamma", "400"],
+            "the norms h_n of m = 300 modes at gamma = 400.0 exceed the float range",
+        ),
+        (
+            ["eig", "--modes", "200", "--variant", "diff-elim-first", "--gamma", "1000"],
+            "the norms h_n of m = 200 modes at gamma = 1000.0 exceed the float range",
+        ),
+        (
+            ["sweep-conditioning", "--m-grid", "16,300", "--variants", "galerkin-basis", "--gamma", "400"],
+            "the norms h_n of m = 300 modes at gamma = 400.0 exceed the float range",
+        ),
     ],
 )
 def test_values_past_the_float_range_are_one_line_usage_errors(capsys, argv, message):

@@ -322,6 +322,22 @@ def test_pencil_spectrum_bitwise_matches_the_row_major_solve(variant, m):
             assert spec.mu.tobytes() == mu.tobytes(), (gamma, parity)
 
 
+@pytest.mark.parametrize("variant", DIFF_VARIANTS)
+def test_pencil_spectrum_bitwise_matches_the_row_major_solve_at_tile_edges(variant):
+    # one tile up to m = 255, cuts every 48 rows and 128 columns from m = 256 on
+    gamma = 1.5 if variant == "ierley-legendre" else 1.9
+    cases = [(m, parity) for m in (127, 128, 129, 255, 256, 257) for parity in Parity]
+    if variant == "diff-elim-last":
+        cases.append((1024, Parity.ODD))
+    for m, parity in cases:
+        pen = build_diff_pencil(m, gamma, variant, parity)
+        spec = pencil_spectrum(pen)
+        lam, mu = oracles.pencil_spectrum_row_major(pen.A, pen.B, pen.b_structure)
+        assert spec.eigenvalues.dtype == lam.dtype, (m, parity)
+        assert spec.eigenvalues.tobytes() == lam.tobytes(), (m, parity)
+        assert spec.mu.tobytes() == mu.tobytes(), (m, parity)
+
+
 def _permuted_by_dgebal():
     """F-ordered upper Hessenberg matrices, badly scaled, that dgebal permutes."""
     rng = np.random.default_rng(11)
@@ -398,6 +414,31 @@ def test_pencil_route_holds_at_most_three_and_a_half_matrices(variant):
     for parity in (Parity.EVEN, Parity.ODD):
         peak = _traced_peak(lambda: pencil_spectrum(build_diff_pencil(m, gamma, variant, parity)))
         assert peak <= 3.5 * 8 * m * m, (parity, peak / (8 * m * m))
+
+
+@pytest.mark.parametrize("variant", DIFF_VARIANTS)
+def test_pencil_cell_holds_one_and_a_half_matrices(variant, monkeypatch):
+    # B^{-1} A is the cell's only m x m array: the tiles that build it add less than half of
+    # one, and when dense_eigs is entered nothing else of that size is alive
+    m = 512
+    gamma = 1.5 if variant == "ierley-legendre" else 0.7
+    entered = []
+
+    def watched(a, *args, **kwargs):
+        entered.append(tracemalloc.get_traced_memory()[0])
+        return dense_eigs(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "dense_eigs", watched)
+    pencil_spectrum(build_diff_pencil(16, gamma, variant))  # first-call caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        pencil_spectrum(build_diff_pencil(m, gamma, variant))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * m * m, peak / (8 * m * m)
+    live = entered[-1] - 8 * m * m
+    assert 0 <= live <= 64 * m, live  # B^{-1} A and the pencil's O(m) factors
 
 
 def test_dense_integration_route_holds_one_and_a_half_matrices():

@@ -7,6 +7,9 @@ sequences, and to the left-eigenvector property at high-precision roots.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,12 +24,12 @@ from gegtau.orthopoly import (
     gegenbauer_at_one,
     gegenbauer_at_one_upto,
     gegenbauer_norms,
+    one_minus_x2_block,
     second_derivative_block,
 )
 from gegtau.spectra import dense_eigs, pencil_spectrum, tau_spectrum
 from gegtau.tau_operator import (
     DIFF_VARIANTS,
-    _assert_structure,
     build_diff_pencil,
     build_gi2,
     matrix_to_coord,
@@ -391,6 +394,19 @@ def test_diff_pencil_structures():
     assert np.count_nonzero(off) == 0
 
 
+@pytest.mark.parametrize("m", [2, 40, 300])
+@pytest.mark.parametrize("variant", DIFF_VARIANTS)
+def test_materialized_pencils_have_their_recorded_structure(variant, m):
+    # the builder makes no m x m array, so the structure check runs on the materialized A and B
+    gammas = (1.5,) if variant == "ierley-legendre" else (-0.49, 0.7, 2.4)
+    for gamma in gammas:
+        for parity in (Parity.EVEN, Parity.ODD):
+            pen = build_diff_pencil(m, gamma, variant, parity)
+            oracles.assert_structure(pen.A, pen.a_structure, variant)
+            oracles.assert_structure(pen.B, pen.b_structure, variant)
+            assert pen.A.shape == pen.B.shape == (m, m)
+
+
 _PATTERNS = {
     "diagonal": lambda i, j: i == j,
     "upper-triangular": lambda i, j: i <= j,
@@ -407,18 +423,18 @@ def test_assert_structure_rejects_one_entry_off_the_pattern(kind, order):
     allowed = _PATTERNS[kind](i, j)
     valid = np.where(allowed, np.random.default_rng(3).uniform(-2.0, 2.0, (n, n)), 0.0)
     valid = np.asarray(valid, order=order)
-    _assert_structure(valid, kind, "test")
+    oracles.assert_structure(valid, kind, "test")
     tol = 1e-13 * np.abs(valid).max()
     for a, b in zip(*np.nonzero(~allowed)):
         mat = valid.copy(order=order)
         mat[a, b] = -2.0 * tol
         with pytest.raises(AssertionError, match=f"matrix is not {kind}"):
-            _assert_structure(mat, kind, "test")
+            oracles.assert_structure(mat, kind, "test")
         mat[a, b] = 0.5 * tol
-        _assert_structure(mat, kind, "test")
-    _assert_structure(np.ones((n, n)), "full", "test")
+        oracles.assert_structure(mat, kind, "test")
+    oracles.assert_structure(np.ones((n, n)), "full", "test")
     with pytest.raises(ValueError, match="unknown structure kind"):
-        _assert_structure(valid, "banded", "test")
+        oracles.assert_structure(valid, "banded", "test")
 
 
 @pytest.mark.parametrize("kind", sorted(_PATTERNS))
@@ -428,7 +444,7 @@ def test_assert_structure_checks_every_row_block(kind):
     i, j = np.indices((n, n))
     allowed = _PATTERNS[kind](i, j)
     valid = np.where(allowed, np.random.default_rng(4).uniform(-2.0, 2.0, (n, n)), 0.0)
-    _assert_structure(valid, kind, "test")
+    oracles.assert_structure(valid, kind, "test")
     tol = 1e-13 * np.abs(valid).max()
     rows = (0, 1, 2, 30, 31, 32, 33, 34, 63, 64, 65, 69)
     for a, b in zip(*np.nonzero(~allowed)):
@@ -437,29 +453,70 @@ def test_assert_structure_checks_every_row_block(kind):
         mat = valid.copy()
         mat[a, b] = 2.0 * tol
         with pytest.raises(AssertionError, match=f"matrix is not {kind}"):
-            _assert_structure(mat, kind, "test")
+            oracles.assert_structure(mat, kind, "test")
     for a, b in zip(*np.nonzero(allowed)):  # an allowed entry far larger than the rest is no failure
         mat = valid.copy()
         mat[a, b] = 1e20
-        _assert_structure(mat, kind, "test")
+        oracles.assert_structure(mat, kind, "test")
+
+
+# sizes around the tile edges: one tile below 256 columns, cuts every 48 rows and 128 columns above
+_TILE_EDGE_SIZES = [40, 127, 128, 129, 255, 256, 257]
+
+
+def _straight_products(m, gamma, parity):
+    """The h-scaled second-derivative block, the diff-elim-last product a0 @ C
+    and the galerkin-basis product (D2 @ S) h, each one dgemm on whole
+    matrices."""
+    idx = GegenbauerIndex(gamma)
+    degrees = [parity.degree(k) for k in range(m + 1)]
+    h = gegenbauer_norms(degrees[:m], idx)
+    d2 = oracles.second_derivative_block_masked(m, m + 1, gamma, parity.offset)
+    a0 = h[:, None] * d2
+    gv = np.array([float(gegenbauer_at_one(n, idx)) for n in degrees])
+    last = a0 @ np.vstack([np.eye(m), -gv[:m] / gv[m]])
+    galerkin = (d2 @ one_minus_x2_block(m + 1, m, idx, parity)) * h[:, None]
+    return a0, last, galerkin
 
 
 def test_pencil_blocks_are_the_straight_products():
-    # the in-place scaling and the single C = [I; row] product give the bits of the plain expressions
-    for gamma in (-0.49, 0.7, 2.4):
-        for parity in (Parity.EVEN, Parity.ODD):
-            m = 40
-            idx = GegenbauerIndex(gamma)
-            ip = parity.offset
-            degrees = [parity.degree(k) for k in range(m + 1)]
-            h = gegenbauer_norms(degrees[:m], idx)
-            d2 = oracles.second_derivative_block_masked(m, m + 1, gamma, ip)
-            a0 = h[:, None] * d2
-            gv = np.array([float(gegenbauer_at_one(n, idx)) for n in degrees])
-            last = build_diff_pencil(m, idx, "diff-elim-last", parity)
-            assert last.A.tobytes() == (a0 @ np.vstack([np.eye(m), -gv[:m] / gv[m]])).tobytes()
-            first = build_diff_pencil(m, idx, "diff-elim-first", parity)
-            assert first.A.tobytes() == a0[:, 1:].tobytes()
+    # the tiled products and the row tiles give the bits of the plain expressions
+    cases = [(m, gamma, parity) for m in _TILE_EDGE_SIZES for gamma in (-0.49, 0.7, 2.4) for parity in Parity]
+    for m, gamma, parity in cases + [(1024, 1.9, Parity.ODD)]:
+        a0, last, galerkin = _straight_products(m, gamma, parity)
+        assert build_diff_pencil(m, gamma, "diff-elim-last", parity).A.tobytes() == last.tobytes(), (m, gamma)
+        assert build_diff_pencil(m, gamma, "diff-elim-first", parity).A.tobytes() == a0[:, 1:].tobytes(), (m, gamma)
+        assert build_diff_pencil(m, gamma, "galerkin-basis", parity).A.tobytes() == galerkin.tobytes(), (m, gamma)
+
+
+_ONE_THREAD_CHECK = """
+import sys
+import numpy as np
+sys.path[:0] = sys.argv[1:3]
+import oracles
+from gegtau.orthopoly import GegenbauerIndex, Parity, gegenbauer_at_one, gegenbauer_norms, one_minus_x2_block
+from gegtau.tau_operator import build_diff_pencil
+for m in (259, 260, 300, 385, 511, 1023):
+    idx, parity = GegenbauerIndex(1.9), Parity.ODD
+    degrees = [parity.degree(k) for k in range(m + 1)]
+    h = gegenbauer_norms(degrees[:m], idx)
+    d2 = oracles.second_derivative_block_masked(m, m + 1, 1.9, 1)
+    gv = np.array([float(gegenbauer_at_one(n, idx)) for n in degrees])
+    last = (h[:, None] * d2) @ np.vstack([np.eye(m), -gv[:m] / gv[m]])
+    galerkin = (d2 @ one_minus_x2_block(m + 1, m, idx, parity)) * h[:, None]
+    assert build_diff_pencil(m, idx, "diff-elim-last", parity).A.tobytes() == last.tobytes(), m
+    assert build_diff_pencil(m, idx, "galerkin-basis", parity).A.tobytes() == galerkin.tobytes(), m
+"""
+
+
+def test_tiled_products_match_the_single_dgemm_on_one_blas_thread():
+    # with several threads the single dgemm's own bits depend on the thread count; with one, the
+    # tiles reproduce it also where m leaves a column edge (m mod 16 != 0) and short last tiles
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    done = subprocess.run([sys.executable, "-c", _ONE_THREAD_CHECK, here, src], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_ierley_variant_diagonal_scaling():

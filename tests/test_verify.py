@@ -18,7 +18,7 @@ from gegtau._stacks import (
     stack_add,
     stack_mul,
 )
-from gegtau.charpoly import MuPolynomial, jacobi_char_poly, mixed_char_poly, omega_poly
+from gegtau.charpoly import MuPolynomial, charpoly_sequence, jacobi_char_poly, mixed_char_poly, omega_poly
 from gegtau.orthopoly import JacobiIndex, Parity, jacobi_derivs_at_one
 from gegtau.verify import (
     DEFAULT_GAMMA_GRID,
@@ -39,7 +39,7 @@ from gegtau.verify import (
     sharpness_suite,
     spectrum_error_report,
 )
-from gegtau.verify import _fit_tail, _hurwitz_margins, _pair_verdicts, _root_stats, _row_stats
+from gegtau.verify import _fit_tail, _hurwitz_margins, _pair_verdicts, _root_stats, _row_stats, _sequence_stacks
 
 import oracles
 
@@ -498,3 +498,14 @@ def test_built_coefficients_are_bitwise_the_per_polynomial_oracles(n, rows, data
         _assert_rows_bitwise(mixed_char_stacks([n], idxs)[0], mixed_want)
         assert list(jacobi_char_poly(n, idxs[0]).coeffs) == jac_want[0]
         assert list(mixed_char_poly(n, idxs[0]).coeffs) == mixed_want[0]
+
+
+def test_sequence_stacks_are_the_floats_of_the_fractions():
+    # exact polynomials give their floats from the integer pairs: the bits of float() of each Fraction
+    gammas = (F(1, 2), F(3, 2), F(1, 3), F(12, 7), F(-3, 7), 0.7)
+    seqs = [charpoly_sequence(14, g, parity) for g in gammas for parity in Parity]
+    stacks, roots = _sequence_stacks(seqs, range(15))
+    for m, stack in enumerate(stacks):
+        ref = np.array([[float(c) for c in seq[m].coeffs] for seq in seqs])
+        assert stack.dtype == ref.dtype and stack.tobytes() == ref.tobytes(), m
+        assert roots[m].tobytes() == _sequence_stacks(seqs, [m])[1][0].tobytes()
