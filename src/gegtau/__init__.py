@@ -34,8 +34,6 @@ from .orthopoly import (
     jacobi_deriv_at_one,
     jacobi_derivs_at_one,
     jacobi_eval,
-    one_minus_x2_block,
-    second_derivative_block,
 )
 from .spectra import (
     EigenPair,

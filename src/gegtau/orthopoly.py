@@ -39,8 +39,6 @@ __all__ = [
     "gegenbauer_norm",
     "gegenbauer_norms",
     "apply_derivative",
-    "second_derivative_block",
-    "one_minus_x2_block",
     "jacobi_eval",
     "jacobi_at_one",
     "jacobi_deriv_at_one",
@@ -223,22 +221,14 @@ def apply_derivative(coeffs, idx):
     return out
 
 
-def second_derivative_block(rows: int, cols: int, idx, parity) -> np.ndarray:
-    """Dense parity block of the second-derivative connection.
-
-    Entry [k, l] is the G_{2k+ip} coefficient of D^2 G_{2l+ip} with
-    ip = 0 (even) or 1 (odd).  Strictly upper triangular.  Equivalent to
-    the parity rows and columns of the square of the full first-derivative
-    connection matrix, but built in O(rows*cols) in one rows x cols array.
-    """
-    if rows < 0 or cols < 0:
-        raise ValueError("block dimensions must be nonnegative")
-    return _second_derivative_rows(0, rows, cols, float(as_gegenbauer(idx).gamma), as_parity(parity).offset)
-
-
 def _second_derivative_rows(start: int, stop: int, cols: int, g: float, ip: int) -> np.ndarray:
-    """Rows start..stop-1 of second_derivative_block(stop, cols), with the
-    float operations of the whole block, so a row tile has its bits."""
+    """Rows start..stop-1 of the dense parity block of the second-derivative
+    connection, in O((stop - start) cols).
+
+    Entry [k, l] is the G_{2k+ip} coefficient of D^2 G_{2l+ip} with ip = 0
+    (even) or 1 (odd); the block is strictly upper triangular.  A row tile
+    takes the float operations of the whole block, so it has its bits.
+    """
     # cumulative weights of the intermediate (opposite-parity) levels:
     # even block: intermediates 2i+1, i = k..l-1; odd block: 2i+2, i = k..l-1
     inter = 2.0 * (2.0 * np.arange(max(stop, cols)) + (1 + ip) + g)
@@ -269,24 +259,14 @@ def _mult_x_bands(nmax: int, g: float):
     return up, down
 
 
-def one_minus_x2_block(rows: int, cols: int, idx, parity) -> np.ndarray:
-    """Dense parity block of multiplication by (1 - x^2).
-
-    Entry [j, l] is the G_{2j+ip} coefficient of (1 - x^2) G_{2l+ip};
-    tridiagonal in the parity index (pentadiagonal in degree).
-    """
-    ab = _one_minus_x2_bands(cols, float(as_gegenbauer(idx).gamma), as_parity(parity).offset)
-    S = np.zeros((rows, cols))
-    for k in (-1, 0, 1):  # S[l + k, l] is ab[1 + k, l]
-        l = np.arange(max(0, -k), min(cols, rows - k))
-        S[l + k, l] = ab[1 + k, l]
-    return S
-
-
 def _one_minus_x2_bands(cols: int, g: float, ip: int) -> np.ndarray:
-    """The nonzero entries of columns 0..cols-1 of one_minus_x2_block in
-    scipy.linalg.solve_banded's (1, 1) layout: row 0 holds S[l - 1, l] (0 at
-    l = 0), row 1 S[l, l] and row 2 S[l + 1, l]."""
+    """The parity block S of multiplication by (1 - x^2), columns 0..cols-1.
+
+    S[j, l] is the G_{2j+ip} coefficient of (1 - x^2) G_{2l+ip}; S is
+    tridiagonal in the parity index (pentadiagonal in degree).  Its nonzero
+    entries come in scipy.linalg.solve_banded's (1, 1) layout: row 0 holds
+    S[l - 1, l] (0 at l = 0), row 1 S[l, l] and row 2 S[l + 1, l].
+    """
     up, down = _mult_x_bands(2 * cols + ip + 2, g)
     n = 2 * np.arange(cols) + ip
     ab = np.zeros((3, cols))

@@ -48,7 +48,7 @@ __all__ = [
 DIFF_VARIANTS = ("diff-elim-last", "diff-elim-first", "galerkin-basis", "ierley-legendre")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TauMatrix:
     """Banded integration operator for one parity class.
 
@@ -177,40 +177,10 @@ class TauMatrix:
         return x, y
 
 
-# Row and column widths of the tiles the dense pencil matrices are built in.
-_TILE_ROWS, _TILE_COLS = 48, 128
+_TILE_ROWS = 48  # rows of the tiles the dense pencil matrices are built in
 
 
-def _tiles(m: int, width: int, min_last: int = 0) -> list:
-    """(start, stop) pairs that cut range(m) every `width` entries, the last
-    pair taking the rest and at least min_last entries; a single pair when
-    m < 2 * _TILE_COLS."""
-    if m < 2 * _TILE_COLS:
-        return [(0, m)]
-    k = m // width
-    while k > 1 and m - width * (k - 1) < min_last:
-        k -= 1
-    cuts = [width * i for i in range(k)] + [m]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _column_tiles(m: int) -> list:
-    """Column tiles of the pencil products.
-
-    With one BLAS thread each tile's dgemm rounds every entry as the single
-    m x m dgemm does; this was checked for every m up to 1100 with OpenBLAS
-    0.3.31 (SkylakeX kernels).  The row tiles start at multiples of 48, so
-    they keep OpenBLAS's row blocks.  OpenBLAS computes the last m mod 16
-    columns with an edge kernel, which rounds them one way in the first
-    192-column block of a call and another way in later blocks, so those
-    columns stay in a tile wider than 192.  With several threads the single
-    dgemm's own bits depend on the thread count; with two, the tiles match
-    it up to m = 257 and at 512, 1024 and 2048, but not at 259, 300 or 511.
-    """
-    return _tiles(m, _TILE_COLS, 193 if m % 16 else 0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedPencil:
     """Recipe for the pair (A, B) of A x = lambda B x: O(m) factors and no
     m x m array.
@@ -223,10 +193,11 @@ class GeneralizedPencil:
              ierley-legendre); B is its top m rows times h
     a_diag   the diagonal of A (ierley-legendre)
 
-    write_a writes A into a caller's array tile by tile from the closed
-    form of the second-derivative block, and b_bands and b_first_row give
-    the nonzero entries of B.  A and B build the dense matrices on access,
-    for tests and inspection; the eigenvalue route reads neither.
+    write_a writes A into a caller's array row tile by row tile from the
+    closed form of the second-derivative block and these factors, with no
+    matrix product; b_bands and b_first_row give the nonzero entries of B.
+    A and B build the dense matrices on access, for tests and inspection;
+    the eigenvalue route reads neither.
     """
 
     variant: str
@@ -278,61 +249,48 @@ class GeneralizedPencil:
         """Write rows start..stop-1 of A (rows = (start, stop), default all)
         into out, an array of shape (stop - start, m) in any memory order.
 
-        Tile by tile: the second-derivative block is generated _TILE_ROWS
-        rows at a time, and the products of diff-elim-last and
-        galerkin-basis are dgemms of a row tile and a column tile, each a
-        C-ordered temporary copied into place (a dgemm written straight into
-        a Fortran-ordered out rounds differently).  With over_h, for the
+        D2, the second-derivative block, is generated _TILE_ROWS rows at a
+        time.  Every step on a tile is elementwise, so neither the tiling,
+        the memory order of out nor the BLAS thread count changes a bit.
+        The products come from their structure, in this fixed order:
+
+        diff-elim-last   a0 C with a0 = h D2 and C = [I; row], row =
+                         -G(1)[:m] / G_m(1):  a0[:, :m] + a0[:, m] row
+        galerkin-basis   (D2 S) h with S the tridiagonal (1 - x^2) block:
+                         ((s1[j] D2[:, j] + s2[j] D2[:, j+1])
+                          + s0[j] D2[:, j-1]) h, the last term from j = 1
+
+        Each product and sum is rounded on its own: an emulated fused
+        multiply-add (TwoProduct and TwoSum) took 54 ms at m = 1024 on one
+        thread against 15-25 ms for this form.  With over_h, for the
         elimination variants, row i is divided by h[i]: B is diag(h) for
         diff-elim-last, and h[i] is row i's subdiagonal entry of B for
         diff-elim-first.
         """
         m, h, variant = self.m, self.h, self.variant
         start, stop = rows or (0, m)
-        for r0, r1 in _tiles(m, _TILE_ROWS):
-            r0, r1 = max(r0, start), min(r1, stop)
-            if r0 >= r1:
-                continue
+        for r0 in range(start, stop, _TILE_ROWS):
+            r1 = min(r0 + _TILE_ROWS, stop)
             dest, hr = out[r0 - start : r1 - start], h[r0:r1, None]
             if variant == "ierley-legendre":
                 dest[...] = 0.0
                 dest[np.arange(r1 - r0), np.arange(r0, r1)] = self.a_diag[r0:r1]
                 continue
             left = _second_derivative_rows(r0, r1, m + 1, self.gamma, self.parity.offset)
-            if variant == "diff-elim-first":
-                left *= hr
-                if over_h:
-                    np.divide(left[:, 1:], hr, out=dest)
-                else:
-                    dest[...] = left[:, 1:]
+            if variant == "galerkin-basis":
+                s0, s1, s2 = self.s_bands
+                prod = left[:, :m] * s1
+                prod += left[:, 1:] * s2
+                prod[:, 1:] += left[:, : m - 1] * s0[1:]
+                np.multiply(prod, hr, out=dest)
                 continue
-            if variant == "diff-elim-last":
-                left *= hr
-            for c0, c1 in _column_tiles(m):
-                if variant == "galerkin-basis":  # A = (D2 @ S) h
-                    np.multiply(left @ self._right_tile(c0, c1), hr, out=dest[:, c0:c1])
-                elif over_h:
-                    np.divide(left @ self._right_tile(c0, c1), hr, out=dest[:, c0:c1])
-                else:
-                    dest[:, c0:c1] = left @ self._right_tile(c0, c1)
-            del left
-
-    def _right_tile(self, c0: int, c1: int) -> np.ndarray:
-        """Columns c0..c1-1 of the (m + 1) x m right factor of A's product:
-        C = [I; -G(1) row / G_m(1)] for diff-elim-last, the (1 - x^2) block
-        for galerkin-basis."""
-        m = self.m
-        R = np.zeros((m + 1, c1 - c0))
-        j = np.arange(c1 - c0)
-        if self.variant == "diff-elim-last":
-            R[c0 + j, j] = 1.0
-            R[m] = -self.ends[c0:c1] / self.ends[m]
-            return R
-        s = self.s_bands
-        R[c0 + j, j], R[c0 + j + 1, j] = s[1, c0:c1], s[2, c0:c1]
-        up = j[c0 + j >= 1]
-        R[c0 + up - 1, up] = s[0, c0 + up]
-        return R
+            left *= hr
+            if variant == "diff-elim-first":
+                np.copyto(dest, left[:, 1:])
+            else:
+                np.add(left[:, :m], left[:, m:] * (-self.ends[:m] / self.ends[m]), out=dest)
+            if over_h:
+                dest /= hr
 
 
 def build_gi2(m: int, idx, parity) -> TauMatrix:

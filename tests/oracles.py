@@ -541,6 +541,40 @@ def second_derivative_block_masked(rows: int, cols: int, g: float, ip: int) -> n
     return np.where(l > k, block, 0.0)
 
 
+def one_minus_x2_block(rows: int, cols: int, g: float, ip: int) -> np.ndarray:
+    """Parity block of multiplication by (1 - x^2): entry [j, l] is the
+    G_{2j+ip} coefficient of (1 - x^2) G_{2l+ip}, read off I - X @ X with X
+    the dense multiplication-by-x matrix of the recurrence: x G_0 = G_1,
+    x G_1 = (G_2 + G_0 / 2) / (g + 1) and, from n = 2 on,
+    x G_n = ((n + 1) G_{n+1} + (n - 1 + 2 g) G_{n-1}) / (2 (n + g))."""
+    nmax = 2 * max(rows, cols) + ip + 2
+    X = np.zeros((nmax + 1, nmax + 1))
+    X[1, 0] = 1.0
+    X[2, 1], X[0, 1] = 1.0 / (g + 1.0), 0.5 / (g + 1.0)
+    for n in range(2, nmax):
+        X[n + 1, n] = (n + 1) / (2.0 * (n + g))
+        X[n - 1, n] = (n - 1 + 2.0 * g) / (2.0 * (n + g))
+    full = np.eye(nmax + 1) - X @ X
+    return full[ip : 2 * rows + ip : 2, ip : 2 * cols + ip : 2]
+
+
+def structured_pencil_a(variant: str, d2: np.ndarray, h: np.ndarray, ends=None, s_bands=None) -> np.ndarray:
+    """A of diff-elim-last or galerkin-basis from the whole m x (m + 1)
+    second-derivative block d2, in the fixed order of operations that the
+    pencil's row tiles use: a0[:, :m] + a0[:, m] row with a0 = h d2 and
+    row = -ends[:m] / ends[m], or ((s1 d2[:, j] + s2 d2[:, j+1]) +
+    s0 d2[:, j-1]) h from the bands (s0, s1, s2) of the (1 - x^2) block."""
+    m = d2.shape[0]
+    if variant == "diff-elim-last":
+        a0 = h[:, None] * d2
+        return a0[:, :m] + a0[:, m:] * (-ends[:m] / ends[m])
+    assert variant == "galerkin-basis", variant
+    s0, s1, s2 = s_bands
+    prod = d2[:, :m] * s1 + d2[:, 1:] * s2
+    prod[:, 1:] += d2[:, : m - 1] * s0[1:]
+    return prod * h[:, None]
+
+
 def reference_gi2(MG: int, g: float, ip: int) -> np.ndarray:
     """Straight-line construction of the (MG+1) x MG integration matrix.
 

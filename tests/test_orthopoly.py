@@ -30,8 +30,8 @@ from gegtau.orthopoly import (
     jacobi_deriv_at_one,
     jacobi_derivs_at_one,
     jacobi_eval,
-    one_minus_x2_block,
-    second_derivative_block,
+    _one_minus_x2_bands,
+    _second_derivative_rows,
 )
 
 import oracles
@@ -254,13 +254,12 @@ def test_apply_derivative_exact_rational():
 
 def test_second_derivative_block_matches_full_matrix():
     for gamma in (0.0, 1.1):
-        idx = GegenbauerIndex(gamma)
         D = oracles.gegenbauer_derivative_matrix(24, gamma)
         full = D @ D
         for parity in (Parity.EVEN, Parity.ODD):
             rows = [parity.degree(k) for k in range(8)]
             cols = [parity.degree(j) for j in range(10)]
-            block = second_derivative_block(8, 10, idx, parity)
+            block = _second_derivative_rows(0, 8, 10, gamma, parity.offset)
             np.testing.assert_allclose(block, full[np.ix_(rows, cols)], rtol=0, atol=1e-11)
 
 
@@ -268,9 +267,13 @@ def test_second_derivative_block_is_the_masked_product_bit_for_bit():
     for gamma in (-0.49, 0.0, 1.1, 2.4):
         for parity in (Parity.EVEN, Parity.ODD):
             for rows, cols in ((8, 10), (10, 8), (1, 1), (0, 3), (3, 0), (200, 201)):
-                block = second_derivative_block(rows, cols, GegenbauerIndex(gamma), parity)
+                block = _second_derivative_rows(0, rows, cols, gamma, parity.offset)
                 ref = oracles.second_derivative_block_masked(rows, cols, gamma, parity.offset)
                 assert block.shape == ref.shape and block.tobytes() == ref.tobytes()
+            whole = oracles.second_derivative_block_masked(200, 201, gamma, parity.offset)
+            for r0, r1 in ((0, 48), (1, 49), (48, 96), (150, 200)):  # a row tile has the whole block's bits
+                tile = _second_derivative_rows(r0, r1, 201, gamma, parity.offset)
+                assert tile.tobytes() == whole[r0:r1].tobytes(), (r0, r1)
 
 
 def test_integration_three_term_inverts_second_derivative():
@@ -294,7 +297,7 @@ def test_one_minus_x2_block_pointwise():
     for gamma in (0.0, 0.9):
         idx = GegenbauerIndex(gamma)
         for parity in (Parity.EVEN, Parity.ODD):
-            block = one_minus_x2_block(7, 5, idx, parity)
+            block = oracles.one_minus_x2_block(7, 5, gamma, parity.offset)
             for j in range(5):
                 deg = parity.degree(j)
                 for x in rng.uniform(-1, 1, 3):
@@ -304,6 +307,20 @@ def test_one_minus_x2_block_pointwise():
                         for k in range(7)
                     )
                     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_one_minus_x2_bands_are_the_reference_block():
+    for gamma in (-0.49, 0.0, 0.9, 2.4):
+        for parity in (Parity.EVEN, Parity.ODD):
+            ab = _one_minus_x2_bands(40, gamma, parity.offset)
+            S = oracles.one_minus_x2_block(41, 40, gamma, parity.offset)
+            j = np.arange(40)
+            assert ab[0, 0] == 0.0
+            np.testing.assert_allclose(ab[0, 1:], S[j[1:] - 1, j[1:]], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(ab[1], S[j, j], rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(ab[2], S[j + 1, j], rtol=1e-14, atol=0)
+            S[j[1:] - 1, j[1:]] = S[j, j] = S[j + 1, j] = 0.0
+            assert np.abs(S).max() <= 1e-15
 
 
 def test_jacobi_eval_against_binomial_sum():

@@ -24,8 +24,6 @@ from gegtau.orthopoly import (
     gegenbauer_at_one,
     gegenbauer_at_one_upto,
     gegenbauer_norms,
-    one_minus_x2_block,
-    second_derivative_block,
 )
 from gegtau.spectra import dense_eigs, pencil_spectrum, tau_spectrum
 from gegtau.tau_operator import (
@@ -292,11 +290,10 @@ def test_double_integration_residual_identity():
     # recovers the source coefficients
     rng = np.random.default_rng(21)
     for gamma in (0.0, 1.4):
-        idx = GegenbauerIndex(gamma)
         for parity in (Parity.EVEN, Parity.ODD):
             f = rng.standard_normal(10)
             g = build_gi2(len(f), gamma, parity).apply(f)
-            S = second_derivative_block(10, 11, idx, parity)
+            S = oracles.second_derivative_block_masked(10, 11, gamma, parity.offset)
             back = S @ g
             np.testing.assert_allclose(back, f, rtol=0, atol=1e-10 * np.abs(f).max())
 
@@ -460,63 +457,86 @@ def test_assert_structure_checks_every_row_block(kind):
         oracles.assert_structure(mat, kind, "test")
 
 
-# sizes around the tile edges: one tile below 256 columns, cuts every 48 rows and 128 columns above
-_TILE_EDGE_SIZES = [40, 127, 128, 129, 255, 256, 257]
+# sizes around the 48-row tile edges, and a whole tile short of one
+_TILE_EDGE_SIZES = [2, 40, 47, 48, 49, 96, 97, 257]
 
 
-def _straight_products(m, gamma, parity):
-    """The h-scaled second-derivative block, the diff-elim-last product a0 @ C
-    and the galerkin-basis product (D2 @ S) h, each one dgemm on whole
-    matrices."""
+def _pencil_factors(m, gamma, parity):
+    """h, the m x (m + 1) second-derivative block and G_n(1) of the m + 1
+    trial degrees, each from its own route."""
     idx = GegenbauerIndex(gamma)
     degrees = [parity.degree(k) for k in range(m + 1)]
     h = gegenbauer_norms(degrees[:m], idx)
     d2 = oracles.second_derivative_block_masked(m, m + 1, gamma, parity.offset)
-    a0 = h[:, None] * d2
-    gv = np.array([float(gegenbauer_at_one(n, idx)) for n in degrees])
-    last = a0 @ np.vstack([np.eye(m), -gv[:m] / gv[m]])
-    galerkin = (d2 @ one_minus_x2_block(m + 1, m, idx, parity)) * h[:, None]
-    return a0, last, galerkin
+    ends = np.array([float(gegenbauer_at_one(n, idx)) for n in degrees])
+    return h, d2, ends
 
 
-def test_pencil_blocks_are_the_straight_products():
-    # the tiled products and the row tiles give the bits of the plain expressions
+def test_pencil_blocks_are_the_fixed_order_expressions():
+    # the row tiles and the structured products give the bits of the whole-matrix expressions
     cases = [(m, gamma, parity) for m in _TILE_EDGE_SIZES for gamma in (-0.49, 0.7, 2.4) for parity in Parity]
     for m, gamma, parity in cases + [(1024, 1.9, Parity.ODD)]:
-        a0, last, galerkin = _straight_products(m, gamma, parity)
+        h, d2, ends = _pencil_factors(m, gamma, parity)
+        last = oracles.structured_pencil_a("diff-elim-last", d2, h, ends=ends)
+        galerkin_pencil = build_diff_pencil(m, gamma, "galerkin-basis", parity)
+        galerkin = oracles.structured_pencil_a("galerkin-basis", d2, h, s_bands=galerkin_pencil.s_bands)
+        first = (h[:, None] * d2)[:, 1:]
         assert build_diff_pencil(m, gamma, "diff-elim-last", parity).A.tobytes() == last.tobytes(), (m, gamma)
-        assert build_diff_pencil(m, gamma, "diff-elim-first", parity).A.tobytes() == a0[:, 1:].tobytes(), (m, gamma)
-        assert build_diff_pencil(m, gamma, "galerkin-basis", parity).A.tobytes() == galerkin.tobytes(), (m, gamma)
+        assert build_diff_pencil(m, gamma, "diff-elim-first", parity).A.tobytes() == first.tobytes(), (m, gamma)
+        assert galerkin_pencil.A.tobytes() == galerkin.tobytes(), (m, gamma)
 
 
-_ONE_THREAD_CHECK = """
+def test_pencil_products_are_within_four_eps_of_the_matrix_products():
+    # |A - a0 C| <= 4 eps |a0| |C| for diff-elim-last, |A - (D2 S) h| <= 4 eps (|D2| |S|) h for galerkin-basis
+    eps = np.finfo(float).eps
+    for m, gamma, parity in [(40, -0.49, Parity.EVEN), (257, 0.7, Parity.ODD), (1024, 1.9, Parity.ODD)]:
+        h, d2, ends = _pencil_factors(m, gamma, parity)
+        a0 = h[:, None] * d2
+        C = np.vstack([np.eye(m), -ends[:m] / ends[m]])
+        A = build_diff_pencil(m, gamma, "diff-elim-last", parity).A
+        assert np.all(np.abs(A - a0 @ C) <= 4 * eps * (np.abs(a0) @ np.abs(C))), (m, gamma)
+        pencil = build_diff_pencil(m, gamma, "galerkin-basis", parity)
+        S = np.zeros((m + 1, m))
+        j = np.arange(m)
+        S[j[1:] - 1, j[1:]], S[j, j], S[j + 1, j] = pencil.s_bands[0, 1:], pencil.s_bands[1], pencil.s_bands[2]
+        bound = 4 * eps * (np.abs(d2) @ np.abs(S)) * h[:, None]
+        assert np.all(np.abs(pencil.A - (d2 @ S) * h[:, None]) <= bound), (m, gamma)
+
+
+_SOLVE_HASHES = """
+import hashlib
 import sys
-import numpy as np
-sys.path[:0] = sys.argv[1:3]
-import oracles
-from gegtau.orthopoly import GegenbauerIndex, Parity, gegenbauer_at_one, gegenbauer_norms, one_minus_x2_block
-from gegtau.tau_operator import build_diff_pencil
-for m in (259, 260, 300, 385, 511, 1023):
-    idx, parity = GegenbauerIndex(1.9), Parity.ODD
-    degrees = [parity.degree(k) for k in range(m + 1)]
-    h = gegenbauer_norms(degrees[:m], idx)
-    d2 = oracles.second_derivative_block_masked(m, m + 1, 1.9, 1)
-    gv = np.array([float(gegenbauer_at_one(n, idx)) for n in degrees])
-    last = (h[:, None] * d2) @ np.vstack([np.eye(m), -gv[:m] / gv[m]])
-    galerkin = (d2 @ one_minus_x2_block(m + 1, m, idx, parity)) * h[:, None]
-    assert build_diff_pencil(m, idx, "diff-elim-last", parity).A.tobytes() == last.tobytes(), m
-    assert build_diff_pencil(m, idx, "galerkin-basis", parity).A.tobytes() == galerkin.tobytes(), m
+sys.path[:0] = sys.argv[1:]
+from gegtau.orthopoly import Parity
+from gegtau.spectra import _solve_structured
+from gegtau.tau_operator import DIFF_VARIANTS, build_diff_pencil
+for variant in DIFF_VARIANTS:
+    for m in (259, 300, 511, 1024):
+        pencil = build_diff_pencil(m, 1.5 if variant == "ierley-legendre" else 1.9, variant, Parity.ODD)
+        print(variant, m, hashlib.sha256(_solve_structured(pencil).tobytes()).hexdigest())
 """
 
 
-def test_tiled_products_match_the_single_dgemm_on_one_blas_thread():
-    # with several threads the single dgemm's own bits depend on the thread count; with one, the
-    # tiles reproduce it also where m leaves a column edge (m mod 16 != 0) and short last tiles
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    done = subprocess.run([sys.executable, "-c", _ONE_THREAD_CHECK, here, src], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+def test_solved_pencils_do_not_depend_on_the_blas_thread_count():
+    # B^{-1} A takes no matrix product but diff-elim-first's closure gemv, so one and two BLAS
+    # threads give the same bytes; the eigenvalues dgeev takes from it may still differ
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _SOLVE_HASHES, src], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        hashes.append(done.stdout.splitlines())
+    assert len(hashes[0]) == 4 * len(DIFF_VARIANTS)
+    assert hashes[0] == hashes[1], [a.split()[:2] for a, b in zip(*hashes) if a != b]
+
+
+def test_operators_compare_by_identity_and_hash():
+    a, b = build_diff_pencil(8, 0.0, "diff-elim-last"), build_diff_pencil(8, 0.0, "diff-elim-last")
+    tau, other = build_gi2(8, 0.7, Parity.ODD), build_gi2(8, 0.7, Parity.ODD)
+    for x, y in ((a, b), (tau, other)):
+        assert x == x and x != y
+        assert len({x, x, y}) == 2
 
 
 def test_ierley_variant_diagonal_scaling():
