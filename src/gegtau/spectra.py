@@ -12,14 +12,14 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.cython_lapack
 
 from .orthopoly import Parity, as_gegenbauer, as_parity
-from .tau_operator import GeneralizedPencil, TauMatrix, build_gi2
+from .tau_operator import GeneralizedPencil, TauMatrix, _check_modes, _work_matrix, build_gi2
 
 __all__ = [
     "Spectrum",
@@ -50,14 +50,18 @@ def dense_eigs(a: np.ndarray, vectors: bool = False):
     square matrix) come from LAPACK's Hessenberg QR iteration dhseqr
     directly, without the general solver's reduction step, and equal the
     general solver's bits (see _hessenberg_eigvals).  Any other square
-    matrix (the pencil matrices B^{-1} A are full) goes to scipy's LAPACK
-    general solver dgeev, and every eigenvector request to numpy's.  Output
-    is sorted by (real, imag) so repeated calls are deterministic.  Raises
-    numpy.linalg.LinAlgError on non-finite input or if the QR iteration
-    fails to converge.
+    matrix (the pencil matrices B^{-1} A are full) goes to LAPACK's general
+    solver dgeev, and every eigenvector request to numpy's.  Both LAPACK
+    routes call scipy's own LAPACK (_lapack) on a Fortran-ordered work
+    matrix with a padded leading dimension (tau_operator._work_matrix).
+    Output is sorted by (real, imag) so repeated calls are deterministic.
+    Raises numpy.linalg.LinAlgError on non-finite input or if the QR
+    iteration fails to converge.
 
-    The input is never modified, unless it is a _Scratch view: then a
-    Fortran-ordered float64 matrix is LAPACK's working array.
+    The input is never modified, unless it is a _Scratch view: then, if it
+    is a float64 matrix with unit row stride (Fortran-ordered, leading
+    dimension free), LAPACK works in it; any other input is copied into a
+    padded work matrix first.
     """
     overwrite_a = isinstance(a, _Scratch)
     a = np.asarray(a, dtype=float)
@@ -72,6 +76,59 @@ def dense_eigs(a: np.ndarray, vectors: bool = False):
     else:
         w = _general_eigvals(a, overwrite_a)
     return w[np.lexsort((w.imag, w.real))]
+
+
+@functools.cache
+def _lapack_entry(name: str, nargs: int):
+    """The C entry point of LAPACK routine name as a ctypes function of
+    nargs pointers."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(get_pointer(capsule, get_name(capsule)))
+
+
+def _lapack(name: str, *args) -> int:
+    """Call the LAPACK routine name of scipy's own LAPACK and return INFO.
+
+    scipy exports the C entry point of each routine in a capsule of
+    scipy.linalg.cython_lapack; unlike its f2py wrappers, which copy any
+    matrix that is not contiguous, the entry point takes a leading dimension
+    and works in a padded matrix as it is.  args are LAPACK's arguments in
+    order, INFO left out, each passed by reference: bytes for a character
+    flag, an int for an integer input (32 bits), an array for an array or an
+    integer output (an int32 array).  Arrays are not checked: the caller
+    passes them with LAPACK's sizes.
+    """
+    args = [np.array([v], np.int32) if isinstance(v, int) else v for v in args]
+    info = np.zeros(1, np.int32)
+    _lapack_entry(name, len(args) + 1)(*[v if isinstance(v, bytes) else v.ctypes.data for v in args], info.ctypes.data)
+    return int(info[0])
+
+
+def _lda(a: np.ndarray) -> int:
+    """The leading dimension LAPACK can work in the square float64 a with,
+    in place, or 0 when a needs a copy (not Fortran-ordered, read-only or
+    misaligned)."""
+    step, stride = a.strides
+    fits = step == 8 and stride % 8 == 0 and stride >= 8 * a.shape[0]
+    return stride // 8 if fits and a.dtype == np.float64 and a.flags.writeable and a.flags.aligned else 0
+
+
+def _in_work_matrix(a: np.ndarray) -> np.ndarray:
+    """A copy of the square a in a padded work matrix."""
+    work = _work_matrix(a.shape[0])
+    work[...] = a
+    return work
+
+
+@functools.cache
+def _geev_lwork(n: int) -> int:
+    """The workspace dgeev (eigenvalues only) asks for at order n."""
+    query, one = np.empty(1), np.empty(1)
+    _lapack("dgeev", b"N", b"N", n, one, n, one, one, one, 1, one, 1, query, -1)
+    return int(query[0])
 
 
 # dgeev scales its input first when the largest |entry| lies outside
@@ -103,38 +160,24 @@ def _as_eigvals(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
 
 
 def _general_eigvals(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
-    """Eigenvalues of a square matrix by scipy's LAPACK dgeev (balance,
-    Hessenberg reduction, QR), unsorted.
+    """Eigenvalues of a square matrix by LAPACK dgeev (balance, Hessenberg
+    reduction, QR), unsorted.
 
     dgeev gets the workspace size its own query returns, as inside
     numpy.linalg.eigvals, whose bits it gives on one BLAS thread.  With
-    overwrite_a a Fortran-ordered float64 a is reduced in place, so no
-    m x m copy is made.
+    overwrite_a, a Fortran-ordered float64 a is reduced in place at its own
+    leading dimension; any other a is reduced in a padded copy.
     """
     if _rescaled_by_geev(a):
         return np.linalg.eigvals(a)
-    lapack = scipy.linalg.lapack
-    lwork = int(lapack.dgeev_lwork(a.shape[0], compute_vl=0, compute_vr=0)[0])
-    wr, wi, _, _, info = lapack.dgeev(a, compute_vl=0, compute_vr=0, lwork=lwork, overwrite_a=overwrite_a)
+    n = a.shape[0]
+    work = a if overwrite_a and _lda(a) else _in_work_matrix(a)
+    wr, wi, none = np.empty(n), np.empty(n), np.empty(1)
+    lwork = _geev_lwork(n)
+    info = _lapack("dgeev", b"N", b"N", n, work, _lda(work), wr, wi, none, 1, none, 1, np.empty(lwork), lwork)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return _as_eigvals(wr, wi)
-
-
-@functools.cache
-def _dhseqr():
-    """LAPACK dhseqr as a ctypes function.
-
-    scipy wraps no dhseqr in Python, but exports the C entry point of its
-    own LAPACK in a capsule of scipy.linalg.cython_lapack: 14 pointer
-    arguments (JOB, COMPZ, N, ILO, IHI, H, LDH, WR, WI, Z, LDZ, WORK, LWORK,
-    INFO), 32-bit integers.
-    """
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dhseqr"]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(get_pointer(capsule, get_name(capsule)))
 
 
 def _hessenberg_eigvals(h: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
@@ -143,39 +186,34 @@ def _hessenberg_eigvals(h: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
 
     LAPACK dgeev (eigenvalues only) is dgebal + dgehrd + dhseqr.  On a
     Hessenberg matrix every reflector of dgehrd is the identity, so its
-    (10/3) n^3 flops change nothing; this runs scipy's dgebal (one O(n^2)
-    sweep on an already balanced matrix) and then dhseqr with the workspace
-    dgeev itself hands it, which is what keeps the bits.  A real array comes
-    back when every imaginary part is zero, as from numpy.  Inputs that
-    dgeev would first rescale, or that dgebal permutes (which can break the
+    (10/3) n^3 flops change nothing; this runs dgebal (one O(n^2) sweep on
+    an already balanced matrix) and then dhseqr with the workspace dgeev
+    itself hands it, which is what keeps the bits.  A real array comes back
+    when every imaginary part is zero, as from numpy.  Inputs that dgeev
+    would first rescale, or that dgebal permutes (which can break the
     Hessenberg form), go to numpy.linalg.eigvals instead.
 
     With overwrite_a, dgebal and dhseqr work in a Fortran-ordered float64 h
-    itself, but only when dgebal cannot permute: every subdiagonal entry
-    nonzero, and a nonzero off-diagonal entry in the first row and in the
-    last column, so that no row or column is zero off the diagonal.  Any
-    other h is balanced in a copy, so the fallback still sees it unbalanced.
+    itself, at its own leading dimension, but only when dgebal cannot
+    permute: every subdiagonal entry nonzero, and a nonzero off-diagonal
+    entry in the first row and in the last column, so that no row or column
+    is zero off the diagonal.  Any other h is balanced in a padded copy, so
+    the fallback still sees it unbalanced.
     """
     n = h.shape[0]
     if _rescaled_by_geev(h):
         return np.linalg.eigvals(h)
-    lapack = scipy.linalg.lapack
-    overwrite_a = bool(overwrite_a and np.diagonal(h, -1).all() and h[0, 1:].any() and h[:-1, -1].any())
-    b, lo, hi, _, _ = lapack.dgebal(h, scale=1, permute=1, overwrite_a=overwrite_a)
-    if (lo, hi) != (0, n - 1):
+    in_place = overwrite_a and _lda(h) and np.diagonal(h, -1).all() and h[0, 1:].any() and h[:-1, -1].any()
+    b = h if in_place else _in_work_matrix(h)
+    lda = _lda(b)
+    lo, hi = np.zeros(1, np.int32), np.zeros(1, np.int32)
+    if _lapack("dgebal", b"B", n, b, lda, lo, hi, np.empty(n)) != 0 or (lo[0], hi[0]) != (1, n):
         return np.linalg.eigvals(h)
-    b = np.require(b, np.float64, ["F", "W"])  # dhseqr overwrites it in column-major order
     # inside dgeev, dhseqr's workspace starts n entries into dgeev's own
-    lwork = int(lapack.dgeev_lwork(n, compute_vl=0, compute_vr=0)[0]) - n
-    wr, wi, z, work = np.empty(n), np.empty(n), np.empty(1), np.empty(max(lwork, 1))
-    info = ctypes.c_int(0)
-    ref = ctypes.byref
-    _dhseqr()(
-        b"E", b"N", ref(ctypes.c_int(n)), ref(ctypes.c_int(1)), ref(ctypes.c_int(n)),
-        b.ctypes.data, ref(ctypes.c_int(n)), wr.ctypes.data, wi.ctypes.data,
-        z.ctypes.data, ref(ctypes.c_int(1)), work.ctypes.data, ref(ctypes.c_int(lwork)), ref(info),
-    )
-    if info.value != 0:
+    lwork = _geev_lwork(n) - n
+    wr, wi, none = np.empty(n), np.empty(n), np.empty(1)
+    info = _lapack("dhseqr", b"E", b"N", n, 1, n, b, lda, wr, wi, none, 1, np.empty(max(lwork, 1)), lwork)
+    if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return _as_eigvals(wr, wi)
 
@@ -526,10 +564,13 @@ def tau_spectrum(
     Hessenberg (tridiagonal plus the first row), goes through dense_eigs
     straight to the Hessenberg QR iteration with no O(m^3) reduction: the
     same eigenvalues, bit for bit, as the general solver on the unbalanced
-    matrix.  LAPACK's dgebal and dhseqr work in that one m x m array.  Neumann reduces by differentiating the eigenfunctions:
-    even modes give a zero eigenvalue plus the odd Dirichlet spectrum with
-    the family parameter raised by one, odd modes give the even Dirichlet
-    spectrum at the raised parameter with no zero mode.
+    matrix.  LAPACK's dgebal and dhseqr work in that one matrix, built
+    with a padded leading dimension (TauMatrix.square).
+
+    Neumann reduces by differentiating the eigenfunctions: even modes give
+    a zero eigenvalue plus the odd Dirichlet spectrum with the family
+    parameter raised by one, odd modes give the even Dirichlet spectrum at
+    the raised parameter with no zero mode.
 
     count=k keeps the k lowest-|lambda| modes (1 <= k <= m, or m + 1 with
     the even Neumann zero mode), in the full spectrum's order.  Three routes
@@ -548,6 +589,7 @@ def tau_spectrum(
     A request the first route refuses gets the bits it got before that
     route existed.
     """
+    _check_modes(m)
     gdx = as_gegenbauer(idx)
     par = as_parity(parity)
     zero_mode = bc == "neumann" and par is Parity.EVEN
@@ -568,11 +610,17 @@ def tau_spectrum(
     if mu is None and count is not None:
         mu = _arpack_eigs(tau, count)
     if mu is None:
-        scale = _balance_scales(tau)
-        M = tau.square()
-        M *= scale
-        M /= scale[:, None]
-        mu = dense_eigs(M.view(_Scratch))
+        s = _balance_scales(tau)
+        # diag(1/s) A diag(s) on the bands, each entry A[i, j] * s[j] / s[i] as on the square,
+        # so the dense matrix is built balanced with no pass over it
+        balanced = replace(
+            tau,
+            first_row=tau.first_row * s / s[0],
+            lo=tau.lo * np.append(1.0, s[:-1]) / s,
+            dg=tau.dg * s / s,
+            up=tau.up * np.append(s[1:], 1.0) / s,
+        )
+        mu = dense_eigs(balanced.square().view(_Scratch))
     if not mu.all():
         raise ValueError(f"the integration matrix at m = {m}, gamma = {gdx.gamma} has an exact zero eigenvalue")
     lam, mu = _sorted_by_magnitude(1.0 / mu, mu)
@@ -580,34 +628,34 @@ def tau_spectrum(
 
 
 def _solve_structured(pencil: GeneralizedPencil) -> np.ndarray:
-    """B^{-1} A written straight into one Fortran-ordered m x m array X, so
-    dgeev can work in it without a copy; the pencil's O(m) factors give A
-    tile by tile (GeneralizedPencil.write_a), and no other m x m array is
-    made."""
+    """B^{-1} A written straight into one padded work matrix X
+    (tau_operator._work_matrix), so dgeev can work in it without a copy; the
+    pencil's O(m) factors give A tile by tile (GeneralizedPencil.write_a),
+    and no other m x m array is made."""
     m, h = pencil.m, pencil.h
+    X = _work_matrix(m)
     if pencil.b_structure == "diagonal":
         if not h.all():
             raise np.linalg.LinAlgError(f"variant {pencil.variant}: diagonal B is singular")
-        X = np.empty((m, m), order="F")
         pencil.write_a(X, over_h=True)
         return X
     if pencil.b_structure == "tridiagonal":
-        X = np.empty((m, m), order="F")
         pencil.write_a(X)
-        return scipy.linalg.solve_banded((1, 1), pencil.b_bands(), X, overwrite_b=True)  # LAPACK dgtsv in X
+        du, d, dl = pencil.b_bands()  # a fresh array: LAPACK dgtsv overwrites the bands with B's factors
+        if _lapack("dgtsv", m, m, dl[:-1], d, du[1:], X, _lda(X)) != 0:
+            raise np.linalg.LinAlgError(f"variant {pencil.variant}: tridiagonal B is singular")
+        return X
     # first row plus subdiagonal h[1:]: rows 1..m-1 determine x_0..x_{m-2}
     # directly; row 0 closes x_{m-1}.  The closure row's gemv reads those
     # rows in row-major order, whose rounding the outputs carry: they are
-    # staged that way in X's own memory, and then written again into X's
+    # staged that way in X's own buffer, and then written again into X's
     # column-major place.
     brow = pencil.b_first_row()
-    buf = np.empty(m * m)
-    top = buf[: (m - 1) * m].reshape(m - 1, m)
+    top = X.base[: (m - 1) * m].reshape(m - 1, m)
     pencil.write_a(top, rows=(1, m), over_h=True)
     a_first = np.empty((1, m))
     pencil.write_a(a_first, rows=(0, 1))
     last = (a_first[0] - brow[: m - 1] @ top) / brow[m - 1]
-    X = buf.reshape((m, m), order="F")
     pencil.write_a(X[: m - 1], rows=(1, m), over_h=True)
     X[m - 1, :] = last
     return X
@@ -616,10 +664,10 @@ def _solve_structured(pencil: GeneralizedPencil) -> np.ndarray:
 def pencil_spectrum(pencil: GeneralizedPencil, tol_real: float = 1e-9) -> Spectrum:
     """Spectrum of a generalized pencil A x = lambda B x via B^{-1} A.
 
-    B^{-1} A is written once into a Fortran-ordered array
-    (_solve_structured) and handed to dense_eigs to work in: scipy's LAPACK
-    dgeev reduces it in place (dgebal, dgehrd, dhseqr), so B^{-1} A is the
-    only m x m array of the solve.
+    B^{-1} A is written once into a padded work matrix (_solve_structured)
+    and handed to dense_eigs to work in: LAPACK dgeev reduces it in place
+    (dgebal, dgehrd, dhseqr) at the padded leading dimension, so B^{-1} A is
+    the only m x m array of the solve.
 
     The integration route has no pencil form here: tau_spectrum takes the
     eigenvalues of the banded matrix directly and inverts them afterwards.

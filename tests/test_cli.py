@@ -147,6 +147,8 @@ def test_eig_bad_choice_is_usage_error(capsys):
         (["eig", "--modes", "6", "--variant", "diff-elim-last", "--count", "2"], "--count needs the integration variant"),
         (["eig", "--modes", "6", "--out", "/nonexistent/x.csv"], "[Errno 2] No such file or directory: '/nonexistent/x.csv'"),
         (["charpoly", "--modes", "3", "--out", "/nonexistent/x.csv"], "[Errno 2] No such file or directory: '/nonexistent/x.csv'"),
+        (["eig", "--modes", "0", "--count", "1"], "need at least 2 modes, got 0"),
+        (["sweep-conditioning", "--m-grid", "0", "--variants", "integration"], "need at least 2 modes, got 0"),
     ],
 )
 def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):

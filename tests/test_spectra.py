@@ -36,7 +36,7 @@ from gegtau.spectra import (
     reality_ratio,
     tau_spectrum,
 )
-from gegtau.tau_operator import DIFF_VARIANTS, TauMatrix, build_diff_pencil, build_gi2
+from gegtau.tau_operator import DIFF_VARIANTS, TauMatrix, _padded_lda, build_diff_pencil, build_gi2
 from gegtau.verify import DEFAULT_GAMMA_GRID, conditioning_sweep
 
 import oracles
@@ -212,7 +212,7 @@ def test_balance_scales_replay_lapack_dgebal(m):
             assert np.all(scipy.linalg.lapack.dgebal(balanced, scale=1, permute=0)[3] == 1.0)
 
 
-@pytest.mark.parametrize("m", [2, 3, 17, 120, 150, 400, 750])
+@pytest.mark.parametrize("m", [2, 3, 17, 120, 150, 256, 400, 512, 750])
 def test_tau_spectrum_bitwise_matches_unbalanced_route(m):
     for gamma in (-0.45, 0.5, 1.5, 1.7, 1.8, 2.4, Fraction(7, 4)):
         for parity in (Parity.EVEN, Parity.ODD):
@@ -323,10 +323,12 @@ def test_pencil_spectrum_bitwise_matches_the_row_major_solve(variant, m):
 
 @pytest.mark.parametrize("variant", DIFF_VARIANTS)
 def test_pencil_spectrum_bitwise_matches_the_row_major_solve_at_tile_edges(variant):
-    # row tiles of 48 cut these sizes at different offsets
+    # row tiles of 48 cut these sizes at different offsets; from m = 512 on the work matrix's
+    # leading dimension is padded past m (520 and 1032)
     gamma = 1.5 if variant == "ierley-legendre" else 1.9
     cases = [(m, parity) for m in (127, 128, 129, 255, 256, 257) for parity in Parity]
-    if variant == "diff-elim-last":
+    cases.append((512, Parity.EVEN))
+    if variant in ("diff-elim-last", "diff-elim-first"):
         cases.append((1024, Parity.ODD))
     for m, parity in cases:
         pen = build_diff_pencil(m, gamma, variant, parity)
@@ -394,6 +396,13 @@ def test_dense_eigs_never_modifies_its_input():
             kept = a.copy()
             dense_eigs(a)
             np.testing.assert_array_equal(a, kept)
+    # a C-ordered B^{-1} A goes to dgeev in a padded copy, also when it is a _Scratch view
+    pen = build_diff_pencil(64, 0.7, "diff-elim-last")
+    a = oracles.solve_structured_row_major(pen.A, pen.B, pen.b_structure)
+    kept = a.copy()
+    w = dense_eigs(a)
+    np.testing.assert_array_equal(a, kept)
+    assert dense_eigs(a.view(spectra._Scratch)).tobytes() == w.tobytes()
 
 
 def _traced_peak(fn):
@@ -435,8 +444,9 @@ def test_pencil_cell_holds_one_and_a_half_matrices(variant, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * m * m, peak / (8 * m * m)
-    live = entered[-1] - 8 * m * m
+    matrix = 8 * _padded_lda(m) * m  # the padded work matrix is the unit
+    assert peak <= 1.5 * matrix, peak / matrix
+    live = entered[-1] - matrix
     assert 0 <= live <= 64 * m, live  # B^{-1} A and the pencil's O(m) factors
 
 
@@ -445,7 +455,8 @@ def test_dense_integration_route_holds_one_and_a_half_matrices():
     for gamma in (0.7, 2.4):
         for parity in (Parity.EVEN, Parity.ODD):
             peak = _traced_peak(lambda: tau_spectrum(m, gamma, parity))
-            assert peak <= 1.5 * 8 * m * m, (gamma, parity, peak / (8 * m * m))
+            matrix = 8 * _padded_lda(m) * m  # the padded work matrix is the unit
+            assert peak <= 1.5 * matrix, (gamma, parity, peak / matrix)
 
 
 def test_ratio_floors_are_spectra_tiny():

@@ -513,7 +513,8 @@ from gegtau.tau_operator import DIFF_VARIANTS, build_diff_pencil
 for variant in DIFF_VARIANTS:
     for m in (259, 300, 511, 1024):
         pencil = build_diff_pencil(m, 1.5 if variant == "ierley-legendre" else 1.9, variant, Parity.ODD)
-        print(variant, m, hashlib.sha256(_solve_structured(pencil).tobytes()).hexdigest())
+        X = _solve_structured(pencil)  # a view into a padded buffer: tobytes() gives the m x m entries
+        print(variant, m, hashlib.sha256(X.tobytes()).hexdigest())
 """
 
 
