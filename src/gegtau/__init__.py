@@ -7,55 +7,31 @@ qualitative spectral claims: real, negative, distinct eigenvalues with parity
 interlacing below the family-parameter threshold, conjugate pairs above it,
 and the conditioning contrast between the integration and differentiation
 routes.
+
+The names below are the public API, the ones README's Library section
+documents; everything else lives in its module.
 """
 
 from .charpoly import (
     MuPolynomial,
-    charpoly_direct,
     charpoly_sequence,
     jacobi_char_poly,
-    k_constant,
-    k_constants,
     mixed_char_poly,
-    omega_poly,
     poly_roots,
+    poly_roots_batch,
 )
-from .orthopoly import (
-    GegenbauerIndex,
-    JacobiIndex,
-    Parity,
-    apply_derivative,
-    gegenbauer_at_one,
-    gegenbauer_at_one_upto,
-    gegenbauer_eval,
-    gegenbauer_norm,
-    gegenbauer_norms,
-    jacobi_at_one,
-    jacobi_deriv_at_one,
-    jacobi_derivs_at_one,
-    jacobi_eval,
-)
+from .orthopoly import GegenbauerIndex, JacobiIndex, Parity, jacobi_derivs_at_one
 from .spectra import (
     EigenPair,
     Spectrum,
     SweepResult,
-    dense_eigs,
     eigenfunction,
     exact_spectrum,
     pencil_spectrum,
     tau_spectrum,
 )
-from .tau_operator import (
-    DIFF_VARIANTS,
-    GeneralizedPencil,
-    TauMatrix,
-    build_diff_pencil,
-    build_gi2,
-    matrix_to_coord,
-    matrix_to_csv,
-)
+from .tau_operator import DIFF_VARIANTS, GeneralizedPencil, TauMatrix, build_diff_pencil, build_gi2
 from .verify import (
-    DEFAULT_GAMMA_GRID,
     VerificationReport,
     check_positive_pair,
     check_stable,

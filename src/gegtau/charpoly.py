@@ -36,12 +36,10 @@ from ._stacks import jacobi_char_stacks, mixed_char_stacks, poly_roots_stacks
 from .orthopoly import (
     Parity,
     as_gegenbauer,
-    as_jacobi,
     as_parity,
     apply_derivative,
     gegenbauer_at_one,
     gegenbauer_at_one_upto,
-    jacobi_derivs_at_one,
 )
 
 __all__ = [
@@ -52,7 +50,6 @@ __all__ = [
     "k_constants",
     "charpoly_sequence",
     "charpoly_direct",
-    "omega_poly",
     "jacobi_char_poly",
     "mixed_char_poly",
 ]
@@ -344,17 +341,6 @@ def charpoly_direct(n: int, idx) -> MuPolynomial:
         vec = apply_derivative(apply_derivative(vec, idx), idx)
         coeffs.append(sum((v * a for v, a in zip(vec, at1)), zero))
     return MuPolynomial(coeffs)
-
-
-def omega_poly(n: int, idx) -> MuPolynomial:
-    """Even-order endpoint derivative generating polynomial for Jacobi.
-
-    Coefficient k is the value of the 2k-th derivative of P_n^(alpha,beta)
-    at x = 1; degree floor(n/2).
-    """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    return MuPolynomial(jacobi_derivs_at_one(n, as_jacobi(idx))[0::2])
 
 
 def jacobi_char_poly(n: int, idx) -> MuPolynomial:

@@ -36,12 +36,8 @@ __all__ = [
     "gegenbauer_eval",
     "gegenbauer_at_one",
     "gegenbauer_at_one_upto",
-    "gegenbauer_norm",
     "gegenbauer_norms",
     "apply_derivative",
-    "jacobi_eval",
-    "jacobi_at_one",
-    "jacobi_deriv_at_one",
     "jacobi_derivs_at_one",
 ]
 
@@ -171,31 +167,28 @@ def gegenbauer_at_one(n: int, idx):
     return gegenbauer_at_one_upto(n, idx)[n]
 
 
-def gegenbauer_norm(n: int, idx) -> float:
-    """Weighted L2 norm h_n = int_{-1}^{1} (1-x^2)^{g-1/2} G_n(x)^2 dx.
+def gegenbauer_norms(degrees, idx) -> np.ndarray:
+    """Weighted L2 norms h_n = int_{-1}^{1} (1-x^2)^{g-1/2} G_n(x)^2 dx of
+    the given degrees.
 
     n = 0 is special because G_0 = 1 rather than following the n >= 1
-    normalization; there h_0 is the total mass of the weight.
-    Uses lgamma so large n and g stay in range.
+    normalization; there h_0 is the total mass of the weight.  Uses lgamma
+    so large n and g stay in range (OverflowError past the float range).
+    Each h_n is one scalar expression, so its bits do not depend on the
+    other degrees.
     """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
     g = float(as_gegenbauer(idx).gamma)
-    if n == 0:
-        return math.sqrt(math.pi) * math.exp(math.lgamma(g + 0.5) - math.lgamma(g + 1.0))
-    log_h = (
-        math.log(math.pi)
-        - (1.0 + 2.0 * g) * math.log(2.0)
-        + math.lgamma(n + 2.0 * g)
-        - math.log(n + g)
-        - math.lgamma(n + 1.0)
-        - 2.0 * math.lgamma(g + 1.0)
-    )
-    return math.exp(log_h)
-
-
-def gegenbauer_norms(degrees, idx) -> np.ndarray:
-    return np.array([gegenbauer_norm(int(n), idx) for n in degrees], dtype=float)
+    head = math.log(math.pi) - (1.0 + 2.0 * g) * math.log(2.0)
+    tail = 2.0 * math.lgamma(g + 1.0)
+    out = []
+    for n in map(int, degrees):
+        if n < 0:
+            raise ValueError(f"degree must be nonnegative, got {n}")
+        if n == 0:
+            out.append(math.sqrt(math.pi) * math.exp(math.lgamma(g + 0.5) - math.lgamma(g + 1.0)))
+        else:
+            out.append(math.exp(head + math.lgamma(n + 2.0 * g) - math.log(n + g) - math.lgamma(n + 1.0) - tail))
+    return np.array(out, dtype=float)
 
 
 def apply_derivative(coeffs, idx):
@@ -286,33 +279,6 @@ def _binom_prod(top, k: int):
     return val
 
 
-def jacobi_eval(n: int, idx, x):
-    """Evaluate the Jacobi polynomial P_n^(alpha,beta) by forward recurrence."""
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    jdx = as_jacobi(idx)
-    a, b = jdx.alpha, jdx.beta
-    one = x * 0 + 1
-    if n == 0:
-        return one
-    prev = one
-    cur = ((a - b) + (a + b + 2) * x) / 2
-    for k in range(1, n):
-        c1 = 2 * (k + 1) * (k + a + b + 1) * (2 * k + a + b)
-        c2 = (2 * k + a + b + 1) * (a * a - b * b)
-        c3 = (2 * k + a + b) * (2 * k + a + b + 1) * (2 * k + a + b + 2)
-        c4 = 2 * (k + a) * (k + b) * (2 * k + a + b + 2)
-        prev, cur = cur, ((c2 + c3 * x) * cur - c4 * prev) / c1
-    return cur
-
-
-def jacobi_at_one(n: int, idx):
-    """P_n^(alpha,beta)(1) = binom(n + alpha, n)."""
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    return _binom_prod(as_jacobi(idx).alpha + n, n)
-
-
 def jacobi_derivs_at_one(n: int, idx) -> list:
     """Endpoint derivatives [D^k P_n^(alpha,beta)(1) for k = 0..n].
 
@@ -334,15 +300,3 @@ def jacobi_derivs_at_one(n: int, idx) -> list:
         out.append(val)
     return out
 
-
-def jacobi_deriv_at_one(n: int, idx, k: int):
-    """k-th derivative of P_n^(alpha,beta) at x = 1; see jacobi_derivs_at_one.
-
-    Zero for k > n.
-    """
-    if k < 0:
-        raise ValueError(f"derivative order must be nonnegative, got {k}")
-    jdx = as_jacobi(idx)
-    if k > n:
-        return jdx.alpha * 0
-    return jacobi_derivs_at_one(n, jdx)[k]

@@ -358,6 +358,12 @@ class Spectrum:
         return {"meta": table.meta, "data": data}
 
 
+def _check_tolerance(name: str, value) -> None:
+    """ValueError unless value is a finite tolerance >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+
+
 def _sorted_by_magnitude(lam: np.ndarray, mu: np.ndarray):
     order = np.argsort(np.abs(lam), kind="stable")
     return lam[order], mu[order]
@@ -468,13 +474,16 @@ def _shifted_eigs(tau: TauMatrix, k: int):
     - each backward residual ||A x_j - mu_j x_j|| is at most m u ||A||_F;
     - each mu_j lies within _SHIFTED_REL of sigma_j, so the modes are
       distinct and in order;
-    - each first-order error bound ||A x_j - mu_j x_j|| / |y_j^T x_j|
-      (residual times condition number, x_j and y_j unit vectors) is within
-      _SHIFTED_REL of |mu_j|.  The residual test alone is void at large
-      gamma, where the first row makes ||A|| huge: at m = 256 and gamma 50
-      inverse iteration returns each shift sigma_j itself to 1e-8, with a
-      residual below m u ||A||, while the dense and ARPACK routes find a
-      complex pair among the eight lowest modes;
+    - each componentwise first-order error bound |y_j|^T |r_j| / |y_j^T x_j|,
+      r_j = A x_j - mu_j x_j, is within _SHIFTED_REL of |mu_j|.  Relative to
+      |mu_j| it is eta kappa_c: the left-weighted backward error
+      |y|^T |r| / |y|^T (|A| + |mu| I) |x| times the componentwise condition
+      number |y|^T (|A| + |mu| I) |x| / (|mu| |y^T x|), whose |A| terms
+      cancel.  For unit x_j and y_j it is at most the normwise bound
+      ||r_j|| / |y_j^T x_j|, which the first row's huge ||A|| voids at large
+      gamma (6e56 at m = 1024, gamma 20, k = 1, where this bound is 4e-16).
+      It still refuses where the values are off: m = 4000, gamma 10,
+      k = 100 reads 1.3e7, with values 3.6e-5 from the closed form;
     - a deflated power iteration, _POWER_STEPS steps of
       (I - X (Y^T X)^{-1} Y^T) A from the same start, grows by less than
       |mu_k| in its last step: no other eigenvalue found that way is as
@@ -498,9 +507,9 @@ def _shifted_eigs(tau: TauMatrix, k: int):
             ax = tau.apply(x)[:m]
             yx = y @ x
             mu[j] = (y @ ax) / yx
-            residual = np.linalg.norm(ax - mu[j] * x)
+            r = ax - mu[j] * x
             tol = _SHIFTED_REL * abs(mu[j])
-            if not (residual <= bound and abs(mu[j] - s) <= tol and residual <= tol * abs(yx)):
+            if not (np.linalg.norm(r) <= bound and abs(mu[j] - s) <= tol and np.abs(y) @ np.abs(r) <= tol * abs(yx)):
                 return None
             X[j], Y[j] = x, y / yx
         v = start - (Y @ start) @ X
@@ -512,8 +521,9 @@ def _shifted_eigs(tau: TauMatrix, k: int):
     return mu
 
 
-# ARPACK serves the count=k requests that _shifted_eigs refuses (gamma past
-# about 3 to 8, depending on m and k), from m = 96 modes and for k <= m / 8.
+# ARPACK serves the count=k requests that _shifted_eigs refuses (large gamma
+# past its first few modes, see tau_spectrum), from m = 96 modes and for
+# k <= m / 8.
 # Measured on one BLAS thread against the dense route (both balance the
 # matrix first), gamma 0.5 and 2.4: at k = 1 it takes 0.4-0.6 of the dense
 # time at m = 96, 0.2-0.5 at m = 128 and 0.01-0.06 at m = 1024; k = m / 8
@@ -578,10 +588,15 @@ def tau_spectrum(
 
     - k <= m / 8: inverse iteration shifted to the exact values, O(m) band
       solves with no m x m array (_shifted_eigs).  On one BLAS thread
-      count=1 takes 0.45-0.6 ms at m = 16-128 and 2 ms at m = 1024 (mostly
-      build_gi2), at gamma 0.5 and 2.4 alike; m = 1024 and k = 128 takes
-      32-34 ms.  Its checks refuse large gamma (past about 3.6 at m = 1024
-      and k = 1) and any request with a conjugate pair among its modes;
+      count=1 takes 0.45-0.6 ms at m = 16-128 and 1-2 ms at m = 1024 (mostly
+      build_gi2), at gamma 0.5 and 20 alike; m = 1024 and k = 128 takes
+      32-34 ms.  Its componentwise trust test serves k = 1 up to gamma 20
+      at m = 128-4000, and up to gamma 50 below m = 1024.  The largest k it
+      serves falls with gamma: m / 8 up to gamma 3, 56-66 at gamma 5 and
+      m >= 1024, 7-9 at gamma 10, 5-6 at gamma 20.  At gamma 50 and
+      m >= 1024 the first row passes 1e161, ||A||_F and the vectors
+      overflow to NaN, and no check passes, even at k = 1.  It refuses any
+      request with a conjugate pair among its modes;
     - m >= 96 and k <= m / 8: ARPACK on the balanced O(m) matvec
       (_arpack_eigs);
     - anything else: the full dense spectrum, sliced.
@@ -595,6 +610,7 @@ def tau_spectrum(
     zero_mode = bc == "neumann" and par is Parity.EVEN
     if count is not None and not 1 <= count <= m + zero_mode:
         raise ValueError(f"count must be between 1 and {m + zero_mode}, got {count}")
+    _check_tolerance("tol_real", tol_real)
     if bc == "neumann":
         inner_count = None if count is None else max(count - zero_mode, 1)
         inner = tau_spectrum(m, gdx.shifted(), par.flipped(), "dirichlet", tol_real, inner_count)
@@ -632,24 +648,24 @@ def _solve_structured(pencil: GeneralizedPencil) -> np.ndarray:
     (tau_operator._work_matrix), so dgeev can work in it without a copy; the
     pencil's O(m) factors give A tile by tile (GeneralizedPencil.write_a),
     and no other m x m array is made."""
-    m, h = pencil.m, pencil.h
+    m, h, variant = pencil.m, pencil.h, pencil.variant
     X = _work_matrix(m)
-    if pencil.b_structure == "diagonal":
+    if variant == "diff-elim-last":  # B = diag(h)
         if not h.all():
-            raise np.linalg.LinAlgError(f"variant {pencil.variant}: diagonal B is singular")
+            raise np.linalg.LinAlgError(f"variant {variant}: diagonal B is singular")
         pencil.write_a(X, over_h=True)
         return X
-    if pencil.b_structure == "tridiagonal":
+    if variant != "diff-elim-first":  # the Galerkin variants: B tridiagonal
         pencil.write_a(X)
         du, d, dl = pencil.b_bands()  # a fresh array: LAPACK dgtsv overwrites the bands with B's factors
         if _lapack("dgtsv", m, m, dl[:-1], d, du[1:], X, _lda(X)) != 0:
-            raise np.linalg.LinAlgError(f"variant {pencil.variant}: tridiagonal B is singular")
+            raise np.linalg.LinAlgError(f"variant {variant}: tridiagonal B is singular")
         return X
-    # first row plus subdiagonal h[1:]: rows 1..m-1 determine x_0..x_{m-2}
-    # directly; row 0 closes x_{m-1}.  The closure row's gemv reads those
-    # rows in row-major order, whose rounding the outputs carry: they are
-    # staged that way in X's own buffer, and then written again into X's
-    # column-major place.
+    # diff-elim-first: B is its first row plus the subdiagonal h[1:], so
+    # rows 1..m-1 determine x_0..x_{m-2} directly; row 0 closes x_{m-1}.
+    # The closure row's gemv reads those rows in row-major order, whose
+    # rounding the outputs carry: they are staged that way in X's own
+    # buffer, and then written again into X's column-major place.
     brow = pencil.b_first_row()
     top = X.base[: (m - 1) * m].reshape(m - 1, m)
     pencil.write_a(top, rows=(1, m), over_h=True)
@@ -672,6 +688,7 @@ def pencil_spectrum(pencil: GeneralizedPencil, tol_real: float = 1e-9) -> Spectr
     The integration route has no pencil form here: tau_spectrum takes the
     eigenvalues of the banded matrix directly and inverts them afterwards.
     """
+    _check_tolerance("tol_real", tol_real)
     lam = dense_eigs(_solve_structured(pencil).view(_Scratch))
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = np.where(lam != 0, 1.0 / lam, np.inf)

@@ -223,14 +223,14 @@ class GeneralizedPencil:
 
     write_a writes A into a caller's array row tile by row tile from the
     closed form of the second-derivative block and these factors, with no
-    matrix product; b_bands and b_first_row give the nonzero entries of B.
-    A and B build the dense matrices on access, for tests and inspection;
-    the eigenvalue route reads neither.
+    matrix product.  B is diag(h) for diff-elim-last, b_first_row() on top
+    of the subdiagonal h[1:] for diff-elim-first, and the tridiagonal
+    b_bands() for the two Galerkin variants.  The eigenvalue route
+    (spectra.pencil_spectrum) forms B^{-1} A from these alone; neither A nor
+    B is ever a dense m x m array of its own.
     """
 
     variant: str
-    a_structure: str
-    b_structure: str
     m: int
     gamma: float
     parity: Parity
@@ -238,27 +238,6 @@ class GeneralizedPencil:
     ends: np.ndarray | None = None
     s_bands: np.ndarray | None = None
     a_diag: np.ndarray | None = None
-
-    @property
-    def A(self) -> np.ndarray:
-        A = np.empty((self.m, self.m))
-        self.write_a(A)
-        return A
-
-    @property
-    def B(self) -> np.ndarray:
-        m, h = self.m, self.h
-        if self.b_structure == "diagonal":
-            return np.diag(h)
-        B = np.zeros((m, m))
-        i = np.arange(m)
-        if self.b_structure == "first-row-subdiagonal":
-            B[0] = self.b_first_row()
-            B[i[1:], i[:-1]] = h[1:]
-        else:
-            ab = self.b_bands()
-            B[i[:-1], i[1:]], B[i, i], B[i[1:], i[:-1]] = ab[0, 1:], ab[1], ab[2, :-1]
-        return B
 
     def b_bands(self) -> np.ndarray:
         """Tridiagonal B in scipy.linalg.solve_banded's (1, 1) layout."""
@@ -388,18 +367,16 @@ def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> Generali
     factors = dict(variant=variant, m=m, gamma=g, parity=par, h=h)
     if variant in ("diff-elim-last", "diff-elim-first"):
         ends = np.array([float(v) for v in gegenbauer_at_one_upto(degrees[-1], gdx)[par.offset :: 2]])
-        if variant == "diff-elim-last":
-            return GeneralizedPencil(a_structure="full", b_structure="diagonal", ends=ends, **factors)
-        return GeneralizedPencil(a_structure="upper-triangular", b_structure="first-row-subdiagonal", ends=ends, **factors)
+        return GeneralizedPencil(ends=ends, **factors)
     s_bands = _one_minus_x2_bands(m, g, par.offset)
     if variant == "galerkin-basis":
-        return GeneralizedPencil(a_structure="upper-triangular", b_structure="tridiagonal", s_bands=s_bands, **factors)
+        return GeneralizedPencil(s_bands=s_bands, **factors)
     if variant == "ierley-legendre":
         if abs(g - 1.5) > 1e-12:
             raise ValueError(f"ierley-legendre requires gamma = 3/2, got {g}")
         nvec = np.array(degrees[:m], dtype=float)
         a_diag = -(nvec + 1.0) * (nvec + 2.0) * h
-        return GeneralizedPencil(a_structure="diagonal", b_structure="tridiagonal", s_bands=s_bands, a_diag=a_diag, **factors)
+        return GeneralizedPencil(s_bands=s_bands, a_diag=a_diag, **factors)
     raise ValueError(f"unknown variant {variant!r}; expected one of {DIFF_VARIANTS}")
 
 

@@ -31,7 +31,15 @@ from ._stacks import (
 )
 from .charpoly import MuPolynomial, charpoly_sequence
 from .orthopoly import JacobiIndex, Parity, as_gegenbauer, as_jacobi, as_parity
-from .spectra import SweepResult, exact_spectrum, min_rel_gap, pencil_spectrum, reality_ratio, tau_spectrum
+from .spectra import (
+    SweepResult,
+    _check_tolerance,
+    exact_spectrum,
+    min_rel_gap,
+    pencil_spectrum,
+    reality_ratio,
+    tau_spectrum,
+)
 from .tau_operator import DIFF_VARIANTS, build_diff_pencil
 
 __all__ = [
@@ -671,6 +679,7 @@ def interlace_conjecture_suite(gammas=DEFAULT_GAMMA_GRID, m_max: int = 12) -> li
 
 def spectrum_error_report(m: int, idx, parity, threshold: float = 1e-8) -> SweepResult:
     """Per-mode relative errors of one spectrum against the exact values."""
+    _check_tolerance("threshold", threshold)
     par = as_parity(parity)
     spec = tau_spectrum(m, idx, par)
     table = spec.table()

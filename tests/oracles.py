@@ -459,12 +459,51 @@ def unbalanced_tau_spectrum(square: np.ndarray, eigvals=general_eigvals):
     return lam[order], mu[order]
 
 
-def solve_structured_row_major(A: np.ndarray, B: np.ndarray, b_structure: str) -> np.ndarray:
+# The structures of A and B in each differentiation variant's pencil, the
+# kinds of assert_structure.
+PENCIL_STRUCTURES = {
+    "diff-elim-last": ("full", "diagonal"),
+    "diff-elim-first": ("upper-triangular", "first-row-subdiagonal"),
+    "galerkin-basis": ("upper-triangular", "tridiagonal"),
+    "ierley-legendre": ("diagonal", "tridiagonal"),
+}
+
+
+def pencil_a(pencil) -> np.ndarray:
+    """A of a differentiation pencil as a dense C-ordered matrix, from its
+    write_a."""
+    A = np.empty((pencil.m, pencil.m))
+    pencil.write_a(A)
+    return A
+
+
+def pencil_b(pencil) -> np.ndarray:
+    """B of a differentiation pencil as a dense matrix, from its O(m)
+    factors: diag(h), the first row b_first_row() over the subdiagonal
+    h[1:], or the tridiagonal b_bands()."""
+    m, h = pencil.m, pencil.h
+    kind = PENCIL_STRUCTURES[pencil.variant][1]
+    if kind == "diagonal":
+        return np.diag(h)
+    B = np.zeros((m, m))
+    i = np.arange(m)
+    if kind == "first-row-subdiagonal":
+        B[0] = pencil.b_first_row()
+        B[i[1:], i[:-1]] = h[1:]
+    else:
+        ab = pencil.b_bands()
+        B[i[:-1], i[1:]], B[i, i], B[i[1:], i[:-1]] = ab[0, 1:], ab[1], ab[2, :-1]
+    return B
+
+
+def solve_structured_row_major(pencil) -> np.ndarray:
     """B^{-1} A of a pencil, C-ordered, in the operations and memory order
     that fix the bits of the pencil route's eigenvalues: one division per
     entry for a diagonal B, LAPACK's banded solve for a tridiagonal one, and
     for a first row plus subdiagonal the subdiagonal divisions followed by
     the closure row, one gemv on the row-major top block."""
+    A, B = pencil_a(pencil), pencil_b(pencil)
+    b_structure = PENCIL_STRUCTURES[pencil.variant][1]
     m = B.shape[0]
     if b_structure == "diagonal":
         return A / np.diag(B)[:, None]
@@ -472,7 +511,6 @@ def solve_structured_row_major(A: np.ndarray, B: np.ndarray, b_structure: str) -
         ab = np.zeros((3, m))
         ab[0, 1:], ab[1, :], ab[2, :-1] = np.diag(B, 1), np.diag(B), np.diag(B, -1)
         return np.ascontiguousarray(scipy.linalg.solve_banded((1, 1), ab, A))
-    assert b_structure == "first-row-subdiagonal", b_structure
     X = np.zeros_like(A)
     X[: m - 1, :] = A[1:, :] / np.diag(B, -1)[:, None]
     X[m - 1, :] = (A[0, :] - B[0, : m - 1] @ X[: m - 1, :]) / B[0, m - 1]
@@ -514,11 +552,11 @@ def assert_structure(mat: np.ndarray, kind: str, variant: str) -> None:
         raise AssertionError(f"variant {variant}: matrix is not {kind} (worst off-pattern entry {worst:.3e})")
 
 
-def pencil_spectrum_row_major(A: np.ndarray, B: np.ndarray, b_structure: str):
+def pencil_spectrum_row_major(pencil):
     """(lambda, mu) of a pencil from general_eigvals of the C-ordered
     B^{-1} A: sorted by (real, imag), mu = 1 / lambda (inf at zero), then
     sorted by |lambda| (stable)."""
-    lam = general_eigvals(solve_structured_row_major(A, B, b_structure))
+    lam = general_eigvals(solve_structured_row_major(pencil))
     lam = lam[np.lexsort((lam.imag, lam.real))]
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = np.where(lam != 0, 1.0 / lam, np.inf)

@@ -23,11 +23,10 @@ from gegtau.charpoly import (
     k_constant,
     k_constants,
     mixed_char_poly,
-    omega_poly,
     poly_roots,
     poly_roots_batch,
 )
-from gegtau.orthopoly import GegenbauerIndex, JacobiIndex, Parity
+from gegtau.orthopoly import GegenbauerIndex, JacobiIndex, Parity, jacobi_derivs_at_one
 from gegtau.verify import check_positive_pair
 
 import oracles
@@ -375,15 +374,20 @@ def test_parity_interlacing_small_truncations():
             assert check_positive_pair(pe[m], qo[m - 1]).passed
 
 
+def _omega(n, idx):
+    """The even-order endpoint polynomial: coefficient k is D^{2k} P_n(1)."""
+    return MuPolynomial(jacobi_derivs_at_one(n, idx)[0::2])
+
+
 def test_omega_low_degree():
     idx = JacobiIndex(F(0), F(0))
-    assert omega_poly(0, idx).coeffs == (F(1),)
-    assert omega_poly(1, idx).coeffs == (F(1),)
-    assert omega_poly(2, idx).coeffs == (F(1), F(3))
+    assert _omega(0, idx).coeffs == (F(1),)
+    assert _omega(1, idx).coeffs == (F(1),)
+    assert _omega(2, idx).coeffs == (F(1), F(3))
 
 
 def test_omega_chebyshev_case_proportional_to_odd_sequence():
-    om = omega_poly(3, JacobiIndex(F(-1, 2), F(-1, 2)))
+    om = _omega(3, JacobiIndex(F(-1, 2), F(-1, 2)))
     q1 = charpoly_sequence(1, F(0), Parity.ODD)[1]
     assert om.degree == q1.degree == 1
     # proportionality by cross-multiplication

@@ -149,6 +149,11 @@ def test_eig_bad_choice_is_usage_error(capsys):
         (["charpoly", "--modes", "3", "--out", "/nonexistent/x.csv"], "[Errno 2] No such file or directory: '/nonexistent/x.csv'"),
         (["eig", "--modes", "0", "--count", "1"], "need at least 2 modes, got 0"),
         (["sweep-conditioning", "--m-grid", "0", "--variants", "integration"], "need at least 2 modes, got 0"),
+        (["sweep-gamma", "--modes", "20", "--gamma-grid", "0.5", "--tol-real", "-1"], "tol_real must be a finite number >= 0, got -1.0"),
+        (["sweep-gamma", "--modes", "20", "--gamma-grid", "0.5", "--tol-real", "nan"], "tol_real must be a finite number >= 0, got nan"),
+        (["eig", "--modes", "6", "--tol-real", "-1"], "tol_real must be a finite number >= 0, got -1.0"),
+        (["eig", "--modes", "6", "--variant", "diff-elim-last", "--tol-real", "inf"], "tol_real must be a finite number >= 0, got inf"),
+        (["sweep-error", "--modes", "20", "--threshold", "nan", "--format", "json"], "threshold must be a finite number >= 0, got nan"),
     ],
 )
 def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):

@@ -24,12 +24,8 @@ from gegtau.orthopoly import (
     gegenbauer_at_one,
     gegenbauer_at_one_upto,
     gegenbauer_eval,
-    gegenbauer_norm,
     gegenbauer_norms,
-    jacobi_at_one,
-    jacobi_deriv_at_one,
     jacobi_derivs_at_one,
-    jacobi_eval,
     _one_minus_x2_bands,
     _second_derivative_rows,
 )
@@ -187,17 +183,19 @@ def test_quadrature_orthogonality():
 
 
 def test_norm_closed_values():
-    assert gegenbauer_norm(1, GegenbauerIndex(0.5)) == pytest.approx(2.0 / 3.0)
-    assert gegenbauer_norm(0, GegenbauerIndex(0.5)) == pytest.approx(2.0)
-    assert gegenbauer_norm(3, GegenbauerIndex(0.0)) == pytest.approx(np.pi / 18.0)
-    assert gegenbauer_norm(0, GegenbauerIndex(1.0)) == pytest.approx(np.pi / 2.0)
+    for n, gamma, expect in ((1, 0.5, 2.0 / 3.0), (0, 0.5, 2.0), (3, 0.0, np.pi / 18.0), (0, 1.0, np.pi / 2.0)):
+        assert gegenbauer_norms([n], GegenbauerIndex(gamma))[0] == pytest.approx(expect)
 
 
 def test_norms_vector_matches_scalar():
+    # each h_n has its own bits, whatever other degrees share the call
     idx = GegenbauerIndex(1.7)
     vec = gegenbauer_norms(range(10), idx)
     for n in range(10):
-        assert vec[n] == pytest.approx(gegenbauer_norm(n, idx), rel=1e-14)
+        assert vec[n] == gegenbauer_norms([n], idx)[0]
+    assert gegenbauer_norms([9, 0, 4], idx).tolist() == vec[[9, 0, 4]].tolist()
+    with pytest.raises(ValueError):
+        gegenbauer_norms([2, -1], idx)
 
 
 def test_second_derivative_low_degrees():
@@ -323,68 +321,34 @@ def test_one_minus_x2_bands_are_the_reference_block():
             assert np.abs(S).max() <= 1e-15
 
 
-def test_jacobi_eval_against_binomial_sum():
-    rng = np.random.default_rng(23)
-    for a, b in ((0.0, 0.0), (0.3, -0.2), (1.5, 0.5), (-0.4, 2.0)):
-        idx = JacobiIndex(a, b)
-        for n in range(0, 11):
-            for x in rng.uniform(-1, 1, 3):
-                ref = oracles.jacobi_reference(n, a, b, float(x))
-                assert jacobi_eval(n, idx, float(x)) == pytest.approx(ref, abs=1e-12)
-
-
-def test_jacobi_eval_exact_rational():
-    idx = JacobiIndex(Fraction(1, 3), Fraction(-1, 4))
-    for n in range(0, 8):
-        for x in (Fraction(1, 2), Fraction(-2, 3), Fraction(1)):
-            ref = oracles.jacobi_reference(n, Fraction(1, 3), Fraction(-1, 4), x)
-            assert jacobi_eval(n, idx, x) == ref
-
-
-def test_jacobi_eval_against_scipy():
-    for a, b in ((0.0, 0.0), (0.5, -0.5), (1.0, 2.0)):
-        idx = JacobiIndex(a, b)
-        for n in range(0, 13):
-            ref = sp.eval_jacobi(n, a, b, XS)
-            got = np.array([jacobi_eval(n, idx, x) for x in XS])
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-11)
-
-
-def test_jacobi_point_value():
-    assert jacobi_eval(2, JacobiIndex(0.0, 0.0), 1.0) == pytest.approx(1.0)
-
-
 def test_jacobi_at_one():
+    # entry 0 of jacobi_derivs_at_one is P_n(1) = binom(n + alpha, n)
     for a, b in ((0.0, 0.0), (0.3, -0.2), (1.5, 0.5)):
         idx = JacobiIndex(a, b)
         for n in range(0, 16):
-            assert jacobi_at_one(n, idx) == pytest.approx(sp.binom(n + a, n), rel=1e-13)
-            assert jacobi_at_one(n, idx) == pytest.approx(
-                jacobi_eval(n, idx, 1.0), rel=1e-12
-            )
+            at_one = jacobi_derivs_at_one(n, idx)[0]
+            assert at_one == pytest.approx(sp.binom(n + a, n), rel=1e-13)
+            assert at_one == pytest.approx(oracles.jacobi_reference(n, a, b, 1.0), rel=1e-12)
 
 
 def test_jacobi_deriv_at_one_values():
     idx = JacobiIndex(0.0, 0.0)
-    assert jacobi_deriv_at_one(2, idx, 2) == pytest.approx(3.0)
-    assert jacobi_deriv_at_one(1, idx, 1) == pytest.approx(1.0)
-    assert jacobi_deriv_at_one(1, idx, 2) == 0.0
-    assert jacobi_deriv_at_one(3, idx, 5) == 0.0
-    assert jacobi_deriv_at_one(0, idx, 0) == pytest.approx(1.0)
+    assert jacobi_derivs_at_one(2, idx)[2] == pytest.approx(3.0)
+    assert jacobi_derivs_at_one(1, idx)[1] == pytest.approx(1.0)
+    assert jacobi_derivs_at_one(0, idx) == [1.0]
+    # D^k P_n = 0 for k > n: the list stops at k = n
+    assert len(jacobi_derivs_at_one(1, idx)) == 2 and len(jacobi_derivs_at_one(3, idx)) == 4
+    for n in range(6):
+        for k, d in enumerate(jacobi_derivs_at_one(n, JacobiIndex(0.3, -0.2))):
+            assert d == pytest.approx(oracles.jacobi_deriv_product(n, 0.3, -0.2, k), rel=1e-13)
 
 
 def test_jacobi_deriv_at_one_finite_difference():
-    idx = JacobiIndex(0.3, -0.2)
-    fd = oracles.central_kth_derivative(
-        lambda t: jacobi_eval(5, idx, t), 1.0, 3, h=1e-2
-    )
-    assert jacobi_deriv_at_one(5, idx, 3) == pytest.approx(fd, rel=1e-6)
-    for n in (4, 6):
-        for k in (1, 2):
-            fd = oracles.central_kth_derivative(
-                lambda t: jacobi_eval(n, idx, t), 1.0, k, h=1e-2
-            )
-            assert jacobi_deriv_at_one(n, idx, k) == pytest.approx(fd, rel=1e-6)
+    a, b = 0.3, -0.2
+    idx = JacobiIndex(a, b)
+    for n, k in ((5, 3), (4, 1), (4, 2), (6, 1), (6, 2)):
+        fd = oracles.central_kth_derivative(lambda t: oracles.jacobi_reference(n, a, b, t), 1.0, k, h=1e-2)
+        assert jacobi_derivs_at_one(n, idx)[k] == pytest.approx(fd, rel=1e-6)
 
 
 # p/q > -1 with q <= 20

@@ -1,6 +1,8 @@
 """Tests for spectrum computation, exact references, and eigenfunctions."""
 
 import dataclasses
+import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -315,7 +318,7 @@ def test_pencil_spectrum_bitwise_matches_the_row_major_solve(variant, m):
         for parity in (Parity.EVEN, Parity.ODD):
             pen = build_diff_pencil(m, gamma, variant, parity)
             spec = pencil_spectrum(pen)
-            lam, mu = oracles.pencil_spectrum_row_major(pen.A, pen.B, pen.b_structure)
+            lam, mu = oracles.pencil_spectrum_row_major(pen)
             assert spec.eigenvalues.dtype == lam.dtype, (gamma, parity)
             assert spec.eigenvalues.tobytes() == lam.tobytes(), (gamma, parity)
             assert spec.mu.tobytes() == mu.tobytes(), (gamma, parity)
@@ -333,7 +336,7 @@ def test_pencil_spectrum_bitwise_matches_the_row_major_solve_at_tile_edges(varia
     for m, parity in cases:
         pen = build_diff_pencil(m, gamma, variant, parity)
         spec = pencil_spectrum(pen)
-        lam, mu = oracles.pencil_spectrum_row_major(pen.A, pen.B, pen.b_structure)
+        lam, mu = oracles.pencil_spectrum_row_major(pen)
         assert spec.eigenvalues.dtype == lam.dtype, (m, parity)
         assert spec.eigenvalues.tobytes() == lam.tobytes(), (m, parity)
         assert spec.mu.tobytes() == mu.tobytes(), (m, parity)
@@ -398,7 +401,7 @@ def test_dense_eigs_never_modifies_its_input():
             np.testing.assert_array_equal(a, kept)
     # a C-ordered B^{-1} A goes to dgeev in a padded copy, also when it is a _Scratch view
     pen = build_diff_pencil(64, 0.7, "diff-elim-last")
-    a = oracles.solve_structured_row_major(pen.A, pen.B, pen.b_structure)
+    a = oracles.solve_structured_row_major(pen)
     kept = a.copy()
     w = dense_eigs(a)
     np.testing.assert_array_equal(a, kept)
@@ -507,15 +510,46 @@ def _rel_err(values, exact):
     return np.abs(values - exact) / np.where(exact == 0, 1.0, np.abs(exact))
 
 
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@functools.cache
+def _dense_reference(m, gamma, parity, bc):
+    """The full tau_spectrum, computed once per session, with the digest of
+    the one matrix its dense_eigs call solved and that call's output."""
+    solved = []
+
+    def recorded(a):
+        digest = _digest(a)  # before dense_eigs works in a
+        solved.append((digest, dense_eigs(a)))
+        return solved[-1][1]
+
+    with mock.patch.object(spectra, "dense_eigs", recorded):
+        dense = tau_spectrum(m, gamma, parity, bc)
+    (digest, w), = solved
+    return dense, digest, w
+
+
 @pytest.mark.parametrize("m", [3, 17, 200, 1000])
 def test_count_route_matches_dense_on_resolved_modes(m):
     # resolved: the dense route is within 1e-8 of the exact eigenvalue
     for gamma in DEFAULT_GAMMA_GRID:
         for parity in (Parity.EVEN, Parity.ODD):
             for bc in ("dirichlet", "neumann"):
-                dense = tau_spectrum(m, gamma, parity, bc)
+                dense, digest, w = _dense_reference(m, gamma, parity, bc)
                 exact = exact_spectrum(dense.count, parity, bc)
                 resolved = _rel_err(dense.eigenvalues, exact) < 1e-8
+                replayed = []
+
+                def replay(a):
+                    # a request the partial routes refuse (k > m / 8) takes the dense
+                    # slice: it must solve the full spectrum's own matrix, whose
+                    # eigenvalues are then the reference's and are not solved again
+                    assert _digest(a) == digest, (gamma, parity, bc)
+                    replayed.append(a.shape[0])
+                    return w.copy()
+
                 # k = m // 8 is the largest request ARPACK serves; at m = 1000 and
                 # gamma 2.5 with Neumann conditions (a Dirichlet problem at 3.5,
                 # above the reality threshold) its top modes differ by up to 4e-12
@@ -523,7 +557,10 @@ def test_count_route_matches_dense_on_resolved_modes(m):
                 for k, tol in ((1, 1e-12), (5, 1e-12), (m // 2, 1e-12), (m // 8, 1e-12 if gamma < 2.5 else 1e-11)):
                     if not 1 <= k <= m:
                         continue
-                    spec = tau_spectrum(m, gamma, parity, bc, count=k)
+                    replayed.clear()
+                    with mock.patch.object(spectra, "dense_eigs", replay):
+                        spec = tau_spectrum(m, gamma, parity, bc, count=k)
+                    assert replayed or 8 * k <= m, (gamma, parity, bc, k)
                     assert spec.count == k and spec.mu.size == k
                     diff = _rel_err(spec.eigenvalues, dense.eigenvalues[:k])[resolved[:k]]
                     assert np.all(diff <= tol), (gamma, parity, bc, k, diff.max())
@@ -541,6 +578,31 @@ def test_count_route_serves_small_shares_of_large_spectra():
     assert _arpack_eigs(build_gi2(200, 0.5, Parity.EVEN), 25) is not None
     assert _arpack_eigs(build_gi2(200, 0.5, Parity.EVEN), 26) is None
     assert _arpack_eigs(build_gi2(95, 0.5, Parity.EVEN), 1) is None
+
+
+@pytest.mark.parametrize("gamma", [5.0, 10.0, 20.0])
+@pytest.mark.parametrize("m", [128, 1024, 4000])
+def test_band_route_serves_the_lowest_mode_at_large_gamma(monkeypatch, m, gamma):
+    # the componentwise trust test accepts what the normwise bound refused:
+    # no ARPACK call, the closed form to 1e-13 and ARPACK's own value to 1e-12
+    tau = build_gi2(m, gamma, Parity.EVEN)
+    arpack = _arpack_eigs(tau, 1)
+    for name in ("_balance_scales", "_arpack_eigs", "dense_eigs"):
+        monkeypatch.setattr(spectra, name, _refuse)
+    spec = tau_spectrum(m, gamma, Parity.EVEN, count=1)
+    exact = exact_spectrum(1, Parity.EVEN)
+    assert spec.count == 1 and np.isrealobj(spec.eigenvalues)
+    assert _rel_err(spec.eigenvalues, exact)[0] <= 1e-13
+    lowest = arpack[np.argmax(np.abs(arpack))]  # k + 1 values, the lowest mode has the largest |mu|
+    assert abs(spec.mu[0] - lowest) <= 1e-12 * abs(lowest)
+
+
+def test_band_route_refuses_values_that_are_off():
+    # at m = 4000 and gamma 10 the band values of the 100 lowest modes reach
+    # 3.6e-5 from the closed form; the componentwise bound reads 1.3e7 there
+    tau = build_gi2(4000, 10.0, Parity.EVEN)
+    assert _shifted_eigs(tau, 100) is None
+    assert _shifted_eigs(tau, 1) is not None
 
 
 def test_count_cutting_a_conjugate_pair_keeps_the_dense_order():
@@ -702,12 +764,13 @@ def test_eigenfunction_forms_no_other_eigenvector(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", values_only)
     monkeypatch.setattr(spectra, "_shifted_eigs", recorded)
     # (7, 60) takes its eigenvalue from the dense route (k = 8 > m / 8), (0, 200)
-    # from shifted inverse iteration and (1, 200) at gamma 10 from ARPACK
-    for j, m, gamma in ((7, 60, 0.5), (0, 200, 0.5), (1, 200, 10.0)):
+    # from shifted inverse iteration and (0, 1024) at gamma 50, which that
+    # route refuses (its vectors overflow there), from ARPACK
+    for j, m, gamma in ((7, 60, 0.5), (0, 200, 0.5), (0, 1024, 50.0)):
         pair = eigenfunction(j, m, gamma, Parity.ODD)
         assert abs(pair.eigenvalue - exact_spectrum(j + 1, Parity.ODD)[j]) <= 1e-10 * abs(pair.eigenvalue)
-    assert served == [(60, 8, False), (200, 1, True), (200, 2, False)]
-    assert calls == [3]
+    assert served == [(60, 8, False), (200, 1, True), (1024, 1, False)]
+    assert calls == [2]
 
 
 def test_spectrum_csv_format():

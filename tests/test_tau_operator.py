@@ -372,21 +372,20 @@ def test_diff_elim_first_boundary_row_uses_endpoint_values():
         pen = build_diff_pencil(m, idx, "diff-elim-first", parity)
         gv = np.array([float(gegenbauer_at_one(parity.degree(k), idx)) for k in range(m + 1)])
         h0 = gegenbauer_norms([parity.offset], idx)[0]
-        np.testing.assert_array_equal(pen.B[0, :], -h0 * gv[1:] / gv[0])
+        np.testing.assert_array_equal(oracles.pencil_b(pen)[0, :], -h0 * gv[1:] / gv[0])
 
 
 def test_diff_pencil_structures():
     m = 8
     pen = build_diff_pencil(m, 0.0, "diff-elim-last")
-    assert pen.b_structure == "diagonal"
-    assert np.count_nonzero(pen.B - np.diag(np.diag(pen.B))) == 0
+    B = oracles.pencil_b(pen)
+    assert np.count_nonzero(B - np.diag(np.diag(B))) == 0
     pen = build_diff_pencil(m, 0.0, "diff-elim-first")
-    assert pen.a_structure == "upper-triangular"
-    assert np.count_nonzero(np.tril(pen.A, -1)) == 0
+    assert np.count_nonzero(np.tril(oracles.pencil_a(pen), -1)) == 0
     pen = build_diff_pencil(m, 0.0, "galerkin-basis")
-    assert pen.a_structure == "upper-triangular"
-    assert np.count_nonzero(np.tril(pen.A, -1)) == 0
-    off = pen.B - np.diag(np.diag(pen.B))
+    assert np.count_nonzero(np.tril(oracles.pencil_a(pen), -1)) == 0
+    B = oracles.pencil_b(pen)
+    off = B - np.diag(np.diag(B))
     off -= np.diag(np.diag(off, 1), 1) + np.diag(np.diag(off, -1), -1)
     assert np.count_nonzero(off) == 0
 
@@ -395,13 +394,15 @@ def test_diff_pencil_structures():
 @pytest.mark.parametrize("variant", DIFF_VARIANTS)
 def test_materialized_pencils_have_their_recorded_structure(variant, m):
     # the builder makes no m x m array, so the structure check runs on the materialized A and B
+    a_structure, b_structure = oracles.PENCIL_STRUCTURES[variant]
     gammas = (1.5,) if variant == "ierley-legendre" else (-0.49, 0.7, 2.4)
     for gamma in gammas:
         for parity in (Parity.EVEN, Parity.ODD):
             pen = build_diff_pencil(m, gamma, variant, parity)
-            oracles.assert_structure(pen.A, pen.a_structure, variant)
-            oracles.assert_structure(pen.B, pen.b_structure, variant)
-            assert pen.A.shape == pen.B.shape == (m, m)
+            A, B = oracles.pencil_a(pen), oracles.pencil_b(pen)
+            oracles.assert_structure(A, a_structure, variant)
+            oracles.assert_structure(B, b_structure, variant)
+            assert A.shape == B.shape == (m, m)
 
 
 _PATTERNS = {
@@ -481,9 +482,12 @@ def test_pencil_blocks_are_the_fixed_order_expressions():
         galerkin_pencil = build_diff_pencil(m, gamma, "galerkin-basis", parity)
         galerkin = oracles.structured_pencil_a("galerkin-basis", d2, h, s_bands=galerkin_pencil.s_bands)
         first = (h[:, None] * d2)[:, 1:]
-        assert build_diff_pencil(m, gamma, "diff-elim-last", parity).A.tobytes() == last.tobytes(), (m, gamma)
-        assert build_diff_pencil(m, gamma, "diff-elim-first", parity).A.tobytes() == first.tobytes(), (m, gamma)
-        assert galerkin_pencil.A.tobytes() == galerkin.tobytes(), (m, gamma)
+        for pencil, expect in (
+            (build_diff_pencil(m, gamma, "diff-elim-last", parity), last),
+            (build_diff_pencil(m, gamma, "diff-elim-first", parity), first),
+            (galerkin_pencil, galerkin),
+        ):
+            assert oracles.pencil_a(pencil).tobytes() == expect.tobytes(), (pencil.variant, m, gamma)
 
 
 def test_pencil_products_are_within_four_eps_of_the_matrix_products():
@@ -493,14 +497,14 @@ def test_pencil_products_are_within_four_eps_of_the_matrix_products():
         h, d2, ends = _pencil_factors(m, gamma, parity)
         a0 = h[:, None] * d2
         C = np.vstack([np.eye(m), -ends[:m] / ends[m]])
-        A = build_diff_pencil(m, gamma, "diff-elim-last", parity).A
+        A = oracles.pencil_a(build_diff_pencil(m, gamma, "diff-elim-last", parity))
         assert np.all(np.abs(A - a0 @ C) <= 4 * eps * (np.abs(a0) @ np.abs(C))), (m, gamma)
         pencil = build_diff_pencil(m, gamma, "galerkin-basis", parity)
         S = np.zeros((m + 1, m))
         j = np.arange(m)
         S[j[1:] - 1, j[1:]], S[j, j], S[j + 1, j] = pencil.s_bands[0, 1:], pencil.s_bands[1], pencil.s_bands[2]
         bound = 4 * eps * (np.abs(d2) @ np.abs(S)) * h[:, None]
-        assert np.all(np.abs(pencil.A - (d2 @ S) * h[:, None]) <= bound), (m, gamma)
+        assert np.all(np.abs(oracles.pencil_a(pencil) - (d2 @ S) * h[:, None]) <= bound), (m, gamma)
 
 
 _SOLVE_HASHES = """
@@ -542,16 +546,13 @@ def test_operators_compare_by_identity_and_hash():
 
 def test_ierley_variant_diagonal_scaling():
     pen = build_diff_pencil(4, 1.5, "ierley-legendre")
-    assert pen.a_structure == "diagonal"
+    A = oracles.pencil_a(pen)
+    oracles.assert_structure(A, "diagonal", pen.variant)
     # after stripping the orthogonality weights, A(k,k) is -(n+1)(n+2)
     # with n = 2k for even modes
-    from gegtau.orthopoly import gegenbauer_norms
-
     h = gegenbauer_norms([2 * k for k in range(4)], GegenbauerIndex(1.5))
     n = 2.0 * np.arange(4)
-    np.testing.assert_allclose(
-        np.diag(pen.A) / h, -(n + 1) * (n + 2), rtol=1e-13, atol=0
-    )
+    np.testing.assert_allclose(np.diag(A) / h, -(n + 1) * (n + 2), rtol=1e-13, atol=0)
     with pytest.raises(ValueError):
         build_diff_pencil(4, 0.0, "ierley-legendre")
     with pytest.raises(ValueError):

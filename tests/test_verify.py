@@ -18,7 +18,7 @@ from gegtau._stacks import (
     stack_add,
     stack_mul,
 )
-from gegtau.charpoly import MuPolynomial, charpoly_sequence, jacobi_char_poly, mixed_char_poly, omega_poly
+from gegtau.charpoly import MuPolynomial, charpoly_sequence, jacobi_char_poly, mixed_char_poly
 from gegtau.orthopoly import JacobiIndex, Parity, jacobi_derivs_at_one
 from gegtau.verify import (
     DEFAULT_GAMMA_GRID,
@@ -66,8 +66,9 @@ def test_positive_pair_examples():
     assert good.passed
     bad = check_positive_pair(MuPolynomial((6.0, 5.0, 1.0)), MuPolynomial((10.0, 1.0)))
     assert not bad.passed
+    idx = JacobiIndex(-0.3, -0.3)
     jac = check_positive_pair(
-        omega_poly(8, JacobiIndex(-0.3, -0.3)), omega_poly(7, JacobiIndex(-0.3, -0.3))
+        MuPolynomial(jacobi_derivs_at_one(8, idx)[0::2]), MuPolynomial(jacobi_derivs_at_one(7, idx)[0::2])
     )
     assert jac.passed
     mismatch = check_positive_pair(
