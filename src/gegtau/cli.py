@@ -29,18 +29,23 @@ from .tau_operator import (
 )
 
 
-def _parse_number(text: str):
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError as exc:
-            raise ValueError(text) from exc
-    return float(text)
+def _number(text: str):
+    """A float, or an exact Fraction for p/q."""
+    return Fraction(text) if "/" in text else float(text)
+
+
+def _parse(text: str, parse, option: str):
+    """parse(text), or a ValueError that names the option and the token."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):  # Fraction('1/0') raises the latter
+        kind = "an integer" if parse is int else "a number (float or p/q)"
+        raise ValueError(f"{option}: {text!r} is not {kind}") from None
 
 
 def _parse_list(text: str, parse, option: str) -> list:
     """The comma-separated values of one option; none at all is an error."""
-    values = [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
+    values = [_parse(tok.strip(), parse, option) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"{option} has no values")
     return values
@@ -49,7 +54,7 @@ def _parse_list(text: str, parse, option: str) -> list:
 def _parse_grid(text: str, fallback) -> list:
     if text == "default":
         return list(fallback)
-    return _parse_list(text, _parse_number, "--gamma-grid")
+    return _parse_list(text, _number, "--gamma-grid")
 
 
 def _json_number(x):
@@ -76,7 +81,7 @@ def _emit(args, **render) -> int:
 
 def _add_common(sp, bc=False):
     sp.add_argument("--modes", type=int, required=True, help="number of parity-reduced modes m")
-    sp.add_argument("--gamma", type=_parse_number, default=0.0, help="family parameter (float or p/q)")
+    sp.add_argument("--gamma", default="0", help="family parameter (float or p/q)")
     sp.add_argument("--parity", choices=["even", "odd"], default="even")
     if bc:
         sp.add_argument("--bc", choices=["dirichlet", "neumann"], default="dirichlet")
@@ -250,7 +255,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sweep_error)
 
     sp = sub.add_parser("sweep-conditioning", help="first-eigenvalue error vs m per variant")
-    sp.add_argument("--gamma", type=_parse_number, default=0.0)
+    sp.add_argument("--gamma", default="0")
     sp.add_argument("--parity", choices=["even", "odd"], default="even")
     sp.add_argument("--m-grid", default="16,32,64,128,256,512,1024")
     sp.add_argument("--variants", default="integration,diff-elim-last,diff-elim-first")
@@ -272,6 +277,8 @@ def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
     try:
+        if "gamma" in vars(args):  # read here, so a bad token is a one-line error like any other
+            args.gamma = _parse(args.gamma, _number, "--gamma")
         return args.func(args)
     except np.linalg.LinAlgError:
         raise

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.cython_lapack
 
 from .orthopoly import Parity, as_gegenbauer, as_parity
@@ -37,44 +36,60 @@ class _Scratch(np.ndarray):
     """A matrix handed to dense_eigs to work in.
 
     tau_spectrum and pencil_spectrum build their matrix only for its
-    eigenvalues and pass it as m.view(_Scratch): dense_eigs may then
-    overwrite it (see _hessenberg_eigvals and _general_eigvals), so the
-    solve makes no m x m copy.  Any other array dense_eigs leaves as it was.
+    eigenvalues and pass it as a view of this type (or of _Balanced):
+    dense_eigs may then overwrite it, so the solve makes no m x m copy.  Any
+    other array dense_eigs leaves as it was.
     """
 
 
-def dense_eigs(a: np.ndarray, vectors: bool = False):
-    """Eigenvalues (and optionally right eigenvectors) of a dense matrix.
+class _Balanced(_Scratch):
+    """tau_spectrum's square, balanced from its bands (_balance_scales): upper
+    Hessenberg, and LAPACK dgebal would neither permute nor scale it over the
+    accepted domain, so dense_eigs gives it to dhseqr alone."""
 
-    Eigenvalues of an upper Hessenberg matrix (the integration route's
-    square matrix) come from LAPACK's Hessenberg QR iteration dhseqr
-    directly, without the general solver's reduction step, and equal the
-    general solver's bits (see _hessenberg_eigvals).  Any other square
-    matrix (the pencil matrices B^{-1} A are full) goes to LAPACK's general
-    solver dgeev, and every eigenvector request to numpy's.  Both LAPACK
-    routes call scipy's own LAPACK (_lapack) on a Fortran-ordered work
-    matrix with a padded leading dimension (tau_operator._work_matrix).
+
+def dense_eigs(a: np.ndarray, vectors: bool = False):
+    """Eigenvalues (and optionally right eigenvectors) of a square matrix.
+
+    The route follows what the caller knows, not what the matrix looks
+    like: tau_spectrum's band-balanced square, passed as a _Balanced view,
+    goes to LAPACK's Hessenberg QR iteration dhseqr with no balancing and no
+    reduction step (_hessenberg_eigvals); any other matrix (the pencil
+    route's B^{-1} A among them) goes to LAPACK's general solver dgeev
+    (_general_eigvals), and every eigenvector request to numpy's.  Both
+    LAPACK routes call scipy's own LAPACK (_lapack) on a Fortran-ordered
+    work matrix with a padded leading dimension (tau_operator._work_matrix).
     Output is sorted by (real, imag) so repeated calls are deterministic.
     Raises numpy.linalg.LinAlgError on non-finite input or if the QR
     iteration fails to converge.
+
+    dgeev rescales a matrix whose largest |entry| lies outside [2^-459,
+    2^459], and scipy's LAPACK (1.17) returns the rescaled matrix's
+    eigenvalues, so the dgeev route refuses such a matrix (LinAlgError).
+    No B^{-1} A of the accepted domain comes near (largest |entry| 15 to
+    1.7e19).
 
     The input is never modified, unless it is a _Scratch view: then, if it
     is a float64 matrix with unit row stride (Fortran-ordered, leading
     dimension free), LAPACK works in it; any other input is copied into a
     padded work matrix first.
     """
-    overwrite_a = isinstance(a, _Scratch)
+    balanced, overwrite_a = isinstance(a, _Balanced), isinstance(a, _Scratch)
     a = np.asarray(a, dtype=float)
     if vectors:
         w, v = np.linalg.eig(a)
         order = np.lexsort((w.imag, w.real))
         return w[order], v[:, order]
-    if a.ndim != 2 or not 0 < a.shape[0] == a.shape[1]:
-        w = np.linalg.eigvals(a)  # numpy's errors, and its empty or stacked results
-    elif scipy.linalg.bandwidth(a)[0] <= 1:
-        w = _hessenberg_eigvals(a, overwrite_a)
-    else:
-        w = _general_eigvals(a, overwrite_a)
+    anrm = max(a.max(), -a.min())  # not a.max() - a.min(), which can overflow on finite input
+    if not math.isfinite(anrm):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    if not balanced and (0.0 < anrm < _GEEV_SMLNUM or anrm > _GEEV_BIGNUM):
+        raise np.linalg.LinAlgError(f"largest |entry| {anrm:.3g} is outside dgeev's unscaled range [2^-459, 2^459]")
+    work = a
+    if not (overwrite_a and _lda(a)):
+        work = _work_matrix(a.shape[0])
+        work[...] = a
+    w = _hessenberg_eigvals(work) if balanced else _general_eigvals(work)
     return w[np.lexsort((w.imag, w.real))]
 
 
@@ -116,13 +131,6 @@ def _lda(a: np.ndarray) -> int:
     return stride // 8 if fits and a.dtype == np.float64 and a.flags.writeable and a.flags.aligned else 0
 
 
-def _in_work_matrix(a: np.ndarray) -> np.ndarray:
-    """A copy of the square a in a padded work matrix."""
-    work = _work_matrix(a.shape[0])
-    work[...] = a
-    return work
-
-
 @functools.cache
 def _geev_lwork(n: int) -> int:
     """The workspace dgeev (eigenvalues only) asks for at order n."""
@@ -131,22 +139,10 @@ def _geev_lwork(n: int) -> int:
     return int(query[0])
 
 
-# dgeev scales its input first when the largest |entry| lies outside
+# dgeev rescales its input first when the largest |entry| lies outside
 # [smlnum, bignum], smlnum = sqrt(dlamch('S')) / dlamch('P')
 _GEEV_SMLNUM = 2.0**-511 / 2.0**-52
 _GEEV_BIGNUM = 1.0 / _GEEV_SMLNUM
-
-
-def _rescaled_by_geev(a: np.ndarray) -> bool:
-    """Whether dgeev would rescale a first, read without an |a| temporary.
-
-    scipy's and numpy's LAPACK round that rescaling differently, so such
-    inputs go to numpy.linalg.eigvals.  LinAlgError if a is not finite.
-    """
-    anrm = max(a.max(), -a.min())
-    if not math.isfinite(anrm):
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    return 0.0 < anrm < _GEEV_SMLNUM or anrm > _GEEV_BIGNUM
 
 
 def _as_eigvals(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
@@ -159,19 +155,14 @@ def _as_eigvals(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
     return w
 
 
-def _general_eigvals(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
-    """Eigenvalues of a square matrix by LAPACK dgeev (balance, Hessenberg
-    reduction, QR), unsorted.
+def _general_eigvals(work: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the square work matrix by LAPACK dgeev (balance,
+    Hessenberg reduction, QR) in place, unsorted.
 
     dgeev gets the workspace size its own query returns, as inside
-    numpy.linalg.eigvals, whose bits it gives on one BLAS thread.  With
-    overwrite_a, a Fortran-ordered float64 a is reduced in place at its own
-    leading dimension; any other a is reduced in a padded copy.
+    numpy.linalg.eigvals, whose bits it gives on one BLAS thread.
     """
-    if _rescaled_by_geev(a):
-        return np.linalg.eigvals(a)
-    n = a.shape[0]
-    work = a if overwrite_a and _lda(a) else _in_work_matrix(a)
+    n = work.shape[0]
     wr, wi, none = np.empty(n), np.empty(n), np.empty(1)
     lwork = _geev_lwork(n)
     info = _lapack("dgeev", b"N", b"N", n, work, _lda(work), wr, wi, none, 1, none, 1, np.empty(lwork), lwork)
@@ -180,39 +171,21 @@ def _general_eigvals(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     return _as_eigvals(wr, wi)
 
 
-def _hessenberg_eigvals(h: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
-    """Eigenvalues of an upper Hessenberg matrix, unsorted, as
-    numpy.linalg.eigvals returns them, without the Hessenberg reduction.
+def _hessenberg_eigvals(work: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the balanced upper Hessenberg work matrix by LAPACK
+    dhseqr in place, unsorted, with the bits of dgeev.
 
-    LAPACK dgeev (eigenvalues only) is dgebal + dgehrd + dhseqr.  On a
-    Hessenberg matrix every reflector of dgehrd is the identity, so its
-    (10/3) n^3 flops change nothing; this runs dgebal (one O(n^2) sweep on
-    an already balanced matrix) and then dhseqr with the workspace dgeev
-    itself hands it, which is what keeps the bits.  A real array comes back
-    when every imaginary part is zero, as from numpy.  Inputs that dgeev
-    would first rescale, or that dgebal permutes (which can break the
-    Hessenberg form), go to numpy.linalg.eigvals instead.
-
-    With overwrite_a, dgebal and dhseqr work in a Fortran-ordered float64 h
-    itself, at its own leading dimension, but only when dgebal cannot
-    permute: every subdiagonal entry nonzero, and a nonzero off-diagonal
-    entry in the first row and in the last column, so that no row or column
-    is zero off the diagonal.  Any other h is balanced in a padded copy, so
-    the fallback still sees it unbalanced.
+    dgeev (eigenvalues only) is dgebal + dgehrd + dhseqr.  On a matrix that
+    is already Hessenberg every reflector of dgehrd is the identity, and on
+    tau_spectrum's balanced square dgebal changes nothing (see _Balanced),
+    so dhseqr, with the workspace dgeev itself hands it, is all that is
+    left to run.
     """
-    n = h.shape[0]
-    if _rescaled_by_geev(h):
-        return np.linalg.eigvals(h)
-    in_place = overwrite_a and _lda(h) and np.diagonal(h, -1).all() and h[0, 1:].any() and h[:-1, -1].any()
-    b = h if in_place else _in_work_matrix(h)
-    lda = _lda(b)
-    lo, hi = np.zeros(1, np.int32), np.zeros(1, np.int32)
-    if _lapack("dgebal", b"B", n, b, lda, lo, hi, np.empty(n)) != 0 or (lo[0], hi[0]) != (1, n):
-        return np.linalg.eigvals(h)
+    n = work.shape[0]
     # inside dgeev, dhseqr's workspace starts n entries into dgeev's own
     lwork = _geev_lwork(n) - n
     wr, wi, none = np.empty(n), np.empty(n), np.empty(1)
-    info = _lapack("dhseqr", b"E", b"N", n, 1, n, b, lda, wr, wi, none, 1, np.empty(max(lwork, 1)), lwork)
+    info = _lapack("dhseqr", b"E", b"N", n, 1, n, work, _lda(work), wr, wi, none, 1, np.empty(max(lwork, 1)), lwork)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return _as_eigvals(wr, wi)
@@ -460,6 +433,18 @@ _POWER_STEPS = 8  # deflated power iteration steps of the dominance check
 _EPS = 2.0**-53
 
 
+def _similar(tau: TauMatrix, s: np.ndarray) -> TauMatrix:
+    """diag(1/s) A diag(s) on the bands, each entry A[i, j] * s[j] / s[i] as
+    on the square."""
+    return replace(
+        tau,
+        first_row=tau.first_row * s / s[0],
+        lo=tau.lo * np.append(1.0, s[:-1]) / s,
+        dg=tau.dg * s / s,
+        up=tau.up * np.append(s[1:], 1.0) / s,
+    )
+
+
 def _shifted_eigs(tau: TauMatrix, k: int):
     """The k largest-|mu| eigenvalues of tau.square(), from the largest
     down, or None when a check fails and the next route should serve.
@@ -469,7 +454,11 @@ def _shifted_eigs(tau: TauMatrix, k: int):
     (TauMatrix.inverse_iteration, two O(m) band solves per vector from a
     fixed start) gives the j-th right and left vectors x_j, y_j, and
     mu_j = y_j^T A x_j / y_j^T x_j with A x_j from TauMatrix.apply.  No
-    balancing and no m x m array.  Accepted only if
+    balancing and no m x m array.  Where the first row's sum of squares
+    overflows (it passes 1e154 at large gamma: 3.5e161 at m = 1024, gamma
+    50), so would ||A||_F and the vectors; there the route works on
+    diag(1/s) A diag(s), s the powers of two that bring the first row into
+    [1/4, 1/2): the same eigenvalues, and no rounding.  Accepted only if
 
     - each backward residual ||A x_j - mu_j x_j|| is at most m u ||A||_F;
     - each mu_j lies within _SHIFTED_REL of sigma_j, so the modes are
@@ -497,6 +486,8 @@ def _shifted_eigs(tau: TauMatrix, k: int):
     start = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     mu, X, Y = np.empty(k), np.empty((k, m)), np.empty((k, m))
     with np.errstate(all="ignore"):  # a NaN or inf fails the checks below
+        if not math.isfinite(tau.first_row @ tau.first_row):
+            tau = _similar(tau, np.ldexp(1.0, -np.frexp(tau.first_row)[1]))
         bands = (tau.first_row, tau.lo, tau.dg, tau.up)
         bound = m * _EPS * math.sqrt(sum(b @ b for b in bands))  # m u ||A||_F
         for j, s in enumerate(sigma):
@@ -570,12 +561,13 @@ def tau_spectrum(
     """Spectrum of the m-mode discretization via the integration route.
 
     Dirichlet eigenvalues are reciprocals of the eigenvalues of the banded
-    square matrix.  It is balanced from its bands in O(m), and, being upper
-    Hessenberg (tridiagonal plus the first row), goes through dense_eigs
-    straight to the Hessenberg QR iteration with no O(m^3) reduction: the
-    same eigenvalues, bit for bit, as the general solver on the unbalanced
-    matrix.  LAPACK's dgebal and dhseqr work in that one matrix, built
-    with a padded leading dimension (TauMatrix.square).
+    square matrix.  It is balanced from its bands in O(m) and, being upper
+    Hessenberg (tridiagonal plus the first row), is handed to dense_eigs
+    as a _Balanced view: one LAPACK call, the Hessenberg QR iteration
+    dhseqr, with no balancing sweep and no O(m^3) reduction, gives the same
+    eigenvalues, bit for bit, as the general solver on the unbalanced
+    matrix.  dhseqr works in that one matrix, built with a padded leading
+    dimension (TauMatrix.square).
 
     Neumann reduces by differentiating the eigenfunctions: even modes give
     a zero eigenvalue plus the odd Dirichlet spectrum with the family
@@ -590,13 +582,13 @@ def tau_spectrum(
       solves with no m x m array (_shifted_eigs).  On one BLAS thread
       count=1 takes 0.45-0.6 ms at m = 16-128 and 1-2 ms at m = 1024 (mostly
       build_gi2), at gamma 0.5 and 20 alike; m = 1024 and k = 128 takes
-      32-34 ms.  Its componentwise trust test serves k = 1 up to gamma 20
-      at m = 128-4000, and up to gamma 50 below m = 1024.  The largest k it
-      serves falls with gamma: m / 8 up to gamma 3, 56-66 at gamma 5 and
-      m >= 1024, 7-9 at gamma 10, 5-6 at gamma 20.  At gamma 50 and
-      m >= 1024 the first row passes 1e161, ||A||_F and the vectors
-      overflow to NaN, and no check passes, even at k = 1.  It refuses any
-      request with a conjugate pair among its modes;
+      32-34 ms.  Its componentwise trust test serves k = 1 and 2 from
+      m = 16 on, across a grid of gamma up to the float range (149 at
+      m = 128, 50 at m = 4000): count=1 takes 1.2 ms at m = 1024 and gamma
+      50 or 100, 3.5 ms at m = 4000 and gamma 50.  The largest k it serves
+      falls with gamma: m / 8 up to gamma 3, 56-66 at gamma 5 and
+      m >= 1024, 7-9 at gamma 10, 5-6 at gamma 20.  It refuses any request
+      with a conjugate pair among its modes;
     - m >= 96 and k <= m / 8: ARPACK on the balanced O(m) matvec
       (_arpack_eigs);
     - anything else: the full dense spectrum, sliced.
@@ -626,17 +618,8 @@ def tau_spectrum(
     if mu is None and count is not None:
         mu = _arpack_eigs(tau, count)
     if mu is None:
-        s = _balance_scales(tau)
-        # diag(1/s) A diag(s) on the bands, each entry A[i, j] * s[j] / s[i] as on the square,
-        # so the dense matrix is built balanced with no pass over it
-        balanced = replace(
-            tau,
-            first_row=tau.first_row * s / s[0],
-            lo=tau.lo * np.append(1.0, s[:-1]) / s,
-            dg=tau.dg * s / s,
-            up=tau.up * np.append(s[1:], 1.0) / s,
-        )
-        mu = dense_eigs(balanced.square().view(_Scratch))
+        # the dense matrix is built balanced, with no pass over it
+        mu = dense_eigs(_similar(tau, _balance_scales(tau)).square().view(_Balanced))
     if not mu.all():
         raise ValueError(f"the integration matrix at m = {m}, gamma = {gdx.gamma} has an exact zero eigenvalue")
     lam, mu = _sorted_by_magnitude(1.0 / mu, mu)
@@ -681,9 +664,9 @@ def pencil_spectrum(pencil: GeneralizedPencil, tol_real: float = 1e-9) -> Spectr
     """Spectrum of a generalized pencil A x = lambda B x via B^{-1} A.
 
     B^{-1} A is written once into a padded work matrix (_solve_structured)
-    and handed to dense_eigs to work in: LAPACK dgeev reduces it in place
-    (dgebal, dgehrd, dhseqr) at the padded leading dimension, so B^{-1} A is
-    the only m x m array of the solve.
+    and handed to dense_eigs to work in as a _Scratch view: one LAPACK call,
+    dgeev, balances, reduces and iterates on it in place at the padded
+    leading dimension, so B^{-1} A is the only m x m array of the solve.
 
     The integration route has no pencil form here: tau_spectrum takes the
     eigenvalues of the banded matrix directly and inverts them afterwards.

@@ -154,6 +154,14 @@ def test_eig_bad_choice_is_usage_error(capsys):
         (["eig", "--modes", "6", "--tol-real", "-1"], "tol_real must be a finite number >= 0, got -1.0"),
         (["eig", "--modes", "6", "--variant", "diff-elim-last", "--tol-real", "inf"], "tol_real must be a finite number >= 0, got inf"),
         (["sweep-error", "--modes", "20", "--threshold", "nan", "--format", "json"], "threshold must be a finite number >= 0, got nan"),
+        (["eig", "--modes", "6", "--gamma", "abc"], "--gamma: 'abc' is not a number (float or p/q)"),
+        (["eig", "--modes", "6", "--gamma", "1/0"], "--gamma: '1/0' is not a number (float or p/q)"),
+        (["verify", "--gamma-grid", "1/0"], "--gamma-grid: '1/0' is not a number (float or p/q)"),
+        (["sweep-gamma", "--modes", "10", "--gamma-grid", "1/0,2"], "--gamma-grid: '1/0' is not a number (float or p/q)"),
+        (["verify", "--suite", "conjecture", "--gamma-grid", "0.5,x/2"], "--gamma-grid: 'x/2' is not a number (float or p/q)"),
+        (["sweep-conditioning", "--m-grid", "x"], "--m-grid: 'x' is not an integer"),
+        (["sweep-conditioning", "--m-grid", "16,3.5", "--variants", "integration"], "--m-grid: '3.5' is not an integer"),
+        (["sweep-conditioning", "--gamma", "1/x"], "--gamma: '1/x' is not a number (float or p/q)"),
     ],
 )
 def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):

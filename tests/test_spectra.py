@@ -15,6 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from hypothesis import given, settings, strategies as st
 
 from gegtau.charpoly import charpoly_sequence, poly_roots
 from gegtau.orthopoly import (
@@ -27,7 +28,6 @@ from gegtau import spectra
 from gegtau.spectra import (
     _arpack_eigs,
     _balance_scales,
-    _hessenberg_eigvals,
     _shifted_eigs,
     EigenPair,
     Spectrum,
@@ -137,6 +137,46 @@ def test_neumann_reduces_to_shifted_dirichlet():
     np.testing.assert_allclose(neu_odd.eigenvalues, dirs_even.eigenvalues, rtol=1e-13)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    gamma=st.floats(min_value=-0.49, max_value=20.0),
+    m=st.integers(min_value=2, max_value=150),
+    parity=st.sampled_from(Parity),
+)
+def test_neumann_is_the_flipped_dirichlet_spectrum_one_up(gamma, m, parity):
+    neumann = tau_spectrum(m, gamma, parity, bc="neumann")
+    dirichlet = tau_spectrum(m, gamma + 1, parity.flipped())
+    lam, mu = dirichlet.eigenvalues, dirichlet.mu
+    if parity is Parity.EVEN:  # plus the zero mode
+        lam, mu = np.concatenate(([0j], lam)), np.concatenate(([np.inf], mu))
+    assert neumann.eigenvalues.dtype == lam.dtype
+    np.testing.assert_array_equal(neumann.eigenvalues, lam)
+    np.testing.assert_array_equal(neumann.mu, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gamma=st.floats(min_value=-0.49, max_value=2.4),
+    m=st.integers(min_value=2, max_value=150),
+    parity=st.sampled_from(Parity),
+)
+def test_spectrum_is_real_negative_and_distinct_below_the_threshold(gamma, m, parity):
+    lam = tau_spectrum(m, gamma, parity).eigenvalues
+    assert np.isrealobj(lam) and np.all(lam < 0.0)
+    assert min_rel_gap(np.sort(lam)) > 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gamma=st.floats(min_value=2.6, max_value=20.0),
+    m=st.integers(min_value=2, max_value=150),
+    parity=st.sampled_from(Parity),
+)
+def test_spectrum_is_its_own_conjugate_above_the_threshold(gamma, m, parity):
+    lam = tau_spectrum(m, gamma, parity).eigenvalues
+    np.testing.assert_array_equal(np.sort_complex(lam.conj()), np.sort_complex(lam))
+
+
 def test_neumann_lowest_modes_converge():
     neu = tau_spectrum(60, 0.0, Parity.EVEN, bc="neumann")
     exact = exact_spectrum(60 + 1, Parity.EVEN, bc="neumann")
@@ -215,6 +255,39 @@ def test_balance_scales_replay_lapack_dgebal(m):
             assert np.all(scipy.linalg.lapack.dgebal(balanced, scale=1, permute=0)[3] == 1.0)
 
 
+_DGEBAL_GAMMAS = (-0.49, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 20.0, 35.0, 50.0, 75.0, 100.0, 125.0, 149.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 17, 96, 513, 2000])
+def test_dgebal_leaves_the_balanced_square_alone(m, monkeypatch):
+    # tau_spectrum hands dense_eigs its balanced square as a _Balanced view, which goes to dhseqr
+    # alone; that has dgeev's bits only where dgebal('B') neither permutes nor scales the matrix
+    # and dgeev would not rescale it.  The grid runs up to the gamma where build_gi2 refuses
+    # (at m = 2000, from 100 on).
+    handed = []
+
+    def spy(a, vectors=False):
+        handed.append((type(a), np.array(a)))
+        return np.ones(a.shape[0])
+
+    monkeypatch.setattr(spectra, "dense_eigs", spy)
+    gammas = _DGEBAL_GAMMAS if m < 2000 else (-0.49, 2.5, 75.0, 100.0)
+    accepted = 0
+    for gamma in gammas:
+        for parity in Parity:
+            try:
+                tau_spectrum(m, gamma, parity)
+            except ValueError:  # the boundary constants K_n exceed the float range
+                continue
+            kind, a = handed.pop()
+            _, lo, hi, scale, info = scipy.linalg.lapack.dgebal(a, permute=1, scale=1)
+            assert kind is spectra._Balanced
+            assert info == 0 and (lo, hi) == (0, m - 1) and np.all(scale == 1.0), (gamma, parity)
+            assert 2.0**-459 <= np.abs(a).max() <= 2.0**459, (gamma, parity)
+            accepted += 1
+    assert accepted == (2 * len(gammas) if m < 2000 else 6)
+
+
 @pytest.mark.parametrize("m", [2, 3, 17, 120, 150, 256, 400, 512, 750])
 def test_tau_spectrum_bitwise_matches_unbalanced_route(m):
     for gamma in (-0.45, 0.5, 1.5, 1.7, 1.8, 2.4, Fraction(7, 4)):
@@ -270,7 +343,6 @@ def test_dense_eigs_hessenberg_route_matches_numpy():
         np.zeros((3, 3)),
         random_hessenberg,
         split,
-        random_hessenberg * 1e-150,  # below dgeev's scaling threshold
         np.asfortranarray(build_gi2(30, 2.4, Parity.ODD).square()),
     ]
     for a in cases:
@@ -287,11 +359,21 @@ def test_dense_eigs_rejects_non_finite_input(bad):
     hessenberg[2, 3] = bad
     full = np.ones((4, 4))
     full[3, 0] = bad
-    for a in (hessenberg, full):
+    for a in (hessenberg, full, hessenberg.view(spectra._Balanced)):
         with pytest.raises(np.linalg.LinAlgError):
             dense_eigs(a)
-    with pytest.raises(np.linalg.LinAlgError):
-        _hessenberg_eigvals(hessenberg)
+    # finite entries whose difference overflows are accepted on the balanced route
+    huge = np.diag([1e308, -1e308])
+    np.testing.assert_array_equal(dense_eigs(huge.view(spectra._Balanced)), [-1e308, 1e308])
+
+
+def test_dense_eigs_refuses_what_dgeev_would_rescale():
+    # scipy's dgeev rescales these and returns eigenvalues of the rescaled matrix
+    # (2^459 and 2^-459 in size), so the dgeev route refuses them
+    random_hessenberg = np.triu(np.random.default_rng(7).normal(size=(40, 40)), -1)
+    for a in (np.diag([1e308, -1e308]), np.diag([1e-300, 3e-300]), random_hessenberg * 1e-150):
+        with pytest.raises(np.linalg.LinAlgError, match="outside dgeev's unscaled range"):
+            dense_eigs(a)
 
 
 def test_pencil_diff_elim_last_matches_tau():
@@ -340,51 +422,6 @@ def test_pencil_spectrum_bitwise_matches_the_row_major_solve_at_tile_edges(varia
         assert spec.eigenvalues.dtype == lam.dtype, (m, parity)
         assert spec.eigenvalues.tobytes() == lam.tobytes(), (m, parity)
         assert spec.mu.tobytes() == mu.tobytes(), (m, parity)
-
-
-def _permuted_by_dgebal():
-    """F-ordered upper Hessenberg matrices, badly scaled, that dgebal permutes."""
-    rng = np.random.default_rng(11)
-    d = 2.0 ** rng.integers(-30, 30, 30)
-    base = np.triu(rng.normal(size=(30, 30)), -1) * d[:, None] / d
-    last_row, middle_row, first_row, last_col = (base.copy() for _ in range(4))
-    last_row[29, 28] = 0.0  # the last row is zero off the diagonal
-    middle_row[14, 13] = 0.0
-    middle_row[14, 15:] = 0.0  # so is row 14
-    first_row[0, 1:] = 0.0
-    last_col[:-1, -1] = 0.0
-    return [np.asfortranarray(a) for a in (last_row, middle_row, first_row, last_col)]
-
-
-def test_hessenberg_eigvals_fallback_sees_the_unbalanced_matrix():
-    for a in _permuted_by_dgebal():
-        n = a.shape[0]
-        assert scipy.linalg.lapack.dgebal(a, permute=1)[1:3] != (0, n - 1)
-        assert np.any(scipy.linalg.lapack.dgebal(a, scale=1, permute=0)[3] != 1.0)  # balancing would change a
-        kept = a.copy(order="F")
-        w = _hessenberg_eigvals(a, overwrite_a=True)
-        np.testing.assert_array_equal(a, kept)
-        ref = np.linalg.eigvals(kept)
-        assert w.dtype == ref.dtype and w.tobytes() == ref.tobytes()
-
-
-def test_hessenberg_eigvals_in_place_only_where_dgebal_cannot_permute():
-    rng = np.random.default_rng(5)
-    in_place = 0
-    for trial in range(300):
-        n = int(rng.integers(1, 12))
-        a = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3))
-        a[np.arange(1, n), np.arange(n - 1)] = rng.normal(size=n - 1) * (rng.random(n - 1) < 0.9)
-        a = np.asfortranarray(a)
-        ref = _hessenberg_eigvals(a)
-        permutes = scipy.linalg.lapack.dgebal(a, permute=1)[1:3] != (0, n - 1)
-        work = a.copy(order="F")
-        w = _hessenberg_eigvals(work, overwrite_a=True)
-        assert w.dtype == ref.dtype and w.tobytes() == ref.tobytes()
-        if permutes:
-            np.testing.assert_array_equal(work, a)
-        in_place += not np.array_equal(work, a)
-    assert in_place > 50
 
 
 def test_dense_eigs_never_modifies_its_input():
@@ -580,10 +617,11 @@ def test_count_route_serves_small_shares_of_large_spectra():
     assert _arpack_eigs(build_gi2(95, 0.5, Parity.EVEN), 1) is None
 
 
-@pytest.mark.parametrize("gamma", [5.0, 10.0, 20.0])
+@pytest.mark.parametrize("gamma", [5.0, 10.0, 20.0, 50.0])
 @pytest.mark.parametrize("m", [128, 1024, 4000])
 def test_band_route_serves_the_lowest_mode_at_large_gamma(monkeypatch, m, gamma):
-    # the componentwise trust test accepts what the normwise bound refused:
+    # the componentwise trust test accepts what the normwise bound refused, and at gamma 50
+    # (from m = 1024 the first row passes 1e161) the route works on the row-scaled bands:
     # no ARPACK call, the closed form to 1e-13 and ARPACK's own value to 1e-12
     tau = build_gi2(m, gamma, Parity.EVEN)
     arpack = _arpack_eigs(tau, 1)
@@ -764,13 +802,13 @@ def test_eigenfunction_forms_no_other_eigenvector(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", values_only)
     monkeypatch.setattr(spectra, "_shifted_eigs", recorded)
     # (7, 60) takes its eigenvalue from the dense route (k = 8 > m / 8), (0, 200)
-    # from shifted inverse iteration and (0, 1024) at gamma 50, which that
-    # route refuses (its vectors overflow there), from ARPACK
-    for j, m, gamma in ((7, 60, 0.5), (0, 200, 0.5), (0, 1024, 50.0)):
+    # from shifted inverse iteration and (7, 128) at gamma 10, which that
+    # route refuses, from ARPACK
+    for j, m, gamma in ((7, 60, 0.5), (0, 200, 0.5), (7, 128, 10.0)):
         pair = eigenfunction(j, m, gamma, Parity.ODD)
         assert abs(pair.eigenvalue - exact_spectrum(j + 1, Parity.ODD)[j]) <= 1e-10 * abs(pair.eigenvalue)
-    assert served == [(60, 8, False), (200, 1, True), (1024, 1, False)]
-    assert calls == [2]
+    assert served == [(60, 8, False), (200, 1, True), (128, 8, False)]
+    assert calls == [9]
 
 
 def test_spectrum_csv_format():
