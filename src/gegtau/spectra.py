@@ -36,24 +36,23 @@ class _Scratch(np.ndarray):
     """A matrix handed to dense_eigs to work in.
 
     tau_spectrum and pencil_spectrum build their matrix only for its
-    eigenvalues and pass it as a view of this type (or of _Balanced):
+    eigenvalues and pass it as a view of this type (or of _Hessenberg):
     dense_eigs may then overwrite it, so the solve makes no m x m copy.  Any
     other array dense_eigs leaves as it was.
     """
 
 
-class _Balanced(_Scratch):
-    """tau_spectrum's square, balanced from its bands (_balance_scales): upper
-    Hessenberg, and LAPACK dgebal would neither permute nor scale it over the
-    accepted domain, so dense_eigs gives it to dhseqr alone."""
+class _Hessenberg(_Scratch):
+    """tau_spectrum's square: upper Hessenberg, and on purpose not balanced
+    (see _hessenberg_eigvals), so dense_eigs gives it to dhseqr alone."""
 
 
 def dense_eigs(a: np.ndarray, vectors: bool = False):
     """Eigenvalues (and optionally right eigenvectors) of a square matrix.
 
     The route follows what the caller knows, not what the matrix looks
-    like: tau_spectrum's band-balanced square, passed as a _Balanced view,
-    goes to LAPACK's Hessenberg QR iteration dhseqr with no balancing and no
+    like: tau_spectrum's square, passed as a _Hessenberg view, goes to
+    LAPACK's Hessenberg QR iteration dhseqr with no balancing and no
     reduction step (_hessenberg_eigvals); any other matrix (the pencil
     route's B^{-1} A among them) goes to LAPACK's general solver dgeev
     (_general_eigvals), and every eigenvector request to numpy's.  Both
@@ -67,14 +66,15 @@ def dense_eigs(a: np.ndarray, vectors: bool = False):
     2^459], and scipy's LAPACK (1.17) returns the rescaled matrix's
     eigenvalues, so the dgeev route refuses such a matrix (LinAlgError).
     No B^{-1} A of the accepted domain comes near (largest |entry| 15 to
-    1.7e19).
+    1.7e19).  dhseqr rescales nothing, so the Hessenberg route takes any
+    finite matrix.
 
     The input is never modified, unless it is a _Scratch view: then, if it
     is a float64 matrix with unit row stride (Fortran-ordered, leading
     dimension free), LAPACK works in it; any other input is copied into a
     padded work matrix first.
     """
-    balanced, overwrite_a = isinstance(a, _Balanced), isinstance(a, _Scratch)
+    hessenberg, overwrite_a = isinstance(a, _Hessenberg), isinstance(a, _Scratch)
     a = np.asarray(a, dtype=float)
     if vectors:
         w, v = np.linalg.eig(a)
@@ -83,13 +83,13 @@ def dense_eigs(a: np.ndarray, vectors: bool = False):
     anrm = max(a.max(), -a.min())  # not a.max() - a.min(), which can overflow on finite input
     if not math.isfinite(anrm):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    if not balanced and (0.0 < anrm < _GEEV_SMLNUM or anrm > _GEEV_BIGNUM):
+    if not hessenberg and (0.0 < anrm < _GEEV_SMLNUM or anrm > _GEEV_BIGNUM):
         raise np.linalg.LinAlgError(f"largest |entry| {anrm:.3g} is outside dgeev's unscaled range [2^-459, 2^459]")
     work = a
     if not (overwrite_a and _lda(a)):
         work = _work_matrix(a.shape[0])
         work[...] = a
-    w = _hessenberg_eigvals(work) if balanced else _general_eigvals(work)
+    w = _hessenberg_eigvals(work) if hessenberg else _general_eigvals(work)
     return w[np.lexsort((w.imag, w.real))]
 
 
@@ -172,14 +172,18 @@ def _general_eigvals(work: np.ndarray) -> np.ndarray:
 
 
 def _hessenberg_eigvals(work: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the balanced upper Hessenberg work matrix by LAPACK
-    dhseqr in place, unsorted, with the bits of dgeev.
+    """Eigenvalues of the upper Hessenberg work matrix by LAPACK dhseqr in
+    place, unsorted, with the bits of dgeevx with BALANC = 'N'.
 
-    dgeev (eigenvalues only) is dgebal + dgehrd + dhseqr.  On a matrix that
-    is already Hessenberg every reflector of dgehrd is the identity, and on
-    tau_spectrum's balanced square dgebal changes nothing (see _Balanced),
-    so dhseqr, with the workspace dgeev itself hands it, is all that is
-    left to run.
+    dgeevx (eigenvalues only, no balancing) is dgehrd + dhseqr, after a
+    rescaling that the Hessenberg route leaves out (see dense_eigs).  On a
+    matrix that is already Hessenberg every reflector of dgehrd is the
+    identity, so dhseqr is all that is left to run.  It gets the workspace
+    dgeev hands it; dgeevx hands it n entries less, with the same bits.
+    Balancing, dgeev's first step, is left out on purpose: on
+    tau_spectrum's square it lost the low modes at large gamma (at m = 1024
+    and gamma 20 mode 5 was 2e-5 off the closed form, at m = 2000 and gamma
+    35-75 the first five modes up to 0.78).
     """
     n = work.shape[0]
     # inside dgeev, dhseqr's workspace starts n entries into dgeev's own
@@ -342,100 +346,23 @@ def _sorted_by_magnitude(lam: np.ndarray, mu: np.ndarray):
     return lam[order], mu[order]
 
 
-# LAPACK dgebal's safe range: sfmin1 = dlamch('S') / dlamch('P')
-_SFMIN1 = 2.0**-1022 / 2.0**-52
-_SFMAX1 = 1.0 / _SFMIN1
-_SFMIN2 = 2.0 * _SFMIN1
-_SFMAX2 = 1.0 / _SFMIN2
-
-
-def _balance_scales(tau: TauMatrix) -> np.ndarray:
-    """Diagonal scaling of LAPACK dgebal (job 'S') on the banded storage.
-
-    Replays dgebal's Parlett-Reinsch loop: for each index in Gauss-Seidel
-    order, compare the 2-norms of its column and row, pick the power of two
-    f that balances them, and rescale row i by 1/f and column i by f when
-    that lowers their sum below 0.95 of what it was (with the same max-norm,
-    sfmin/sfmax and NaN guards).  dgebal re-reads every row and column on
-    every sweep at O(m^2) each; here an index is re-evaluated only when its
-    row or column changed since it was last seen: rescaling j >= 1 touches
-    indices j-1, j, j+1 and 0 (the full first row), and rescaling 0 touches
-    every index.  Power-of-two scalings are exact, so diag(1/s) M diag(s)
-    equals the matrix dgebal produces, and dgebal inside the dense solve
-    then stops after one sweep without a change.
-    """
-    m = tau.m
-    top, lo, dg, up = tau.first_row.tolist(), tau.lo.tolist(), tau.dg.tolist(), tau.up.tolist()
-    scale = [1.0] * m
-    dirty = bytearray(b"\x01" * m)
-    hypot = math.hypot
-    i = -1
-    while True:
-        i = dirty.find(1, i + 1)
-        if i < 0:
-            i = dirty.find(1)  # wrap around: the next sweep
-            if i < 0:
-                break
-        dirty[i] = 0
-        if i == 0:
-            c, ca = hypot(top[0], lo[1]), max(abs(top[0]), abs(lo[1]))
-            r, ra = hypot(*top), max(map(abs, top))
-        else:
-            # column i: A[0, i], A[i-1, i], A[i, i] and, below the last row, A[i+1, i]
-            col = (top[i], up[i - 1], dg[i], lo[i + 1]) if i + 1 < m else (top[i], up[i - 1], dg[i])
-            row = (lo[i], dg[i], up[i])
-            c, ca = hypot(*col), max(map(abs, col))
-            r, ra = hypot(*row), max(map(abs, row))
-        if c == 0.0 or r == 0.0:
-            continue
-        if math.isnan(c + ca + r + ra):
-            break
-        g, f, s = r / 2.0, 1.0, c + r
-        while c < g and max(f, c, ca) < _SFMAX2 and min(r, g, ra) > _SFMIN2:
-            f, c, ca, r, g, ra = 2.0 * f, 2.0 * c, 2.0 * ca, r / 2.0, g / 2.0, ra / 2.0
-        g = c / 2.0
-        while g >= r and max(r, ra) < _SFMAX2 and min(f, c, g, ca) > _SFMIN2:
-            f, c, g, ca, r, ra = f / 2.0, c / 2.0, g / 2.0, ca / 2.0, 2.0 * r, 2.0 * ra
-        si = scale[i]
-        if (
-            c + r >= 0.95 * s
-            or (f < 1.0 and si < 1.0 and f * si <= _SFMIN1)
-            or (f > 1.0 and si > 1.0 and si >= _SFMAX1 / f)
-        ):
-            continue
-        scale[i] = si * f
-        g = 1.0 / f
-        if i == 0:
-            top = [v * g for v in top]
-            top[0] *= f
-            lo[1] *= f
-            dirty[:] = b"\x01" * m
-        else:
-            lo[i] *= g
-            dg[i] *= g
-            up[i] *= g
-            top[i] *= f
-            up[i - 1] *= f
-            dg[i] *= f
-            dirty[0] = dirty[i - 1] = dirty[i] = 1
-            if i + 1 < m:
-                lo[i + 1] *= f
-                dirty[i + 1] = 1
-    return np.array(scale)
-
-
 # Both partial routes serve count=k only for k <= m / _PARTIAL_MAX_SHARE;
 # shifted inverse iteration does so at every m.
 _PARTIAL_MAX_SHARE = 8
 _SHIFTED_STEPS = 2  # inverse iteration steps per mode
+_SHIFTED_MAX_STEPS = 4  # ... and at most, for a mode that fails its checks after fewer
 _SHIFTED_REL = 1e-8  # how far a mode may lie from its exact value
 _POWER_STEPS = 8  # deflated power iteration steps of the dominance check
 _EPS = 2.0**-53
 
 
-def _similar(tau: TauMatrix, s: np.ndarray) -> TauMatrix:
+def _row_scaled(tau: TauMatrix) -> TauMatrix:
     """diag(1/s) A diag(s) on the bands, each entry A[i, j] * s[j] / s[i] as
-    on the square."""
+    on the square, with s the powers of two that bring every first-row entry
+    above the binade of A[0, 0] down into it (s_j = 1 for the others): the
+    same eigenvalues, and no rounding."""
+    e = np.frexp(tau.first_row)[1]
+    s = np.ldexp(1.0, np.minimum(e[0] - e, 0))
     return replace(
         tau,
         first_row=tau.first_row * s / s[0],
@@ -454,11 +381,15 @@ def _shifted_eigs(tau: TauMatrix, k: int):
     (TauMatrix.inverse_iteration, two O(m) band solves per vector from a
     fixed start) gives the j-th right and left vectors x_j, y_j, and
     mu_j = y_j^T A x_j / y_j^T x_j with A x_j from TauMatrix.apply.  No
-    balancing and no m x m array.  Where the first row's sum of squares
-    overflows (it passes 1e154 at large gamma: 3.5e161 at m = 1024, gamma
-    50), so would ||A||_F and the vectors; there the route works on
-    diag(1/s) A diag(s), s the powers of two that bring the first row into
-    [1/4, 1/2): the same eigenvalues, and no rounding.  Accepted only if
+    m x m array.  Where the first row's sum of squares overflows (it passes
+    1e154 at large gamma: 3.5e161 at m = 1024, gamma 50), so would ||A||_F
+    and the vectors; there the route works on the row-scaled bands
+    (_row_scaled): the same eigenvalues, and no rounding.  A mode that
+    fails the checks below after _SHIFTED_STEPS steps is tried again with
+    one more step at a time, up to _SHIFTED_MAX_STEPS: at m = 128, gamma
+    10, k = 8 and m = 300, gamma 7, k = 14 the last mode's componentwise
+    bound reads 1.1e-8 after two steps and passes after three.  Accepted
+    only if
 
     - each backward residual ||A x_j - mu_j x_j|| is at most m u ||A||_F;
     - each mu_j lies within _SHIFTED_REL of sigma_j, so the modes are
@@ -487,20 +418,23 @@ def _shifted_eigs(tau: TauMatrix, k: int):
     mu, X, Y = np.empty(k), np.empty((k, m)), np.empty((k, m))
     with np.errstate(all="ignore"):  # a NaN or inf fails the checks below
         if not math.isfinite(tau.first_row @ tau.first_row):
-            tau = _similar(tau, np.ldexp(1.0, -np.frexp(tau.first_row)[1]))
+            tau = _row_scaled(tau)
         bands = (tau.first_row, tau.lo, tau.dg, tau.up)
         bound = m * _EPS * math.sqrt(sum(b @ b for b in bands))  # m u ||A||_F
         for j, s in enumerate(sigma):
-            try:
-                x, y = tau.inverse_iteration(s, start, _SHIFTED_STEPS)
-            except np.linalg.LinAlgError:
-                return None
-            ax = tau.apply(x)[:m]
-            yx = y @ x
-            mu[j] = (y @ ax) / yx
-            r = ax - mu[j] * x
-            tol = _SHIFTED_REL * abs(mu[j])
-            if not (np.linalg.norm(r) <= bound and abs(mu[j] - s) <= tol and np.abs(y) @ np.abs(r) <= tol * abs(yx)):
+            for steps in range(_SHIFTED_STEPS, _SHIFTED_MAX_STEPS + 1):
+                try:
+                    x, y = tau.inverse_iteration(s, start, steps)
+                except np.linalg.LinAlgError:
+                    return None
+                ax = tau.apply(x)[:m]
+                yx = y @ x
+                mu[j] = (y @ ax) / yx
+                r = ax - mu[j] * x
+                tol = _SHIFTED_REL * abs(mu[j])
+                if np.linalg.norm(r) <= bound and abs(mu[j] - s) <= tol and np.abs(y) @ np.abs(r) <= tol * abs(yx):
+                    break
+            else:
                 return None
             X[j], Y[j] = x, y / yx
         v = start - (Y @ start) @ X
@@ -515,9 +449,10 @@ def _shifted_eigs(tau: TauMatrix, k: int):
 # ARPACK serves the count=k requests that _shifted_eigs refuses (large gamma
 # past its first few modes, see tau_spectrum), from m = 96 modes and for
 # k <= m / 8.
-# Measured on one BLAS thread against the dense route (both balance the
-# matrix first), gamma 0.5 and 2.4: at k = 1 it takes 0.4-0.6 of the dense
-# time at m = 96, 0.2-0.5 at m = 128 and 0.01-0.06 at m = 1024; k = m / 8
+# Measured on one BLAS thread against the dense route (both then balanced
+# the matrix by a Python replay of LAPACK dgebal), gamma 0.5 and 2.4: at
+# k = 1 it takes 0.4-0.6 of the dense time at m = 96, 0.2-0.5 at m = 128
+# and 0.01-0.06 at m = 1024; k = m / 8
 # stays below 0.8 from m = 96 on; the two cross near k = m / 4 (0.8-1.2 from
 # m = 96 to 1024); at m = 64 and below the dense solve is as fast or faster.
 _ARPACK_MIN_M = 96
@@ -530,22 +465,24 @@ def _arpack_eigs(tau: TauMatrix, k: int):
     ARPACK's implicitly restarted Arnoldi iteration (which="LM", tol=0, so
     to working precision) runs on the O(m) band matvec tau.apply and never
     forms the m x m matrix.  The largest |mu| are the lowest modes.  The
-    operator is balanced by the same diagonal similarity as the dense route
-    (_balance_scales): unbalanced, the Ritz values at large gamma (20 and
-    50, with k = m / 8) converged to points that are no eigenvalue and
-    missed the lowest mode.  One value beyond k keeps both members of a conjugate pair cut
-    at position k, so the caller's sort picks the one the dense order puts
-    first.  The starting vector is fixed, so repeated calls give the same
-    bits.  None comes back for m < _ARPACK_MIN_M or k > m / _PARTIAL_MAX_SHARE,
-    where the dense solve is cheaper, and when ARPACK fails.
+    operator is the dense route's, diag(1/s) A diag(s) with row 0 scaled
+    into one binade (_row_scaled): unscaled, the Ritz values at large gamma
+    (20 and 50, with k = m / 8) converged to points that are no eigenvalue
+    and missed the lowest mode (100% off at m = 1024, gamma 20, k = 128,
+    even parity).  One value beyond k keeps both members of a conjugate
+    pair cut at position k, so the caller's sort picks the one the dense
+    order puts first.  The starting vector is fixed, so repeated calls give
+    the same bits.  None comes back for m < _ARPACK_MIN_M or
+    k > m / _PARTIAL_MAX_SHARE, where the dense solve is cheaper, and when
+    ARPACK fails.
     """
     m = tau.m
     if m < _ARPACK_MIN_M or _PARTIAL_MAX_SHARE * k > m:
         return None
     import scipy.sparse.linalg  # deferred: 35-70 ms and 2 MB that only partial spectra need
 
-    scale = _balance_scales(tau)
-    op = scipy.sparse.linalg.LinearOperator((m, m), matvec=lambda f: tau.apply(scale * f)[:m] / scale, dtype=float)
+    tau = _row_scaled(tau)
+    op = scipy.sparse.linalg.LinearOperator((m, m), matvec=lambda f: tau.apply(f)[:m], dtype=float)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     try:
         w = scipy.sparse.linalg.eigs(op, k=k + 1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
@@ -561,13 +498,15 @@ def tau_spectrum(
     """Spectrum of the m-mode discretization via the integration route.
 
     Dirichlet eigenvalues are reciprocals of the eigenvalues of the banded
-    square matrix.  It is balanced from its bands in O(m) and, being upper
-    Hessenberg (tridiagonal plus the first row), is handed to dense_eigs
-    as a _Balanced view: one LAPACK call, the Hessenberg QR iteration
-    dhseqr, with no balancing sweep and no O(m^3) reduction, gives the same
-    eigenvalues, bit for bit, as the general solver on the unbalanced
-    matrix.  dhseqr works in that one matrix, built with a padded leading
-    dimension (TauMatrix.square).
+    square matrix.  Its first row is brought into one binade by a
+    power-of-two diagonal similarity on the bands (_row_scaled, exact), and
+    the square, upper Hessenberg (tridiagonal plus the first row), is handed
+    to dense_eigs as a _Hessenberg view: one LAPACK call, the Hessenberg QR
+    iteration dhseqr, with no balancing and no O(m^3) reduction, gives the
+    eigenvalues, bit for bit, of LAPACK dgeevx with BALANC = 'N' on that
+    matrix.  Balancing is left out on purpose (see _hessenberg_eigvals).
+    dhseqr works in that one matrix, built with a padded leading dimension
+    (TauMatrix.square).
 
     Neumann reduces by differentiating the eigenfunctions: even modes give
     a zero eigenvalue plus the odd Dirichlet spectrum with the family
@@ -589,7 +528,7 @@ def tau_spectrum(
       falls with gamma: m / 8 up to gamma 3, 56-66 at gamma 5 and
       m >= 1024, 7-9 at gamma 10, 5-6 at gamma 20.  It refuses any request
       with a conjugate pair among its modes;
-    - m >= 96 and k <= m / 8: ARPACK on the balanced O(m) matvec
+    - m >= 96 and k <= m / 8: ARPACK on the row-scaled O(m) matvec
       (_arpack_eigs);
     - anything else: the full dense spectrum, sliced.
 
@@ -618,8 +557,7 @@ def tau_spectrum(
     if mu is None and count is not None:
         mu = _arpack_eigs(tau, count)
     if mu is None:
-        # the dense matrix is built balanced, with no pass over it
-        mu = dense_eigs(_similar(tau, _balance_scales(tau)).square().view(_Balanced))
+        mu = dense_eigs(_row_scaled(tau).square().view(_Hessenberg))
     if not mu.all():
         raise ValueError(f"the integration matrix at m = {m}, gamma = {gdx.gamma} has an exact zero eigenvalue")
     lam, mu = _sorted_by_magnitude(1.0 / mu, mu)

@@ -14,11 +14,13 @@ Nothing here imports from gegtau.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import scipy.linalg.cython_lapack
 import scipy.linalg.lapack
 
 
@@ -233,12 +235,49 @@ def general_eigvals(a: np.ndarray) -> np.ndarray:
 
     numpy and scipy each link their own OpenBLAS, and the multishift QR's
     matrix products round differently with the BLAS thread count; calling
-    the LAPACK that gegtau's Hessenberg route uses keeps a bitwise
+    the LAPACK that gegtau's dense routes use keeps a bitwise
     comparison meaningful at any thread count.
     """
     lwork = int(scipy.linalg.lapack.dgeev_lwork(a.shape[0], compute_vl=0, compute_vr=0)[0])
     wr, wi, _, _, info = scipy.linalg.lapack.dgeev(a, compute_vl=0, compute_vr=0, lwork=lwork)
     assert info == 0, info
+    if not wi.any():
+        return wr
+    w = np.empty(wr.size, dtype=complex)
+    w.real, w.imag = wr, wi
+    return w
+
+
+def unbalanced_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues by LAPACK dgeevx with BALANC = 'N' (Hessenberg reduction
+    and QR, no balancing), with the queried workspace, returned as
+    general_eigvals returns them.
+
+    scipy has no wrapper for dgeevx, so its C entry point comes from the
+    capsule scipy.linalg.cython_lapack exports; every argument is passed by
+    reference, INFO last.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dgeevx"]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    dgeevx = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 23)(get_pointer(capsule, get_name(capsule)))
+    n = a.shape[0]
+    work_a = np.array(a, dtype=float, order="F")
+    wr, wi, scale, iwork, one = np.empty(n), np.empty(n), np.empty(n), np.empty(max(2 * n - 2, 1), np.int32), np.empty(1)
+    ilo, ihi, info = np.zeros(1, np.int32), np.zeros(1, np.int32), np.zeros(1, np.int32)
+
+    def call(work, lwork):
+        args = [b"N", b"N", b"N", b"N", np.array([n], np.int32), work_a, np.array([n], np.int32), wr, wi]
+        args += [one, np.array([1], np.int32), one, np.array([1], np.int32), ilo, ihi, scale, one, one, one]
+        args += [work, np.array([lwork], np.int32), iwork, info]
+        dgeevx(*[v if isinstance(v, bytes) else v.ctypes.data for v in args])
+        assert info[0] == 0, int(info[0])
+
+    query = np.empty(1)
+    call(query, -1)
+    lwork = int(query[0])
+    call(np.empty(lwork), lwork)
     if not wi.any():
         return wr
     w = np.empty(wr.size, dtype=complex)
@@ -445,14 +484,18 @@ def mixed_char_one_by_one(om_n_swapped, om_low_raised, om_prev_swapped, om_prev_
     return mu_add(low, mu_scale(mu_mul(om_prev_swapped, om_prev_raised), k_cur))
 
 
-def unbalanced_tau_spectrum(square: np.ndarray, eigvals=general_eigvals):
-    """(lambda, mu) of the integration route without pre-balancing.
+def unbalanced_tau_spectrum(square: np.ndarray):
+    """(lambda, mu) of the integration route without balancing.
 
-    The general dense eigenvalues mu of the square integration matrix (by
-    `eigvals`), sorted by (real, imag), inverted, and then sorted by
-    |lambda| (stable).
+    The square integration matrix A is first taken to diag(1/s) A diag(s),
+    s_j = 2^min(e_0 - e_j, 0) with e_j the binary exponent of A[0, j], entry
+    by entry as A[i, j] * s[j] / s[i] (exact: powers of two).  Its dense
+    eigenvalues mu by dgeevx with BALANC = 'N' (unbalanced_eigvals) are
+    sorted by (real, imag), inverted, and then sorted by |lambda| (stable).
     """
-    mu = eigvals(square)
+    e = np.frexp(square[0])[1]
+    s = np.ldexp(1.0, np.minimum(e[0] - e, 0))
+    mu = unbalanced_eigvals(square * s / s[:, None])
     mu = mu[np.lexsort((mu.imag, mu.real))]
     lam = 1.0 / mu
     order = np.argsort(np.abs(lam), kind="stable")
