@@ -6,9 +6,9 @@ array operation per step for the whole family instead of one Python call
 per polynomial.  Every builder takes the same float operations in the same
 order as the one-polynomial code of tests/oracles.py (the coefficient-list
 sums and products mu_add and mu_mul, np.poly, coefficient-list
-composition), so each row is bitwise what that code gives (for np.poly on
-complex roots, on the BLAS named in poly_from_roots); the one-polynomial
-functions of charpoly and verify are the one-row case of these.  poly_roots_stacks finds the roots of every row of every stack.
+composition), so each row is bitwise what that code gives; the
+one-polynomial functions of charpoly and verify are the one-row case of
+these.  poly_roots_stacks finds the roots of every row of every stack.
 The module is internal to the package: charpoly and verify import from it.
 """
 
@@ -60,31 +60,15 @@ def stack_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def poly_from_roots(roots: np.ndarray, lead: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of np.real(np.poly(roots[i])) * lead[i] for
-    each row i of a root stack.  np.poly convolves with one factor (1, -z)
-    at a time; each step here forms every new coefficient a[j] + a[j-1] (-z)
-    with the sums in the order numpy's convolution takes them.
-
-    For real roots that is numpy's own real loop, so the rows are bitwise
-    np.poly's.  For complex roots numpy hands the convolution to the BLAS
-    complex dot (zdotu).  The order here is the one of numpy 2.4's bundled
-    OpenBLAS 0.3.31 with its SkylakeX kernel, where the rows are bitwise
-    np.poly's; another BLAS build or kernel may sum in another order, and
-    the rows then differ from np.poly's in the last bits."""
+    """Ascending coefficients of np.poly(roots[i]) * lead[i] for each row i
+    of a stack of real roots.  np.poly convolves with one factor (1, -z) at
+    a time; each step here forms every new coefficient a[j] + a[j-1] (-z)
+    as numpy's real convolution does, so the rows are bitwise np.poly's."""
     count, n = roots.shape
     ar = np.zeros((count, n + 1))
     ar[:, 0] = 1.0
-    if not np.iscomplexobj(roots):
-        for k in range(n):
-            ar[:, 1 : k + 2] += ar[:, : k + 1] * -roots[:, k : k + 1]
-        return (ar * lead[:, None])[:, ::-1]
-    ai = np.zeros((count, n + 1))
     for k in range(n):
-        yr, yi = -roots[:, k : k + 1].real, -roots[:, k : k + 1].imag
-        xr, xi = ar[:, : k + 1], ai[:, : k + 1]  # a[j - 1] for the new a[j], j = 1..k+1
-        real = (ar[:, 1 : k + 2] + xr * yr) - xi * yi
-        imag = xr * yi + (ai[:, 1 : k + 2] + xi * yr)
-        ar[:, 1 : k + 2], ai[:, 1 : k + 2] = real, imag
+        ar[:, 1 : k + 2] += ar[:, : k + 1] * -roots[:, k : k + 1]
     return (ar * lead[:, None])[:, ::-1]
 
 

@@ -1,24 +1,25 @@
 """Characteristic polynomials of the Tau-discretized second derivative.
 
 Everything here is a polynomial in mu = 1/lambda.  The parity-separated
-sequences p_m (even modes) and q_m (odd modes) are generated by a three-term
-recurrence whose extra constant K_n encodes the boundary rows; they can also
-be formed directly by differentiating the top basis function repeatedly,
-which is what charpoly_direct does and what the recurrence is tested against.
+sequences p_m (even modes) and q_m (odd modes) obey a three-term recurrence
+whose extra constant K_n encodes the boundary rows.  Coefficient k of p_m is
+also the endpoint value D^{2k} G_n(1) of the 2k-th derivative of the top
+basis function, which charpoly_direct computes by repeated differentiation.
 
-charpoly_sequence has two routes.  A float family parameter runs the
-recurrence on numpy coefficient rows, one array operation per step.  With a
+charpoly_sequence follows that endpoint-derivative closed form for every
+family parameter: each coefficient is the one before times a small positive
+ratio, so nothing cancels.  A float gamma multiplies float ratios, and each
+coefficient of p_j lies within about 2.5 (j + 1) units of roundoff of the
+exact one; past m of about 75 the largest coefficients overflow to inf.  With a
 fractions.Fraction family parameter every routine below runs in exact
-rational arithmetic, and charpoly_sequence follows the closed form instead:
-coefficient k of p_j is the endpoint value D^{2k} G_n(1), and each step from
-one coefficient to the next multiplies by a small rational, so the
-coefficients come out as reduced integer pairs without a gcd between two
-large integers, and output that needs no Fraction builds none.  The
-coefficients grow factorially, so their digits, and with them the cost per
-operation, grow with m.  Both routes are checked against the one-polynomial
-recurrence of tests/oracles.py, the float one bit for bit.  Roots are
-computed in floating point from companion matrices (poly_roots, or
-poly_roots_batch for many polynomials at once).
+rational arithmetic, and charpoly_sequence folds the ratios into reduced
+integer pairs without a gcd between two large integers; output that needs no
+Fraction builds none.  The exact coefficients grow factorially, so their
+digits, and with them the cost per operation, grow with m.  The paper's
+recurrence is the cross-check in tests/oracles.py: in rational arithmetic it
+gives the exact route's coefficients.  Roots are computed in floating point
+from companion matrices (poly_roots, or poly_roots_batch for many
+polynomials at once).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .orthopoly import (
     as_gegenbauer,
     as_parity,
     apply_derivative,
-    gegenbauer_at_one,
     gegenbauer_at_one_upto,
 )
 
@@ -202,11 +202,11 @@ def charpoly_sequence(m_max: int, idx, parity) -> list:
 
     Returns [p_0, ..., p_m_max] for the requested parity class; p_m has
     degree m and its roots are the mu values (reciprocal eigenvalues) of the
-    m-mode truncation.  A float gamma runs the boundary-augmented three-term
-    recurrence on float coefficient rows.  A Fraction gamma follows the
-    endpoint-derivative closed form, each coefficient the previous one times
-    a small rational, in reduced integer pairs; the polynomials' coeffs are
-    the reduced Fractions, built on first use.
+    m-mode truncation.  Every gamma follows the endpoint-derivative closed
+    form of _closed_form_factors.  A float gamma takes each coefficient as a
+    running product of float ratios.  A Fraction gamma takes it in reduced
+    integer pairs; the polynomials' coeffs are the reduced Fractions, built
+    on first use.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
@@ -214,62 +214,63 @@ def charpoly_sequence(m_max: int, idx, parity) -> list:
     par = as_parity(parity)
     if isinstance(g, Fraction):
         return _charpoly_sequence_exact(m_max, g, par)
-    return _charpoly_sequence_float(m_max, idx, par)
+    return _charpoly_sequence_float(m_max, float(g), par)
 
 
-def _charpoly_seed(idx, par: Parity) -> list:
-    """Coefficients of p_1, the first step of the recurrence."""
-    g = as_gegenbauer(idx).gamma
-    if par is Parity.EVEN:
-        return [gegenbauer_at_one(2, idx), 2 * (g + 1)]
-    return [gegenbauer_at_one(3, idx), 4 * (g + 1) * (g + 2)]
+def _closed_form_factors(P, Q, m_max: int, ip: int) -> tuple:
+    """The factors of the closed form for gamma = P/Q and parity offset ip.
 
-
-def _charpoly_sequence_float(m_max: int, idx, par: Parity) -> list:
-    """charpoly_sequence for a float gamma, on numpy coefficient rows.
-
-    Every coefficient takes the float operations of the recurrence in the
-    same order as the coefficient-list arithmetic of
-    tests/oracles.charpoly_sequence_one_by_one,
-    p_{j+1} = (((mu p_j + mid p_j) + K_n) + (-(f p_{j-1}))) * scale, so each
-    finite coefficient is bitwise that route's.
+    Coefficient k of p_j is D^{2k} G_n(1), n = 2j + ip (what charpoly_direct
+    computes).  p_j starts from G_n(1), which is G_{n-2}(1) times
+    (2g + n - 2)(2g + n - 1) / (n (n - 1)), and steps from k to k + 1 by
+    (n - 2k)(n - 2k - 1)(2g + n + 2k)(2g + n + 2k + 1) / ((2g + 4k + 1)(2g + 4k + 3)).
+    With u_t = Q (2g + t) = 2P + tQ and u_0 = Q (so that G_2(1) = (2g + 1) / 2),
+    w_t = u_t u_{t+1}, f_t = t (t - 1) and low_k = u_{4k+1} u_{4k+3}, the head
+    ratio is w_{n-2} / (f_n Q^2) and step k is f_{n-2k} w_{n+2k} / low_k, in
+    which Q^2 cancels.  Every factor is positive for gamma > -1/2.  Returns
+    the lists w, f and low in the arithmetic of P and Q.
     """
-    g = as_gegenbauer(idx).gamma
+    u = [Q] + [2 * P + t * Q for t in range(1, 4 * m_max + ip + 1)]
+    w = list(map(operator.mul, u, u[1:]))
+    f = [t * (t - 1) for t in range(2 * m_max + ip + 1)]
+    low = [u[4 * k + 1] * u[4 * k + 3] for k in range(m_max)]
+    return w, f, low
+
+
+def _charpoly_sequence_float(m_max: int, g: float, par: Parity) -> list:
+    """charpoly_sequence for a float gamma, the closed form at (P, Q) = (g, 1).
+
+    Row j of a lower-triangular table holds G_n(1), the cumulative product
+    of the head ratios, followed by the j step ratios of p_j; one cumulative
+    product along the row gives p_j's coefficients, so every intermediate
+    value is a coefficient, and a value overflows to inf only where its
+    coefficient does.  All factors are positive, so nothing cancels: each
+    coefficient of p_j lies within a few (j + 1) units of roundoff of the
+    exact one.
+    """
     ip = par.offset
-    rows = [np.ones(1), np.array(_charpoly_seed(idx, par), dtype=float)][: m_max + 1]
-    ks = k_constants([2 * j + ip for j in range(1, m_max)], idx)
-    with np.errstate(over="ignore", invalid="ignore"):  # past m ~ 80 the coefficients overflow
-        for j in range(1, m_max):
-            n = 2 * j + ip
-            cur = rows[j]
-            acc = np.concatenate((cur[:1] * 0, cur))  # mu p_j; the zero keeps p_j[0]'s sign
-            acc[:-1] += cur * (1 / (2 * (g + n + 1) * (g + n - 1)))
-            acc[0] += ks[j - 1]
-            if not (par is Parity.EVEN and j == 1):
-                # the even j = 1 step folds the p_0 coupling into K_2 already
-                acc[:j] += -(rows[j - 1] * (1 / (4 * (g + n) * (g + n - 1))))
-            rows.append(acc * (4 * (g + n + 1) * (g + n)))
-    return [MuPolynomial(row.tolist()) for row in rows]
+    w, f, low = map(np.array, _closed_form_factors(g, 1, m_max, ip))
+    n = 2 * np.arange(m_max + 1) + ip
+    table = np.ones((m_max + 1, m_max + 1))
+    table[1:, 0] = w[n[1:] - 2] / f[n[1:]]
+    j, k = np.tril_indices(m_max + 1, -1)
+    table[j, k + 1] = f[n[j] - 2 * k] * w[n[j] + 2 * k] / low[k]
+    with np.errstate(over="ignore"):  # past m ~ 75 the largest coefficients overflow
+        table[:, 0] = np.cumprod(table[:, 0])
+        coeffs = np.cumprod(table, axis=1)
+    return [MuPolynomial(row[: i + 1].tolist()) for i, row in enumerate(coeffs)]
 
 
 def _charpoly_sequence_exact(m_max: int, g: Fraction, par: Parity) -> list:
-    """charpoly_sequence for gamma = P/Q from the endpoint-derivative closed form.
+    """charpoly_sequence for gamma = P/Q in reduced integer pairs.
 
-    Coefficient k of p_j is D^{2k} G_n(1), n = 2j + offset (what
-    charpoly_direct computes).  p_j starts from G_n(1), which is G_{n-2}(1)
-    times (2g + n - 2)(2g + n - 1) / (n (n - 1)), and steps from k to k + 1 by
-    (n - 2k)(n - 2k - 1)(2g + n + 2k)(2g + n + 2k + 1) / ((2g + 4k + 1)(2g + 4k + 3)).
-    With u_t = Q (2g + t) = 2P + tQ the Q^2 cancels; every factor is positive
-    for gamma > -1/2.  Each ratio, reduced by one small gcd, is folded into
-    the running reduced pair and cancelled crosswise as Fraction.__mul__
-    does, so no gcd is taken between two large integers.
+    Each ratio of _closed_form_factors, reduced by one small gcd, is folded
+    into the running reduced pair and cancelled crosswise as
+    Fraction.__mul__ does, so no gcd is taken between two large integers.
     """
     P, Q = g.numerator, g.denominator
     ip = par.offset
-    u = [Q] + [2 * P + t * Q for t in range(1, 4 * m_max + ip + 1)]  # u_0 = Q: G_2(1) = (2g + 1) / 2
-    w = list(map(operator.mul, u, u[1:]))  # w_t = u_t u_{t+1}
-    f = [t * (t - 1) for t in range(2 * m_max + ip + 1)]  # (n - 2k)(n - 2k - 1) at t = n - 2k
-    low = [u[4 * k + 1] * u[4 * k + 3] for k in range(m_max)]
+    w, f, low = _closed_form_factors(P, Q, m_max, ip)
     seq, head = [], (1, 1)  # G_{n-2}(1), then G_n(1)
     for j in range(m_max + 1):
         n = 2 * j + ip
@@ -327,8 +328,8 @@ def charpoly_direct(n: int, idx) -> MuPolynomial:
 
     Coefficient k is the endpoint value of the 2k-th derivative of the
     degree-n basis function, computed by applying the derivative connection
-    twice per step to a unit coefficient vector.  Slower than the recurrence
-    but independent of it; exact with Fraction gamma.
+    twice per step to a unit coefficient vector.  Slower than
+    charpoly_sequence but independent of it; exact with Fraction gamma.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")

@@ -76,13 +76,6 @@ class JacobiIndex:
         if not (self.beta + 1 > 0):
             raise ValueError(f"beta must exceed -1, got {self.beta}")
 
-    def swapped(self) -> "JacobiIndex":
-        return JacobiIndex(self.beta, self.alpha)
-
-    def raised(self, k: int = 1) -> "JacobiIndex":
-        """Both exponents raised by k (the k-th derivative family)."""
-        return JacobiIndex(self.alpha + k, self.beta + k)
-
 
 class Parity(enum.Enum):
     EVEN = "even"

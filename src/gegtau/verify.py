@@ -379,24 +379,20 @@ def sharpness_suite(gammas=(2.6, 3.0), m: int = 200, ratio: float = 1e-3) -> lis
     """Above the reality threshold the spectrum grows conjugate pairs.
 
     Passes when at least one eigenvalue pair has relative imaginary part
-    beyond `ratio` for every family parameter in the list.
+    beyond `ratio` for every family parameter in the list.  A fold over the
+    even and odd rows of gamma_scan: the pairs beyond `ratio` summed, the
+    largest imaginary ratio as the margin.
     """
+    rows = gamma_scan(m, gammas, ratio_sharp=ratio).rows
     reports = []
-    for g in gammas:
-        best = 0.0
-        pairs = 0
-        for parity in (Parity.EVEN, Parity.ODD):
-            spec = tau_spectrum(m, g, parity)
-            lam = spec.eigenvalues
-            mask = np.abs(lam.imag) > ratio * np.abs(lam)
-            pairs += int(mask.sum()) // 2
-            best = max(best, spec.max_imag_ratio())
+    for g, even, odd in zip(gammas, rows[0::2], rows[1::2]):
+        pairs = even[3] + odd[3]  # columns 3 and 4: complex_pairs_sharp, max_imag_ratio
         reports.append(
             VerificationReport(
                 check="sharpness-complex-pairs",
                 params={"gamma": g, "m": m, "pairs": pairs},
                 passed=pairs >= 1,
-                margin=best,
+                margin=max(even[4], odd[4]),
                 tolerance=ratio,
                 comparison=">",
             )
@@ -462,17 +458,18 @@ def hb_random_suite(cases: int = 200, seed: int = 20260813) -> list:
                 r1[-1] = 0.5  # one positive root
             else:
                 complex_pair = True
-        if complex_pair:
-            rc = r1.astype(complex)
+        quad = ()
+        if complex_pair:  # the roots r1[0], r1[1] become mid +- i spread
             mid = 0.5 * (r1[0] + r1[1])
             spread = 0.6 * abs(r1[1] - r1[0])
-            rc[0] = mid + 1j * spread
-            rc[1] = mid - 1j * spread
-            r1 = rc
-        drawn.append(((n, equal_degree, complex_pair), (r1, r2, lead1, lead2)))
+            quad = ((mid * mid + spread * spread, -2.0 * mid, 1.0),)
+            r1 = r1[2:]
+        drawn.append(((n, equal_degree, complex_pair), (r1, r2, lead1, lead2, *quad)))
     built = []  # per shape: p1, p2 and their composition
-    for r1, r2, lead1, lead2 in _by_shape(drawn):
+    for r1, r2, lead1, lead2, *quad in _by_shape(drawn):
         c1, c2 = poly_from_roots(r1, lead1), poly_from_roots(r2, lead2)
+        if quad:
+            c1 = stack_mul(c1, quad[0])
         built += [c1, c2, hb_stack(c1, c2)]
     roots = poly_roots_stacks(built)
     passed, margins = [], []

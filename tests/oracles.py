@@ -417,9 +417,12 @@ def mu_mul(a, b) -> list:
 
 def charpoly_sequence_one_by_one(m_max: int, g, offset: int) -> list:
     """The characteristic polynomials p_0, ..., p_m_max of
-    gegtau.charpoly.charpoly_sequence as coefficient lists, one polynomial
-    at a time in mu_add/mu_scale arithmetic; offset 0 is the even parity
-    class and 1 the odd one.  Step j, n = 2j + offset, forms
+    gegtau.charpoly.charpoly_sequence as coefficient lists, by the paper's
+    three-term recurrence plus a constant term, one polynomial at a time in
+    mu_add/mu_scale arithmetic; offset 0 is the even parity class and 1 the
+    odd one.  In float arithmetic the subtraction cancels, so the float
+    coefficients are a reference for where they overflow, not for their
+    digits.  Step j, n = 2j + offset, forms
 
         p_{j+1} = (((mu p_j + mid p_j) + K_n) + (-(f p_{j-1}))) * scale
 

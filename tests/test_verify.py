@@ -446,25 +446,24 @@ def test_built_coefficients_are_bitwise_the_per_polynomial_oracles(n, rows, data
     negative = st.floats(-6.0, -0.05)
     leads = np.array([draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0])) for _ in range(rows)])
     real = np.array([[draw(negative) for _ in range(n)] for _ in range(rows)])
-    stacks = {"real": real}
+    stacks = {"real": (real, poly_from_roots(real, leads))}
     if n >= 2:  # hb's broken case: a conjugate pair first, then real roots
         pair = real.astype(complex)
         mid, spread = 0.5 * (real[:, 0] + real[:, 1]), 0.6 * np.abs(real[:, 1] - real[:, 0])
         pair[:, 0], pair[:, 1] = mid + 1j * spread, mid - 1j * spread
-        stacks["complex-pair"] = pair
+        quad = np.stack((mid * mid + spread * spread, -2.0 * mid, np.ones(rows)), axis=1)
+        stacks["complex-pair"] = (pair, stack_mul(poly_from_roots(real[:, 2:], leads), quad))
     lower = real[:, : n - 1] if n > 1 else np.empty((rows, 0))
     c2 = poly_from_roots(lower, leads[::-1].copy())
     _assert_rows_bitwise(c2, [oracles.poly_from_roots_one_by_one(r, lead) for r, lead in zip(lower, leads[::-1])])
-    for kind, roots in stacks.items():
-        c1 = poly_from_roots(roots, leads)
+    for kind, (roots, c1) in stacks.items():
         want = [oracles.poly_from_roots_one_by_one(r, lead) for r, lead in zip(roots, leads)]
         if kind == "real":
             _assert_rows_bitwise(c1, want)
         else:
-            # np.poly takes complex roots through the BLAS complex dot, whose
-            # summation order varies with the BLAS build and kernel: equal up
-            # to rounding of the sums, which the polynomial with roots -|r|
-            # bounds term by term
+            # the real quadratic factor times the real roots' product against
+            # np.poly on the complex roots: equal up to rounding, which the
+            # polynomial with roots -|r| bounds term by term
             bound = [oracles.poly_from_roots_one_by_one(-np.abs(r), abs(lead)) for r, lead in zip(roots, leads)]
             for row, w, scale in zip(c1, want, bound):
                 assert np.all(np.abs(row - np.array(w)) <= 8 * (n + 1) * np.finfo(float).eps * np.array(scale)), (row, w)
