@@ -8,18 +8,18 @@ basis function, which charpoly_direct computes by repeated differentiation.
 
 charpoly_sequence follows that endpoint-derivative closed form for every
 family parameter: each coefficient is the one before times a small positive
-ratio, so nothing cancels.  A float gamma multiplies float ratios, and each
-coefficient of p_j lies within about 2.5 (j + 1) units of roundoff of the
-exact one; past m of about 75 the largest coefficients overflow to inf.  With a
-fractions.Fraction family parameter every routine below runs in exact
-rational arithmetic, and charpoly_sequence folds the ratios into reduced
-integer pairs without a gcd between two large integers; output that needs no
-Fraction builds none.  The exact coefficients grow factorially, so their
-digits, and with them the cost per operation, grow with m.  The paper's
-recurrence is the cross-check in tests/oracles.py: in rational arithmetic it
-gives the exact route's coefficients.  Roots are computed in floating point
-from companion matrices (poly_roots, or poly_roots_batch for many
-polynomials at once).
+ratio, so nothing cancels.  The first is G_n(1), which _endpoint_chain runs
+along one parity chain, the one source of the K_n of k_constants too.  A
+float gamma multiplies float ratios: each coefficient of p_j lies within
+about 2.5 (j + 1) units of roundoff of the exact one, and past m of about 75
+the largest overflow to inf.  With a fractions.Fraction family parameter
+every routine below runs in exact rational arithmetic; charpoly_sequence
+folds the ratios into reduced integer pairs without a gcd between two large
+integers, and output that needs no Fraction builds none.  The exact
+coefficients grow factorially, and with their digits the cost per operation.
+The paper's recurrence is the cross-check in tests/oracles.py.  Roots are
+computed in floating point from companion matrices (poly_roots, or
+poly_roots_batch for many polynomials at once).
 """
 
 from __future__ import annotations
@@ -132,55 +132,35 @@ def poly_roots_batch(polys) -> list:
     return out
 
 
-def k_constants(degrees, idx, as_float: bool = False) -> list:
-    """Boundary constants K_n of the first matrix row (closed forms).
+def k_constants(m: int, idx, parity, as_float: bool = False) -> list:
+    """Boundary constants K_n of the first matrix row for the column degrees
+    n = 2j + ip, j < m, of build_gi2 (ip the parity offset).
 
-    Returns K_n for each n in degrees.  n = 0, 1, 2 have their own
-    expressions; n >= 3 uses the product form
-    K_n = (2g - 1)(2g - 3) G_{n-2}(1) / (n (n^2 - 1)(n + 2)), and all
-    degrees share one running product of the endpoint values, so the cost
-    is O(max(degrees)).  A float gamma forms every K_n, n >= 3, in one array
-    expression on gegenbauer_at_one_upto's values, its integer denominator
-    exact before its one rounding to float.  Exact for Fraction family
-    parameters: gamma = P/Q runs the product on integer numerators and
-    denominators, G_m(1) = prod_{j=1}^{m-1} (2P + jQ) / (Q^{m-1} m!), forms
-    each K_n when the product reaches its degree, so only one numerator and
-    denominator of it are held, and reduces once per returned K_n.
-    Vanishes for n >= 3 at gamma in {1/2, 3/2}.
-
-    as_float=True returns floats.  For a Fraction gamma each K_n with
-    n >= 3 is then the correctly rounded quotient of its unreduced integer
-    numerator and denominator, which is float() of the reduced Fraction
-    without the gcd that reduces it: build_gi2 at m = 4000 and gamma = 12/7
-    takes 0.32 s this way, against 24 s through reduced Fractions.  That
-    quotient raises OverflowError past the float range; a float gamma gives
-    inf there instead.
+    n <= 2 have closed forms of their own; n >= 3 is
+    K_n = (2g - 1)(2g - 3) G_{n-2}(1) / (n (n^2 - 1)(n + 2)) with G_{n-2}(1)
+    from _endpoint_chain, O(m) in all.  A float gamma forms them in one array
+    expression, the integer denominator exact before its one rounding; a
+    Fraction gamma forms each from the chain's reduced pair as it comes, so
+    only one pair is held.  Vanishes for n >= 3 at gamma in {1/2, 3/2}.
+    as_float=True returns floats: for a Fraction gamma the correctly rounded
+    quotient of the unreduced integers, float() of the reduced Fraction
+    without its gcd, which raises OverflowError past the float range (a
+    float gamma gives inf there).
     """
-    ns = np.asarray(degrees if isinstance(degrees, np.ndarray) else list(degrees), dtype=np.int64)
-    if ns.size and ns.min() < 0:
-        raise ValueError(f"K_n is defined for n >= 0, got {ns.min()}")
     g = as_gegenbauer(idx).gamma
-    high = ns >= 3
+    ip = as_parity(parity).offset
+    n = 2 * np.arange(1, m) + ip  # n >= 2; K_2 is overwritten below
+    chain = _endpoint_chain(g, max(m - 1, 0), ip)  # G_{n-2}(1)
+    low = [_k_low(k, g) for k in range(ip, min(2 * m + ip, 3), 2)]
     if not isinstance(g, Fraction):
-        top = int(ns.max(initial=3))
-        at1 = np.array(gegenbauer_at_one_upto(top - 2, idx))
-        n = np.maximum(ns, 3)  # n <= 2 are overwritten below
-        exact_n = n if top < 55000 else n.astype(object)  # so that n^4 is exact: below 2^63, or ints
+        exact_n = n if 2 * m < 55000 else n.astype(object)  # so that n^4 is exact: below 2^63, or ints
         with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, as in scalar arithmetic
-            out = ((2 * g - 1) * (2 * g - 3)) * at1[n - 2] / (exact_n * (n * n - 1) * (n + 2)).astype(float)
-        for i in np.flatnonzero(~high).tolist():
-            out[i] = _k_low(ns[i], g)
-        return out.tolist()
-    P, Q = g.numerator, g.denominator
+            ks = ((2 * g - 1) * (2 * g - 3)) * chain / (exact_n * (n * n - 1) * (n + 2)).astype(float)
+        return low + ks[len(low) - 1 :].tolist()
+    P, Q, quotient = g.numerator, g.denominator, operator.truediv if as_float else Fraction
     head = (2 * P - Q) * (2 * P - 3 * Q)
-    ks, num, den, i = {}, 1, 1, 1  # num / den = G_i(1)
-    for n in sorted(set(ns[high].tolist())):
-        while i < n - 2:
-            num, den, i = num * (2 * P + i * Q), den * Q * (i + 1), i + 1
-        kn, kd = head * num, Q * Q * den * (n * (n * n - 1) * (n + 2))
-        ks[n] = kn / kd if as_float else Fraction(kn, kd)
-    out = [ks[n] if n >= 3 else _k_low(n, g) for n in ns.tolist()]
-    return [float(k) for k in out] if as_float else out
+    ks = [quotient(head * a, Q * Q * b * (k * (k * k - 1) * (k + 2))) for k, (a, b) in zip(n.tolist(), chain)]
+    return [float(k) for k in low] + ks[len(low) - 1 :] if as_float else low + ks[len(low) - 1 :]
 
 
 def _k_low(n: int, g):
@@ -194,7 +174,9 @@ def _k_low(n: int, g):
 
 def k_constant(n: int, idx):
     """Boundary constant K_n of the first matrix row; see k_constants."""
-    return k_constants([n], idx)[0]
+    if n < 0:
+        raise ValueError(f"K_n is defined for n >= 0, got {n}")
+    return k_constants(n // 2 + 1, idx, (Parity.EVEN, Parity.ODD)[n % 2])[-1]
 
 
 def charpoly_sequence(m_max: int, idx, parity) -> list:
@@ -228,64 +210,80 @@ def _closed_form_factors(P, Q, m_max: int, ip: int) -> tuple:
     w_t = u_t u_{t+1}, f_t = t (t - 1) and low_k = u_{4k+1} u_{4k+3}, the head
     ratio is w_{n-2} / (f_n Q^2) and step k is f_{n-2k} w_{n+2k} / low_k, in
     which Q^2 cancels.  Every factor is positive for gamma > -1/2.  Returns
-    the lists w, f and low in the arithmetic of P and Q.
+    the arrays w, f and low, of Python integers for integers P and Q.
     """
-    u = [Q] + [2 * P + t * Q for t in range(1, 4 * m_max + ip + 1)]
-    w = list(map(operator.mul, u, u[1:]))
-    f = [t * (t - 1) for t in range(2 * m_max + ip + 1)]
-    low = [u[4 * k + 1] * u[4 * k + 3] for k in range(m_max)]
+    t = np.arange(4 * m_max + ip + 1, dtype=None if isinstance(P, float) else object)
+    u = 2 * P + t * Q
+    u[0] = Q
+    w = u[:-1] * u[1:]
+    f = t * (t - 1)
+    low = u[1 : 4 * m_max : 4] * u[3 : 4 * m_max + 2 : 4]
     return w, f, low
+
+
+def _endpoint_chain(g, count: int, ip: int):
+    """G_n(1) for the count degrees n = ip, ip + 2, ... of one parity chain,
+    from G_ip(1) = 1 by the head ratios w_{n-2} / (f_n Q^2) of
+    _closed_form_factors.  A float gamma gives an array, one np.cumprod of
+    the float ratios at (P, Q) = (g, 1), inf past the float range; a Fraction
+    gamma = P/Q yields reduced integer pairs (num, den) one at a time
+    (_folded), so a caller holds only what it keeps."""
+    exact = isinstance(g, Fraction)
+    P, Q = (g.numerator, g.denominator) if exact else (float(g), 1)
+    w, f, _ = _closed_form_factors(P, Q, max(count - 1, 0), ip)
+    n = np.arange(ip + 2, ip + 2 * count, 2)
+    if exact:
+        return _folded([(1, 1), *zip(w[n - 2], f[n] * Q * Q)][:count])
+    ratios = np.ones(count)
+    ratios[1:] = w[n - 2] / f[n]
+    with np.errstate(over="ignore"):  # large gamma and n: inf, as in scalar arithmetic
+        return np.cumprod(ratios)
+
+
+def _folded(ratios, num: int = 1, den: int = 1):
+    """The running products num/den * a_1/b_1 * a_2/b_2 ... of positive
+    integer ratios as reduced pairs: each ratio is reduced by one small gcd
+    and cancelled crosswise as Fraction.__mul__ does, so no gcd is taken
+    between two large integers."""
+    for a, b in ratios:
+        c = math.gcd(a, b)
+        a, b = a // c, b // c
+        g1, g2 = math.gcd(num, b), math.gcd(a, den)
+        num, den = (num // g1) * (a // g2), (den // g2) * (b // g1)
+        yield num, den
 
 
 def _charpoly_sequence_float(m_max: int, g: float, par: Parity) -> list:
     """charpoly_sequence for a float gamma, the closed form at (P, Q) = (g, 1).
 
-    Row j of a lower-triangular table holds G_n(1), the cumulative product
-    of the head ratios, followed by the j step ratios of p_j; one cumulative
-    product along the row gives p_j's coefficients, so every intermediate
-    value is a coefficient, and a value overflows to inf only where its
-    coefficient does.  All factors are positive, so nothing cancels: each
-    coefficient of p_j lies within a few (j + 1) units of roundoff of the
-    exact one.
+    Row j of a lower-triangular table holds G_n(1) (_endpoint_chain) and the
+    j step ratios of p_j; one cumulative product along the row gives p_j's
+    coefficients, so a value overflows to inf only where its coefficient
+    does, and each lies within a few (j + 1) units of roundoff of the exact one.
     """
     ip = par.offset
-    w, f, low = map(np.array, _closed_form_factors(g, 1, m_max, ip))
+    w, f, low = _closed_form_factors(g, 1, m_max, ip)
     n = 2 * np.arange(m_max + 1) + ip
     table = np.ones((m_max + 1, m_max + 1))
-    table[1:, 0] = w[n[1:] - 2] / f[n[1:]]
+    table[:, 0] = _endpoint_chain(g, m_max + 1, ip)
     j, k = np.tril_indices(m_max + 1, -1)
     table[j, k + 1] = f[n[j] - 2 * k] * w[n[j] + 2 * k] / low[k]
     with np.errstate(over="ignore"):  # past m ~ 75 the largest coefficients overflow
-        table[:, 0] = np.cumprod(table[:, 0])
         coeffs = np.cumprod(table, axis=1)
     return [MuPolynomial(row[: i + 1].tolist()) for i, row in enumerate(coeffs)]
 
 
 def _charpoly_sequence_exact(m_max: int, g: Fraction, par: Parity) -> list:
-    """charpoly_sequence for gamma = P/Q in reduced integer pairs.
-
-    Each ratio of _closed_form_factors, reduced by one small gcd, is folded
-    into the running reduced pair and cancelled crosswise as
-    Fraction.__mul__ does, so no gcd is taken between two large integers.
-    """
-    P, Q = g.numerator, g.denominator
+    """charpoly_sequence for gamma = P/Q in reduced integer pairs: p_j
+    starts from _endpoint_chain's G_n(1), and _folded takes it through the
+    step ratios of _closed_form_factors."""
     ip = par.offset
-    w, f, low = _closed_form_factors(P, Q, m_max, ip)
-    seq, head = [], (1, 1)  # G_{n-2}(1), then G_n(1)
-    for j in range(m_max + 1):
+    w, f, low = (a.tolist() for a in _closed_form_factors(g.numerator, g.denominator, m_max, ip))
+    seq = []
+    for j, head in enumerate(_endpoint_chain(g, m_max + 1, ip)):
         n = 2 * j + ip
-        steps = [(w[n - 2], f[n] * Q * Q) if n >= 2 else (1, 1)]
-        steps += zip(map(operator.mul, f[n:ip:-2], w[n : n + 2 * j : 2]), low)
-        num, den = head
-        pairs = []
-        for a, b in steps:
-            c = math.gcd(a, b)
-            a, b = a // c, b // c
-            g1, g2 = math.gcd(num, b), math.gcd(a, den)
-            num, den = (num // g1) * (a // g2), (den // g2) * (b // g1)
-            pairs.append((num, den))
-        head = pairs[0]
-        seq.append(_ExactPolynomial(pairs))
+        steps = zip(map(operator.mul, f[n:ip:-2], w[n : n + 2 * j : 2]), low)
+        seq.append(_ExactPolynomial([head, *_folded(steps, *head)]))
     return seq
 
 

@@ -134,6 +134,9 @@ def _cmd_charpoly(args) -> int:
         )
     gamma = Fraction(args.gamma) if args.exact and not isinstance(args.gamma, Fraction) else args.gamma
     seq = charpoly_sequence(args.modes, GegenbauerIndex(gamma), Parity(args.parity))
+    inf = [m for m, p in enumerate(seq) if not isinstance(gamma, Fraction) and not np.isfinite(p.coeffs).all()]
+    if inf:  # float coefficients past the float range are inf, which neither format can carry
+        raise ValueError(f"p_{inf[0]} has coefficients past the float range; --exact computes them exactly")
     rows = ((m, k, c) for m, p in enumerate(seq) for k, c in enumerate(_float_coeffs(m, p)))
     return _emit(
         args,

@@ -359,10 +359,10 @@ _EPS = 2.0**-53
 def _row_scaled(tau: TauMatrix) -> TauMatrix:
     """diag(1/s) A diag(s) on the bands, each entry A[i, j] * s[j] / s[i] as
     on the square, with s the powers of two that bring every first-row entry
-    above the binade of A[0, 0] down into it (s_j = 1 for the others): the
-    same eigenvalues, and no rounding."""
+    above the binade of A[0, 0] down into it (s_j = 1 for the others, zeros
+    too, so gamma 1/2 and 3/2 keep A): the same eigenvalues, no rounding."""
     e = np.frexp(tau.first_row)[1]
-    s = np.ldexp(1.0, np.minimum(e[0] - e, 0))
+    s = np.ldexp(1.0, np.where(tau.first_row == 0.0, 0, np.minimum(e[0] - e, 0)))
     return replace(
         tau,
         first_row=tau.first_row * s / s[0],

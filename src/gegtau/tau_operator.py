@@ -304,24 +304,23 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
     """Assemble the banded double-integration operator.
 
     The bands are reciprocals of quadratic polynomials in the mode degree;
-    the first row carries the boundary constants (negated K values).  Needs
-    m >= 2 so the band structure exists, and boundary constants inside the
-    float range: K_n grows like G_{n-2}(1), about (2 gamma)^n / n!, so large
-    gamma and m raise ValueError.
+    the first row carries the boundary constants (negated K values of
+    k_constants, O(m)).  Needs m >= 2 so the band structure exists, and
+    boundary constants inside the float range: K_n grows like G_{n-2}(1),
+    about (2 gamma)^n / n!, so large gamma and m raise ValueError.
     """
     _check_modes(m)
     gdx = as_gegenbauer(idx)
     g = float(gdx.gamma)
     par = as_parity(parity)
-    ip = par.offset
-    n = 2.0 * np.arange(1, m) + ip  # degrees of columns 1..m-1
+    n = 2.0 * np.arange(1, m) + par.offset  # degrees of columns 1..m-1
     dm = 1.0 / (4.0 * (g + n + 1.0) * (g + n))  # A[j+1, j] of column j
     d0 = -1.0 / (2.0 * (g + n + 1.0) * (g + n - 1.0))  # A[j, j]
     dp = 1.0 / (4.0 * (g + n) * (g + n - 1.0))  # A[j-1, j]
     lo, dg, up = np.zeros(m), np.zeros(m), np.zeros(m)
     lo[2:], dg[1:], up[1:-1] = dm[:-1], d0, dp[1:]
-    try:  # K_ip, then K_n for the column degrees n = 2j + ip, j = 1..m-1
-        ks = np.array(k_constants(2 * np.arange(m) + ip, gdx, as_float=True))
+    try:  # K_n of the m column degrees
+        ks = np.array(k_constants(m, gdx, par, as_float=True))
         finite = np.isfinite(ks).all()
     except OverflowError:  # an exact K_n of a Fraction gamma past the float range
         finite = False

@@ -154,14 +154,30 @@ def gegenbauer_at_one_loop(nmax: int, g) -> list:
     return out
 
 
+def endpoint_chain_loop(count: int, g: float, ip: int) -> list:
+    """G_n(1) for n = ip, ip + 2, ... (count values) by one running product
+    of the closed form's head ratios in plain scalar arithmetic:
+    val * (u_{n-2} u_{n-1} / (n (n - 1))) with u_t = 2g + t and u_0 = 1."""
+    val = 1.0
+    out = [val] * min(count, 1)
+    for n in range(ip + 2, ip + 2 * count, 2):
+        u = 1.0 if n == 2 else 2 * g + (n - 2)
+        val = val * (u * (2 * g + (n - 1)) / (n * (n - 1)))
+        out.append(val)
+    return out
+
+
 def k_constants_loop(degrees, g: float) -> list:
     """K_n for each n in degrees, one scalar expression per degree: the
     closed forms of k_constant_recursive for n <= 2, and
     ((2g - 1)(2g - 3)) G_{n-2}(1) / (n (n^2 - 1)(n + 2)) with
-    G_{n-2}(1) from gegenbauer_at_one_loop for n >= 3."""
-    at1 = gegenbauer_at_one_loop(max(degrees, default=0) - 2, g)
+    G_{n-2}(1) from endpoint_chain_loop of n's parity for n >= 3."""
+    top = max(degrees, default=0)
+    at1 = {ip: endpoint_chain_loop(max(top - ip, 0) // 2, g, ip) for ip in (0, 1)}
     return [
-        k_constant_recursive(n, g) if n < 3 else ((2 * g - 1) * (2 * g - 3)) * at1[n - 2] / (n * (n * n - 1) * (n + 2))
+        k_constant_recursive(n, g)
+        if n < 3
+        else ((2 * g - 1) * (2 * g - 3)) * at1[n % 2][(n - 2) // 2] / (n * (n * n - 1) * (n + 2))
         for n in degrees
     ]
 
@@ -491,13 +507,14 @@ def unbalanced_tau_spectrum(square: np.ndarray):
     """(lambda, mu) of the integration route without balancing.
 
     The square integration matrix A is first taken to diag(1/s) A diag(s),
-    s_j = 2^min(e_0 - e_j, 0) with e_j the binary exponent of A[0, j], entry
-    by entry as A[i, j] * s[j] / s[i] (exact: powers of two).  Its dense
+    s_j = 2^min(e_0 - e_j, 0) with e_j the binary exponent of A[0, j] (s_j = 1
+    where A[0, j] = 0), entry by entry as A[i, j] * s[j] / s[i] (exact:
+    powers of two).  Its dense
     eigenvalues mu by dgeevx with BALANC = 'N' (unbalanced_eigvals) are
     sorted by (real, imag), inverted, and then sorted by |lambda| (stable).
     """
     e = np.frexp(square[0])[1]
-    s = np.ldexp(1.0, np.minimum(e[0] - e, 0))
+    s = np.ldexp(1.0, np.where(square[0] == 0.0, 0, np.minimum(e[0] - e, 0)))
     mu = unbalanced_eigvals(square * s / s[:, None])
     mu = mu[np.lexsort((mu.imag, mu.real))]
     lam = 1.0 / mu

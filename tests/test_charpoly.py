@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gegtau.charpoly import (
     MuPolynomial,
+    _endpoint_chain,
     charpoly_direct,
     charpoly_sequence,
     jacobi_char_poly,
@@ -148,54 +149,79 @@ def test_boundary_constant_recurrence_matches_closed_form():
 def test_boundary_constants_share_one_product():
     for gamma in (0.0, 0.77, 2.4, F(1, 3), F(7, 4)):
         idx = GegenbauerIndex(gamma)
-        degrees = [0, 1, 2, 3, 5, 4, 40, 17]
-        assert k_constants(degrees, idx) == [k_constant(n, idx) for n in degrees]
-        assert k_constants([], idx) == []
+        for parity in Parity:
+            assert k_constants(21, idx, parity) == [k_constant(parity.degree(j), idx) for j in range(21)]
+            assert k_constants(0, idx, parity) == []
     with pytest.raises(ValueError):
-        k_constants([3, -1], 0.5)
+        k_constant(-1, 0.5)
 
 
 def test_boundary_constants_integer_product_matches_the_fraction_routes():
-    degrees = list(range(101))
     for gamma in (F(-3, 7), F(0), F(1, 2), F(3, 2), F(12, 7), F(16, 7)):
-        got = k_constants(degrees, GegenbauerIndex(gamma))
-        assert all(isinstance(k, F) for k in got)
-        assert got == [oracles.k_constant_recursive(n, gamma) for n in degrees]
-        assert got[3:] == [oracles.k_constant_closed_form(n, gamma) for n in degrees[3:]]
-        # the float route is the product form in float arithmetic, bit for bit
-        floats = k_constants(degrees, GegenbauerIndex(float(gamma)))
-        assert floats[3:] == [oracles.k_constant_closed_form(n, float(gamma)) for n in degrees[3:]]
+        for parity in Parity:
+            m = 51 - parity.offset  # degrees up to 100
+            degrees = [parity.degree(j) for j in range(m)]
+            got = k_constants(m, GegenbauerIndex(gamma), parity)
+            assert all(isinstance(k, F) for k in got)
+            assert got == [oracles.k_constant_recursive(n, gamma) for n in degrees]
+            assert [k for n, k in zip(degrees, got) if n >= 3] == [
+                oracles.k_constant_closed_form(n, gamma) for n in degrees if n >= 3
+            ]
+            # the float route is the closed-form chain in float arithmetic, bit for bit
+            floats = k_constants(m, GegenbauerIndex(float(gamma)), parity)
+            assert floats == oracles.k_constants_loop(degrees, float(gamma))
 
 
 def test_float_boundary_constants_round_the_exact_ones():
     # one correctly rounded int / int division per K_n: float() of each reduced Fraction, bit for bit
-    degrees = list(range(2001))
     for gamma in (F(12, 7), F(1, 2), F(-3, 7)):
         idx = GegenbauerIndex(gamma)
-        floats = k_constants(degrees, idx, as_float=True)
-        assert all(type(k) is float for k in floats)
-        expected = [float(k) for k in k_constants(degrees, idx)]
-        assert np.array(floats).tobytes() == np.array(expected).tobytes()
-    floats = k_constants(degrees[:50], GegenbauerIndex(0.7), as_float=True)
-    assert floats == k_constants(degrees[:50], GegenbauerIndex(0.7))
+        for parity in Parity:
+            floats = k_constants(1001, idx, parity, as_float=True)
+            assert all(type(k) is float for k in floats)
+            expected = [float(k) for k in k_constants(1001, idx, parity)]
+            assert np.array(floats).tobytes() == np.array(expected).tobytes()
+    floats = k_constants(25, GegenbauerIndex(0.7), Parity.ODD, as_float=True)
+    assert floats == k_constants(25, GegenbauerIndex(0.7), Parity.ODD)
 
 
 def test_exact_boundary_constants_hold_one_running_product():
-    # each K_n is formed when the product reaches G_{n-2}(1); holding every
+    # each K_n is formed when the chain reaches G_{n-2}(1); holding every
     # G_i(1) numerator and denominator to the end takes about 117 MB
     tracemalloc.start()
     try:
-        floats = k_constants(range(0, 8000, 2), F(12, 7), as_float=True)
+        floats = k_constants(4000, F(12, 7), Parity.EVEN, as_float=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(floats) == 4000 and peak < 8e6, peak
-    # unsorted and repeated degrees come back in their own order
-    degrees = [9, 3, 40, 3, 0, 2, 1, 17, 9]
+    # a shorter chain is a prefix of a longer one
     for gamma in (F(12, 7), F(-3, 7)):
-        singly = [k_constants([n], gamma)[0] for n in degrees]
-        assert k_constants(degrees, gamma) == singly
-        assert k_constants(degrees, gamma, as_float=True) == [k_constants([n], gamma, as_float=True)[0] for n in degrees]
+        for parity in Parity:
+            full = k_constants(40, gamma, parity)
+            assert [k_constants(m, gamma, parity) for m in range(41)] == [full[:m] for m in range(41)]
+            assert k_constants(40, gamma, parity, as_float=True) == [float(k) for k in full]
+
+
+@settings(max_examples=20, deadline=None)
+@given(gamma=st.floats(min_value=-0.5, max_value=6.0, exclude_min=True), parity=st.sampled_from(Parity))
+@example(gamma=-0.49999, parity=Parity.EVEN)
+@example(gamma=6.0, parity=Parity.ODD)
+@example(gamma=1.6752848432521605, parity=Parity.EVEN)
+def test_float_endpoint_chain_and_boundary_constants_are_within_roundoff(gamma, parity):
+    # G_n(1) within 2 (n + 1) u and K_n, n >= 3, within 4 (n + 1) u of the
+    # exact values at Fraction(gamma), n <= 400.  K_0..K_2 have closed forms
+    # of their own, not the chain, and K_2's factor 2g^2 + g - 7 cancels
+    # near its root 1.64
+    m, u = 201 - parity.offset, 2.0**-53
+    degrees = [parity.degree(j) for j in range(m)]
+    exact_at1 = oracles.gegenbauer_at_one_loop(400, F(gamma))
+    chain = _endpoint_chain(gamma, m, parity.offset)
+    for n, v in zip(degrees, chain):
+        assert abs(F(v) - exact_at1[n]) <= 2 * (n + 1) * u * exact_at1[n]
+    exact_ks = k_constants(m, F(gamma), parity)
+    for n, v, k in zip(degrees, k_constants(m, gamma, parity), exact_ks):
+        assert n < 3 or abs(F(v) - k) <= 4 * (n + 1) * u * abs(k)
 
 
 def test_boundary_constant_exact_rational_equality():

@@ -204,6 +204,18 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
             ["sweep-conditioning", "--m-grid", "16,300", "--variants", "galerkin-basis", "--gamma", "400"],
             "the norms h_n of m = 300 modes at gamma = 400.0 exceed the float range",
         ),
+        (
+            ["charpoly", "--modes", "80", "--gamma", "0.7"],
+            "p_76 has coefficients past the float range; --exact computes them exactly",
+        ),
+        (
+            ["charpoly", "--modes", "80", "--gamma", "0.7", "--format", "json"],
+            "p_76 has coefficients past the float range; --exact computes them exactly",
+        ),
+        (
+            ["charpoly", "--modes", "75", "--gamma", "2.4", "--parity", "odd", "--format", "json"],
+            "p_75 has coefficients past the float range; --exact computes them exactly",
+        ),
     ],
 )
 def test_values_past_the_float_range_are_one_line_usage_errors(capsys, argv, message):
@@ -279,6 +291,18 @@ def test_charpoly_csv(capsys):
     assert table[(1, 1)] == pytest.approx(2.0)
     assert table[(2, 0)] == pytest.approx(0.25)
     assert table[(2, 2)] == pytest.approx(48.0)
+
+
+@pytest.mark.parametrize("gamma", ["-0.49", "0.7", "2.4"])
+def test_float_charpoly_below_the_overflow_is_finite(capsys, gamma):
+    # p_74 is the last finite p_m at these gammas in both parities
+    for parity in ("even", "odd"):
+        code, out = _run(capsys, ["charpoly", "--modes", "74", "--gamma", gamma, "--parity", parity])
+        assert code == 0
+        assert np.isfinite([float(line.split(",")[2]) for line in out.splitlines()[1:]]).all()
+        code, out = _run(capsys, ["charpoly", "--modes", "74", "--gamma", gamma, "--parity", parity, "--format", "json"])
+        polys = json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in JSON output"))
+        assert code == 0 and len(polys["data"]["polynomials"]) == 75
 
 
 def test_charpoly_exact_json(capsys):

@@ -360,6 +360,23 @@ def test_pencil_spectrum_bitwise_matches_the_row_major_solve_at_tile_edges(varia
         assert spec.mu.tobytes() == mu.tobytes(), (m, parity)
 
 
+def test_row_scaling_is_the_identity_where_the_boundary_constants_vanish():
+    # K_n = 0 for n >= 3 at gamma 1/2 and 3/2; np.frexp(0.0) reads exponent 0,
+    # and the zero entries must keep s_j = 1 all the same
+    for gamma in (0.5, 1.5, Fraction(1, 2), Fraction(3, 2)):
+        for parity in Parity:
+            tau = build_gi2(64, gamma, parity)
+            scaled = spectra._row_scaled(tau)
+            for name in ("first_row", "lo", "dg", "up"):
+                assert getattr(scaled, name).tobytes() == getattr(tau, name).tobytes(), (gamma, parity, name)
+    # at gamma 50 the first row still comes down into the binade of A[0, 0]
+    for parity in Parity:
+        row = build_gi2(64, 50.0, parity).first_row
+        scaled = spectra._row_scaled(build_gi2(64, 50.0, parity)).first_row
+        assert (np.frexp(row)[1] > np.frexp(row)[1][0]).any()
+        assert (np.frexp(scaled)[1] <= np.frexp(scaled)[1][0]).all()
+
+
 def test_dense_eigs_never_modifies_its_input():
     rng = np.random.default_rng(2)
     tau = build_gi2(40, 1.8, Parity.EVEN)

@@ -118,15 +118,37 @@ def test_assembly_is_bitwise_the_scalar_loops(gamma):
             for name, ref in oracles.gi2_bands_loop(m, gamma, parity.offset).items():
                 _assert_same_bits(np.atleast_1d(getattr(tau, name)), ref)
             degrees = [parity.degree(j) for j in range(m)]
-            _assert_same_bits(k_constants(degrees, gamma), oracles.k_constants_loop(degrees, gamma))
+            _assert_same_bits(k_constants(m, gamma, parity), oracles.k_constants_loop(degrees, gamma))
     _assert_same_bits(gegenbauer_at_one_upto(10001, gamma), oracles.gegenbauer_at_one_loop(10001, gamma))
 
 
 def test_float_boundary_constants_keep_exact_denominators_past_int64():
-    # n (n^2 - 1)(n + 2) leaves int64 at n = 55109; unsorted and repeated degrees
-    degrees = [60001, 3, 54999, 55000, 70000, 0, 60001, 2]
+    # n (n^2 - 1)(n + 2) leaves int64 at n = 55109
     for gamma in (0.7, 2.4):
-        _assert_same_bits(k_constants(degrees, gamma), oracles.k_constants_loop(degrees, gamma))
+        for parity in Parity:
+            m = 35001 - parity.offset  # degrees up to 70000
+            degrees = [parity.degree(j) for j in range(m)]
+            _assert_same_bits(k_constants(m, gamma, parity), oracles.k_constants_loop(degrees, gamma))
+
+
+@pytest.mark.parametrize("gamma", [Fraction(-3, 7), Fraction(1, 2), Fraction(12, 7), Fraction(16, 7)])
+def test_fraction_gamma_rounds_the_exact_endpoint_values_once(gamma):
+    # the first row is -float(exact K_n) and the pencils' ends are float(exact G_n(1))
+    m = 300
+    for parity in Parity:
+        degrees = [parity.degree(j) for j in range(m + 1)]
+        at1 = oracles.gegenbauer_at_one_loop(degrees[-1], gamma)
+        ks = [
+            oracles.k_constant_recursive(n, gamma)
+            if n < 3
+            else (2 * gamma - 1) * (2 * gamma - 3) * at1[n - 2] / (n * (n * n - 1) * (n + 2))
+            for n in degrees[:m]
+        ]
+        first = build_gi2(m, gamma, parity).first_row
+        keep = (np.arange(m) != 1) | (parity is Parity.EVEN)  # odd column 1 adds its own band entry
+        _assert_same_bits(first[keep], [-float(k) for k in np.array(ks)[keep]])
+        for variant in ("diff-elim-last", "diff-elim-first"):
+            _assert_same_bits(build_diff_pencil(m, gamma, variant, parity).ends, [float(at1[n]) for n in degrees])
 
 
 def test_boundary_constants_past_the_float_range_are_a_value_error():
@@ -236,10 +258,12 @@ def test_inverse_iteration_step_is_the_shifted_solve(m, parity):
 
 def test_inverse_iteration_at_an_eigenvalue_gives_its_right_and_left_vectors():
     # sigma equal to an eigenvalue: the correction factor vanishes, nothing
-    # is divided by it, and the vectors are the eigenvectors
+    # is divided by it, and the vectors are the eigenvectors.  sigma is the
+    # lowest even Dirichlet mode, mu = 1 / -(pi/2)^2, which m = 40 resolves
+    # to the last bit; a dense solver's value may sit a few ulps off it
     tau = build_gi2(40, 0.5, Parity.EVEN)
     square = tau.square()
-    mu = float(tau_spectrum(40, 0.5, Parity.EVEN).mu[0].real)
+    mu = -4 / np.pi**2
     x, y = tau.inverse_iteration(mu, np.ones(40), 2)
     assert np.isfinite(x).all() and np.isfinite(y).all()
     assert np.linalg.norm(square @ x - mu * x) <= 1e-14
