@@ -139,7 +139,8 @@ def k_constants(m: int, idx, parity, as_float: bool = False) -> list:
     n <= 2 have closed forms of their own; n >= 3 is
     K_n = (2g - 1)(2g - 3) G_{n-2}(1) / (n (n^2 - 1)(n + 2)) with G_{n-2}(1)
     from _endpoint_chain, O(m) in all.  A float gamma forms them in one array
-    expression, the integer denominator exact before its one rounding; a
+    expression, the integer denominator exact before its one rounding, and
+    divides before it multiplies only where the product overflows; a
     Fraction gamma forms each from the chain's reduced pair as it comes, so
     only one pair is held.  Vanishes for n >= 3 at gamma in {1/2, 3/2}.
     as_float=True returns floats: for a Fraction gamma the correctly rounded
@@ -155,7 +156,10 @@ def k_constants(m: int, idx, parity, as_float: bool = False) -> list:
     if not isinstance(g, Fraction):
         exact_n = n if 2 * m < 55000 else n.astype(object)  # so that n^4 is exact: below 2^63, or ints
         with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, as in scalar arithmetic
-            ks = ((2 * g - 1) * (2 * g - 3)) * chain / (exact_n * (n * n - 1) * (n + 2)).astype(float)
+            head, den = (2 * g - 1) * (2 * g - 3), (exact_n * (n * n - 1) * (n + 2)).astype(float)
+            ks = head * chain / den
+            over = np.isinf(ks) & np.isfinite(chain)  # the product overflowed; K_n itself may fit
+            ks[over] = head * (chain[over] / den[over])
         return low + ks[len(low) - 1 :].tolist()
     P, Q, quotient = g.numerator, g.denominator, operator.truediv if as_float else Fraction
     head = (2 * P - Q) * (2 * P - 3 * Q)

@@ -123,6 +123,8 @@ def _cmd_charpoly(args) -> int:
             raise ValueError("--alpha and --beta must be given together")
         builder = mixed_char_poly if args.bc == "mixed" else jacobi_char_poly
         poly = builder(args.modes, JacobiIndex(args.alpha, args.beta))
+        if not np.isfinite(poly.coeffs).all():  # inf, or nan from inf - inf: neither format can carry them
+            raise ValueError(f"the coefficients at alpha = {args.alpha}, beta = {args.beta} are past the float range")
         rows = ((k, float(c)) for k, c in enumerate(poly.coeffs))
         return _emit(
             args,

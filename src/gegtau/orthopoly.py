@@ -168,7 +168,11 @@ def gegenbauer_norms(degrees, idx) -> np.ndarray:
     normalization; there h_0 is the total mass of the weight.  Uses lgamma
     so large n and g stay in range (OverflowError past the float range).
     Each h_n is one scalar expression, so its bits do not depend on the
-    other degrees.
+    other degrees.  Its log is a sum of lgamma terms that cancel, so h_n is
+    off by about 2^-53 times the sum of their magnitudes (within a factor of
+    2 of mpmath up to gamma 1e14).  Where that sum passes 2^27, from gamma
+    2.34e6 on at n >= 1, h_n may have lost half its bits, and OverflowError
+    is raised too.
     """
     g = float(as_gegenbauer(idx).gamma)
     head = math.log(math.pi) - (1.0 + 2.0 * g) * math.log(2.0)
@@ -178,9 +182,14 @@ def gegenbauer_norms(degrees, idx) -> np.ndarray:
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
         if n == 0:
-            out.append(math.sqrt(math.pi) * math.exp(math.lgamma(g + 0.5) - math.lgamma(g + 1.0)))
+            a, b = math.lgamma(g + 0.5), math.lgamma(g + 1.0)
+            span = abs(a) + abs(b)
         else:
-            out.append(math.exp(head + math.lgamma(n + 2.0 * g) - math.log(n + g) - math.lgamma(n + 1.0) - tail))
+            a, b, c = math.lgamma(n + 2.0 * g), math.log(n + g), math.lgamma(n + 1.0)
+            span = abs(head) + abs(a) + abs(b) + abs(c) + abs(tail)
+        if span > 2.0**27:
+            raise OverflowError(f"the lgamma terms of h_{n} at gamma = {g} are too large to keep half its bits")
+        out.append(math.sqrt(math.pi) * math.exp(a - b) if n == 0 else math.exp(head + a - b - c - tail))
     return np.array(out, dtype=float)
 
 

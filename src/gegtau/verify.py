@@ -64,6 +64,22 @@ __all__ = [
 
 DEFAULT_GAMMA_GRID = (-0.49, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
 
+# The fixed claims the suites check, each value named once.  Polynomial roots
+# are real when every imaginary part is within ROOT_REALITY_TOL of the root's
+# modulus, and distinct when every relative gap exceeds ROOT_GAP_TOL.
+ROOT_REALITY_TOL = 1e-9
+ROOT_GAP_TOL = 1e-8
+HURWITZ_TOL = 1e-9  # stable: largest real part over max(1, modulus) below -HURWITZ_TOL
+MATRIX_REALITY_TOL = 1e-6  # the same claims of the assembled operators' eigenvalues
+MATRIX_GAP_TOL = 1e-10
+LEMMA_REALITY_TOL = 1e-7  # the same claims of lemma_suite's combinations and products
+LEMMA_GAP_TOL = 1e-9
+SHARPNESS_GAMMAS, SHARPNESS_M = (2.6, 3.0), 200  # above the reality threshold
+SHARPNESS_RATIO = 1e-3  # a complex pair: |imag| beyond this share of |lambda|
+HB_CASES, LEMMA_CASES = 200, 50  # random instances per seed
+PHI_N_MAX, PHI_WEIGHTS = 12, (0.1, 1.0, 10.0)
+JACOBI_N_MAX = 15
+
 
 @dataclass
 class VerificationReport:
@@ -97,7 +113,7 @@ class VerificationReport:
         }
 
 
-def check_stable(p, tol: float = 1e-9) -> VerificationReport:
+def check_stable(p, tol: float = HURWITZ_TOL) -> VerificationReport:
     """Hurwitz test: every root strictly in the left half plane.
 
     margin is the largest real part scaled by the root magnitude (-inf when
@@ -117,7 +133,7 @@ def check_stable(p, tol: float = 1e-9) -> VerificationReport:
     )
 
 
-def check_positive_pair(p1, p2, tol_real: float = 1e-9, tol_gap: float = 1e-8) -> VerificationReport:
+def check_positive_pair(p1, p2, tol_real: float = ROOT_REALITY_TOL, tol_gap: float = ROOT_GAP_TOL) -> VerificationReport:
     """Positive-pair test for (p1, p2) with deg p2 in {deg p1 - 1, deg p1}.
 
     Requires: all roots real (relative imaginary part within tol_real) and
@@ -137,7 +153,7 @@ def check_positive_pair(p1, p2, tol_real: float = 1e-9, tol_gap: float = 1e-8) -
     return _pair_report(p1.degree, p2.degree, verdict, tol_gap)
 
 
-def _pair_verdicts(roots1, roots2, lead1, lead2, tol_real: float = 1e-9, tol_gap: float = 1e-8) -> list:
+def _pair_verdicts(roots1, roots2, lead1, lead2, tol_real=ROOT_REALITY_TOL, tol_gap=ROOT_GAP_TOL) -> list:
     """check_positive_pair's verdict for row i of each stack: roots1 and
     roots2 are root stacks (poly_roots_stacks) of degree n >= 1 and n or
     n - 1, lead1 and lead2 the leading coefficients.
@@ -155,7 +171,8 @@ def _pair_verdicts(roots1, roots2, lead1, lead2, tol_real: float = 1e-9, tol_gap
     merged[:, 0::2] = low
     merged[:, 1::2] = high
     margins = min_rel_gap(merged)
-    columns = (reality, margins, merged[:, -1] >= 0.0, lead1 * lead2 <= 0.0)
+    with np.errstate(over="ignore"):  # an inf product keeps its sign
+        columns = (reality, margins, merged[:, -1] >= 0.0, lead1 * lead2 <= 0.0)
     out = []
     for ratio, margin, nonnegative, sign_mismatch in zip(*(c.tolist() for c in columns)):
         if ratio > tol_real:
@@ -184,7 +201,7 @@ def _pair_report(deg1: int, deg2: int, verdict, tol_gap: float) -> VerificationR
     )
 
 
-def _worst_positive_pair(check, params, outcomes, tol_gap, advisory=False) -> VerificationReport:
+def _worst_positive_pair(check, params, outcomes, advisory=False) -> VerificationReport:
     """The weakest of several (deg1, deg2, verdict) pair outcomes (a failure
     over a pass, else the smallest margin) as one report named check and
     tagged with params."""
@@ -193,7 +210,7 @@ def _worst_positive_pair(check, params, outcomes, tol_gap, advisory=False) -> Ve
         passed, margin, _ = outcome[2]
         if worst is None or margin < worst[2][1] or (worst[2][0] and not passed):
             worst = outcome
-    report = _pair_report(*worst, tol_gap)
+    report = _pair_report(*worst, ROOT_GAP_TOL)
     report.check = check
     report.params.update(params)
     report.advisory = advisory
@@ -267,7 +284,7 @@ def _hurwitz_margins(stats) -> np.ndarray:
     return top / np.where(radius > 1.0, radius, 1.0)
 
 
-def _roots_report(check, params, reality, gaps, tops, tol_real, tol_gap, advisory=False) -> VerificationReport:
+def _roots_report(check, params, reality, gaps, tops, tol_real=ROOT_REALITY_TOL, tol_gap=ROOT_GAP_TOL) -> VerificationReport:
     """Aggregate real/negative/distinct over a family of polynomials, from
     the reality, gap and last entries of their _root_stats in family
     order."""
@@ -289,74 +306,87 @@ def _roots_report(check, params, reality, gaps, tops, tol_real, tol_gap, advisor
         margin=worst_gap,
         tolerance=tol_gap,
         comparison=">",
-        advisory=advisory,
     )
 
 
-def _sequence_stacks(seqs, degrees) -> tuple:
-    """Coefficient and root stacks of charpoly sequences: for each m in
-    degrees the float stack of seq[m] over seqs (a row per sequence) and its
-    roots.  Exact polynomials give their floats through to_float, which
-    reads the integer pairs and builds no Fraction."""
-    stacks = [np.array([seq[m].to_float().coeffs for seq in seqs], dtype=float) for m in degrees]
-    return stacks, poly_roots_stacks(stacks)
+def _sequence_stacks(cases, m_max: int) -> tuple:
+    """Coefficient and root stacks of the charpoly sequences of cases, a
+    list of (gamma, parity): for each m <= m_max the float stack of p_m over
+    the cases (a row per case) and its roots.  Exact polynomials give their
+    floats through to_float, which reads the integer pairs and builds no
+    Fraction.
+
+    ValueError names the first p_m whose companion matrix leaves the float
+    range: a coefficient past it, or one over the smaller end coefficient
+    (poly_roots_stacks divides by that end).
+    """
+    seqs = [charpoly_sequence(m_max, g, parity) for g, parity in cases]
+    stacks = [np.array([_float_coeffs(seq[m]) for seq in seqs], dtype=float) for m in range(m_max + 1)]
+    try:
+        with np.errstate(all="ignore"):
+            return stacks, poly_roots_stacks(stacks)
+    except np.linalg.LinAlgError:  # eigvals refuses inf and nan entries
+        for m, c in enumerate(stacks):
+            with np.errstate(all="ignore"):
+                bad = ~np.isfinite(c / np.minimum(np.abs(c[:, :1]), np.abs(c[:, -1:]))).all(axis=1)
+            if bad.any():
+                g, parity = cases[int(np.argmax(bad))]
+                name = f"the {parity.value} characteristic polynomial p_{m} at gamma = {g}"
+                raise ValueError(f"{name} is past the float range") from None
+        raise
 
 
-def realness_suite(
-    gammas=DEFAULT_GAMMA_GRID,
-    m_poly: int = 20,
-    m_matrix=(50, 200),
-    tol_real_poly: float = 1e-9,
-    tol_gap_poly: float = 1e-8,
-    tol_real_matrix: float = 1e-6,
-    tol_gap_matrix: float = 1e-10,
-) -> list:
+def _float_coeffs(p) -> tuple:
+    """p's coefficients as floats, inf where an exact one is past the float
+    range."""
+    try:
+        return p.to_float().coeffs
+    except OverflowError:
+        return (math.inf,) * (p.degree + 1)
+
+
+def realness_suite(gammas=DEFAULT_GAMMA_GRID, m_poly: int = 20, m_matrix=(50, 200)) -> list:
     """Real, negative, distinct eigenvalues with interlacing parity classes.
 
     Polynomial route up to m_poly modes (roots of the characteristic
-    sequences, including the two parity interlacing patterns), matrix route
-    at the sizes in m_matrix via the integration operator.  The polynomials
-    of one degree are checked as one stack, a row per (gamma, parity).
+    sequences, including the two parity interlacing patterns, held to
+    ROOT_REALITY_TOL and ROOT_GAP_TOL), matrix route at the sizes in
+    m_matrix via the integration operator (MATRIX_REALITY_TOL and
+    MATRIX_GAP_TOL).  The polynomials of one degree are checked as one
+    stack, a row per (gamma, parity).
     """
     if m_poly < 1:
         raise ValueError(f"m_poly must be >= 1, got {m_poly}")
-    seqs = [charpoly_sequence(m_poly, g, parity) for g in gammas for parity in (Parity.EVEN, Parity.ODD)]
-    if not seqs:
+    cases = [(g, parity) for g in gammas for parity in (Parity.EVEN, Parity.ODD)]
+    if not cases:
         return []
-    stacks, roots = _sequence_stacks(seqs, range(m_poly + 1))
+    stacks, roots = _sequence_stacks(cases, m_poly)
     stats = np.array([_root_stats(r)[2:] for r in roots[1:]])  # (m, reality/gap/last, row)
     lead = [c[:, -1] for c in stacks]
-    tols = (tol_real_poly, tol_gap_poly)
     degrees = range(1, m_poly + 1)
     patterns = (
         (
             "odd-vs-even-equal-degree",
-            [(m, m, _pair_verdicts(roots[m][1::2], roots[m][0::2], lead[m][1::2], lead[m][0::2], *tols)) for m in degrees],
+            [(m, m, _pair_verdicts(roots[m][1::2], roots[m][0::2], lead[m][1::2], lead[m][0::2])) for m in degrees],
         ),
         (
             "even-vs-lower-odd",
-            [(m, m - 1, _pair_verdicts(roots[m][0::2], roots[m - 1][1::2], lead[m][0::2], lead[m - 1][1::2], *tols)) for m in degrees],
+            [(m, m - 1, _pair_verdicts(roots[m][0::2], roots[m - 1][1::2], lead[m][0::2], lead[m - 1][1::2])) for m in degrees],
         ),
     )
     reports = []
     for i, g in enumerate(gammas):
         for j, parity in enumerate(("even", "odd")):
-            reports.append(
-                _roots_report(
-                    "charpoly-roots-real-negative-distinct",
-                    {"gamma": g, "parity": parity, "m_max": m_poly},
-                    *stats[:, :, 2 * i + j].T,
-                    *tols,
-                )
-            )
+            params = {"gamma": g, "parity": parity, "m_max": m_poly}
+            reports.append(_roots_report("charpoly-roots-real-negative-distinct", params, *stats[:, :, 2 * i + j].T))
         for pattern, outcomes in patterns:
             params = {"gamma": g, "pattern": pattern, "m_max": m_poly}
-            reports.append(_worst_positive_pair("parity-interlacing", params, [(d1, d2, v[i]) for d1, d2, v in outcomes], tol_gap_poly))
+            reports.append(_worst_positive_pair("parity-interlacing", params, [(d1, d2, v[i]) for d1, d2, v in outcomes]))
         for m in m_matrix:
             for parity in (Parity.EVEN, Parity.ODD):
-                spec = tau_spectrum(m, g, parity, tol_real=tol_real_matrix)
+                spec = tau_spectrum(m, g, parity, tol_real=MATRIX_REALITY_TOL)
                 gap = spec.min_gap_ratio()
-                ok = bool(spec.is_real.all() and spec.is_negative.all() and gap > tol_gap_matrix)
+                ok = bool(spec.is_real.all() and spec.is_negative.all() and gap > MATRIX_GAP_TOL)
                 reports.append(
                     VerificationReport(
                         check="matrix-spectrum-real-negative-distinct",
@@ -368,32 +398,32 @@ def realness_suite(
                         },
                         passed=ok,
                         margin=gap,
-                        tolerance=tol_gap_matrix,
+                        tolerance=MATRIX_GAP_TOL,
                         comparison=">",
                     )
                 )
     return reports
 
 
-def sharpness_suite(gammas=(2.6, 3.0), m: int = 200, ratio: float = 1e-3) -> list:
+def sharpness_suite() -> list:
     """Above the reality threshold the spectrum grows conjugate pairs.
 
     Passes when at least one eigenvalue pair has relative imaginary part
-    beyond `ratio` for every family parameter in the list.  A fold over the
-    even and odd rows of gamma_scan: the pairs beyond `ratio` summed, the
-    largest imaginary ratio as the margin.
+    beyond SHARPNESS_RATIO for every family parameter in SHARPNESS_GAMMAS.
+    A fold over the even and odd rows of gamma_scan: the pairs beyond the
+    ratio summed, the largest imaginary ratio as the margin.
     """
-    rows = gamma_scan(m, gammas, ratio_sharp=ratio).rows
+    rows = gamma_scan(SHARPNESS_M, SHARPNESS_GAMMAS).rows
     reports = []
-    for g, even, odd in zip(gammas, rows[0::2], rows[1::2]):
+    for g, even, odd in zip(SHARPNESS_GAMMAS, rows[0::2], rows[1::2]):
         pairs = even[3] + odd[3]  # columns 3 and 4: complex_pairs_sharp, max_imag_ratio
         reports.append(
             VerificationReport(
                 check="sharpness-complex-pairs",
-                params={"gamma": g, "m": m, "pairs": pairs},
+                params={"gamma": g, "m": SHARPNESS_M, "pairs": pairs},
                 passed=pairs >= 1,
                 margin=max(even[4], odd[4]),
-                tolerance=ratio,
+                tolerance=SHARPNESS_RATIO,
                 comparison=">",
             )
         )
@@ -429,7 +459,7 @@ def _by_shape(drawn) -> list:
     return [[np.array(column) for column in zip(*rows)] for rows in groups.values()]
 
 
-def hb_random_suite(cases: int = 200, seed: int = 20260813) -> list:
+def hb_random_suite(seed: int = 20260813) -> list:
     """Cross-validate the Hurwitz test against the positive-pair test.
 
     Half the instances are constructed positive pairs, half are decisively
@@ -440,7 +470,7 @@ def hb_random_suite(cases: int = 200, seed: int = 20260813) -> list:
     """
     rng = np.random.default_rng(seed)
     drawn = []
-    for case in range(cases):
+    for case in range(HB_CASES):
         n = int(rng.integers(2, 9))
         equal_degree = bool(rng.integers(0, 2))
         r1, r2, lead1, lead2 = _random_positive_pair(rng, n, equal_degree)
@@ -477,15 +507,15 @@ def hb_random_suite(cases: int = 200, seed: int = 20260813) -> list:
         passed += [v[0] for v in _pair_verdicts(roots[k], roots[k + 1], built[k][:, -1], built[k + 1][:, -1])]
         margins.append(_hurwitz_margins(_root_stats(roots[k + 2])))
     margins = np.concatenate(margins)
-    stable = margins < -1e-9  # check_stable at its default tolerance
+    stable = margins < -HURWITZ_TOL
     disagreements = int(np.count_nonzero(stable != np.array(passed)))
     stable_count = int(np.count_nonzero(stable))
-    worst_abs_margin = min([math.inf, *np.abs(margins + 1e-9).tolist()])
+    worst_abs_margin = min([math.inf, *np.abs(margins + HURWITZ_TOL).tolist()])
     return [
         VerificationReport(
             check="hurwitz-positive-pair-agreement",
             params={
-                "cases": cases,
+                "cases": HB_CASES,
                 "seed": seed,
                 "stable_cases": stable_count,
                 "stability_margin_closest": f"{worst_abs_margin:.3e}",
@@ -498,7 +528,7 @@ def hb_random_suite(cases: int = 200, seed: int = 20260813) -> list:
     ]
 
 
-def lemma_suite(cases: int = 50, seed: int = 20260813) -> list:
+def lemma_suite(seed: int = 20260813) -> list:
     """Consequences of positive pairs that the stability proofs lean on.
 
     Linear combinations a p1 + b p2 of a positive pair keep real roots;
@@ -508,7 +538,7 @@ def lemma_suite(cases: int = 50, seed: int = 20260813) -> list:
     """
     rng = np.random.default_rng(seed)
     combs = []
-    for _ in range(cases):
+    for _ in range(LEMMA_CASES):
         n = int(rng.integers(2, 8))
         equal_degree = bool(rng.integers(0, 2))
         r1, r2, lead1, lead2 = _random_positive_pair(rng, n, equal_degree)
@@ -516,7 +546,7 @@ def lemma_suite(cases: int = 50, seed: int = 20260813) -> list:
         b = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
         combs.append(((n, equal_degree), (r1, r2, lead1, lead2, a, b)))
     products = []
-    for case in range(cases):
+    for case in range(LEMMA_CASES):
         n = int(rng.integers(2, 8))
         r1, r2, lead1, lead2 = _random_positive_pair(rng, n, False)
         t1, t2, lead3, lead4 = _random_positive_pair(rng, n, False)
@@ -532,49 +562,42 @@ def lemma_suite(cases: int = 50, seed: int = 20260813) -> list:
         order.append(case)
     stats = _row_stats(comb_stacks + product_stacks)
     worst_comb = max([0.0, *(ratio for s in stats[: len(comb_stacks)] for ratio in s[2].tolist())])
-    family = np.empty((3, cases))  # reality, gap, last per product, in draw order
+    family = np.empty((3, LEMMA_CASES))  # reality, gap, last per product, in draw order
     for case, s in zip(order, stats[len(comb_stacks) :]):
         family[:, case] = s[2:]
+    params = {"cases": LEMMA_CASES, "seed": seed}
     rep1 = VerificationReport(
         check="positive-pair-combination-real-roots",
-        params={"cases": cases, "seed": seed},
-        passed=worst_comb <= 1e-7,
+        params=params,
+        passed=worst_comb <= LEMMA_REALITY_TOL,
         margin=worst_comb,
-        tolerance=1e-7,
+        tolerance=LEMMA_REALITY_TOL,
         comparison="<=",
     )
-    rep2 = _roots_report(
-        "positive-pair-product-real-negative-distinct",
-        {"cases": cases, "seed": seed},
-        *family,
-        tol_real=1e-7,
-        tol_gap=1e-9,
-    )
+    rep2 = _roots_report("positive-pair-product-real-negative-distinct", params, *family, LEMMA_REALITY_TOL, LEMMA_GAP_TOL)
     return [rep1, rep2]
 
 
-def phi_suite(n_max: int = 12, weights=(0.1, 1.0, 10.0), tol: float = 1e-9) -> list:
+def phi_suite() -> list:
     """Stability scans of the all-order endpoint polynomials.
 
     base over alpha in (-1, 1], prev over alpha <= 0, prev-mu2 over
-    alpha <= 1, each crossed with a beta grid and nonnegative weights.
-    The defaults build 1180 polynomials, one coefficient stack per variant
-    and degree from 220 O(n) endpoint-derivative lists, and check them in
-    about 35 ms (65 ms one polynomial at a time) on one core of a 2-vCPU
-    Xeon VM (one BLAS thread), about 25 ms of it in numpy.linalg.eigvals.
+    alpha <= 1, each crossed with a beta grid and the PHI_WEIGHTS, up to
+    degree PHI_N_MAX: 1180 polynomials, one coefficient stack per variant
+    and degree from 220 O(n) endpoint-derivative lists.
     """
     betas = (-0.9, 0.0, 1.0, 3.0)
     scans = (
         ("base", (-0.9, -0.5, 0.0, 0.5, 1.0), (0.0,), 2),
-        ("prev", (-0.9, -0.5, 0.0), weights, 3),
-        ("prev-mu2", (-0.9, -0.5, 0.0, 0.5, 1.0), weights, 3),
+        ("prev", (-0.9, -0.5, 0.0), PHI_WEIGHTS, 3),
+        ("prev-mu2", (-0.9, -0.5, 0.0, 0.5, 1.0), PHI_WEIGHTS, 3),
     )
     memo = {}
     families = []  # per scan: (a, b, w) combinations, degrees, one stack per degree
     for variant, alphas, ws, n_min in scans:
         combos = [(a, b, w) for a in alphas for b in betas for w in ws]
         pairs = [(a, b) for a, b, _ in combos]
-        degrees = range(n_min, n_max + 1)
+        degrees = range(n_min, PHI_N_MAX + 1)
         families.append((combos, degrees, [phi_stack(n, pairs, variant, [w for *_, w in combos], memo) for n in degrees]))
     stats = iter(_row_stats([c for *_, stacks in families for c in stacks]))
     reports = []
@@ -588,29 +611,27 @@ def phi_suite(n_max: int = 12, weights=(0.1, 1.0, 10.0), tol: float = 1e-9) -> l
                 if margin > worst:
                     worst = margin
                     worst_at = (a, b, w, n)
-                ok = ok and margin < -tol
+                ok = ok and margin < -HURWITZ_TOL
         reports.append(
             VerificationReport(
                 check=f"endpoint-poly-stable-{variant}",
-                params={"n_max": n_max, "worst_at": str(worst_at)},
+                params={"n_max": PHI_N_MAX, "worst_at": str(worst_at)},
                 passed=ok,
                 margin=worst,
-                tolerance=tol,
+                tolerance=HURWITZ_TOL,
                 comparison="< -",
             )
         )
     return reports
 
 
-def jacobi_suite(n_max: int = 15, tol_real: float = 1e-9, tol_gap: float = 1e-8) -> list:
+def jacobi_suite() -> list:
     """Root location for the Jacobi characteristic polynomials.
 
     Dirichlet: real, negative, distinct over exponent boxes (-1, 0]^2 and
-    (0, 1]^2.  Mixed ends: same over (-1, 0]^2.  The defaults build 378
-    polynomials, one coefficient stack per box and degree from 349
-    endpoint-derivative lists, and check them in about 20 ms (34 ms one
-    polynomial at a time) on one core of a 2-vCPU Xeon VM (one BLAS
-    thread).
+    (0, 1]^2.  Mixed ends: same over (-1, 0]^2.  Up to degree JACOBI_N_MAX:
+    378 polynomials, one coefficient stack per box and degree from 349
+    endpoint-derivative lists.
     """
     neg = (-0.9, -0.5, 0.0)
     pos = (0.25, 0.5, 1.0)
@@ -621,7 +642,7 @@ def jacobi_suite(n_max: int = 15, tol_real: float = 1e-9, tol_gap: float = 1e-8)
     )
     memo = {}  # one list per (n, alpha, beta) over all boxes: 349 instead of 540, ~6% of the suite
     stacks = [
-        builder(range(n_lo, n_max + 1), [JacobiIndex(a, b) for a in grid for b in grid], memo)
+        builder(range(n_lo, JACOBI_N_MAX + 1), [JacobiIndex(a, b) for a in grid for b in grid], memo)
         for _, grid, builder, n_lo in boxes
     ]
     stats = iter(_row_stats([c for box in stacks for c in box]))
@@ -629,15 +650,8 @@ def jacobi_suite(n_max: int = 15, tol_real: float = 1e-9, tol_gap: float = 1e-8)
     for (label, grid, _, _), box in zip(boxes, stacks):
         box_stats = np.array([next(stats)[2:] for _ in box])  # (n, reality/gap/last, (a, b))
         family = box_stats.transpose(1, 2, 0).reshape(3, -1)  # (a, b) outer, n inner
-        reports.append(
-            _roots_report(
-                f"jacobi-roots-real-negative-distinct-{label}",
-                {"n_max": n_max, "grid": f"{grid}"},
-                *family,
-                tol_real,
-                tol_gap,
-            )
-        )
+        params = {"n_max": JACOBI_N_MAX, "grid": f"{grid}"}
+        reports.append(_roots_report(f"jacobi-roots-real-negative-distinct-{label}", params, *family))
     return reports
 
 
@@ -657,8 +671,7 @@ def interlace_conjecture_suite(gammas=DEFAULT_GAMMA_GRID, m_max: int = 12) -> li
     cases = [(g, parity) for g in gammas for parity in (Parity.EVEN, Parity.ODD)]
     if not cases:
         return []
-    seqs = [charpoly_sequence(m_max, g, parity) for g, parity in cases]
-    stacks, roots = _sequence_stacks(seqs, range(m_max + 1))
+    stacks, roots = _sequence_stacks(cases, m_max)
     verdicts = [
         _pair_verdicts(roots[m + 1], roots[m], stacks[m + 1][:, -1], stacks[m][:, -1]) for m in range(1, m_max)
     ]
@@ -667,7 +680,6 @@ def interlace_conjecture_suite(gammas=DEFAULT_GAMMA_GRID, m_max: int = 12) -> li
             "successive-truncation-interlacing",
             {"gamma": g, "parity": parity.value, "m_max": m_max},
             [(m + 1, m, verdicts[m - 1][i]) for m in range(1, m_max)],
-            tol_gap=1e-8,
             advisory=True,
         )
         for i, (g, parity) in enumerate(cases)
@@ -764,7 +776,7 @@ def conditioning_sweep(idx, m_grid, variants=("integration",) + DIFF_VARIANTS[:2
     )
 
 
-def gamma_scan(m: int, gammas, tol_real: float = 1e-6, ratio_sharp: float = 1e-3) -> SweepResult:
+def gamma_scan(m: int, gammas, tol_real: float = MATRIX_REALITY_TOL, ratio_sharp: float = SHARPNESS_RATIO) -> SweepResult:
     """Count complex conjugate pairs per family parameter at fixed size.
 
     Two counts per parity: pairs beyond the reality tolerance and pairs

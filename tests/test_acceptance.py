@@ -120,7 +120,7 @@ def test_realness_and_interlacing_grid():
 
 
 def test_sharpness_above_threshold():
-    reports = sharpness_suite(gammas=(2.6, 3.0), m=200)
+    reports = sharpness_suite()
     passed = all(r.passed for r in reports)
     _line(
         passed,
@@ -224,7 +224,7 @@ def test_eigenvector_structure():
 
 
 def test_hurwitz_cross_validation():
-    reports = hb_random_suite(cases=200, seed=20260813)
+    reports = hb_random_suite(seed=20260813)
     rep = reports[0]
     passed = rep.passed and rep.params["cases"] == 200
     _line(
@@ -237,7 +237,7 @@ def test_hurwitz_cross_validation():
 
 
 def test_jacobi_root_location():
-    reports = jacobi_suite(n_max=15)
+    reports = jacobi_suite()
     passed = all(r.passed for r in reports)
     _line(
         passed,

@@ -216,6 +216,34 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
             ["charpoly", "--modes", "75", "--gamma", "2.4", "--parity", "odd", "--format", "json"],
             "p_75 has coefficients past the float range; --exact computes them exactly",
         ),
+        (
+            ["verify", "--suite", "conjecture", "--gamma-grid=1e14"],
+            "the odd characteristic polynomial p_11 at gamma = 100000000000000.0 is past the float range",
+        ),
+        (
+            ["verify", "--suite", "theorems", "--gamma-grid=1e13"],
+            "the odd characteristic polynomial p_12 at gamma = 10000000000000.0 is past the float range",
+        ),
+        (
+            ["verify", "--suite", "conjecture", "--gamma-grid=10000000000000000000000000000000/1"],
+            "the odd characteristic polynomial p_5 at gamma = 10000000000000000000000000000000 is past the float range",
+        ),
+        (
+            ["charpoly", "--modes", "20", "--alpha", "1e300", "--beta", "0", "--format", "json"],
+            "the coefficients at alpha = 1e+300, beta = 0.0 are past the float range",
+        ),
+        (
+            ["charpoly", "--modes", "20", "--alpha", "0", "--beta", "1e300", "--bc", "mixed"],
+            "the coefficients at alpha = 0.0, beta = 1e+300 are past the float range",
+        ),
+        (
+            ["eig", "--modes", "8", "--variant", "galerkin-basis", "--gamma", "1e16"],
+            "the norms h_n of m = 8 modes at gamma = 1e+16 exceed the float range",
+        ),
+        (
+            ["sweep-conditioning", "--m-grid", "16", "--variants", "diff-elim-first", "--gamma", "1e20"],
+            "the norms h_n of m = 16 modes at gamma = 1e+20 exceed the float range",
+        ),
     ],
 )
 def test_values_past_the_float_range_are_one_line_usage_errors(capsys, argv, message):

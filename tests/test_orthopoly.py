@@ -8,6 +8,7 @@ the weighted orthogonality relation.
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -194,6 +195,22 @@ def test_norms_vector_matches_scalar():
     assert gegenbauer_norms([9, 0, 4], idx).tolist() == vec[[9, 0, 4]].tolist()
     with pytest.raises(ValueError):
         gegenbauer_norms([2, -1], idx)
+
+
+def test_norms_refuse_where_their_lgamma_terms_cost_half_the_bits():
+    # at gamma 1e17 the lgamma terms of h_0 cancel to 0 and gave sqrt(pi) for sqrt(pi / gamma)
+    for degrees, gamma in (([0], 1e17), ([0, 1], 1e16), ([1], 2.4e6), ([0, 2], 3e6)):
+        with pytest.raises(OverflowError, match="too large to keep half its bits"):
+            gegenbauer_norms(degrees, gamma)
+    for gamma in (1e3, 1e6, 2.3e6):  # below the bound the error is about 2^-53 times the terms
+        with mp.workdps(40):
+            g = mp.mpf(gamma)
+            h0 = mp.sqrt(mp.pi) * mp.gamma(g + 0.5) / mp.gamma(g + 1)
+            exact = [h0] + [
+                mp.pi * 2 ** (-1 - 2 * g) * mp.gamma(n + 2 * g) / ((n + g) * mp.factorial(n) * mp.gamma(g + 1) ** 2)
+                for n in range(1, 6)
+            ]
+        assert max(abs(float(h / e - 1)) for h, e in zip(gegenbauer_norms(range(6), gamma), exact)) < 2**-26
 
 
 def test_second_derivative_low_degrees():

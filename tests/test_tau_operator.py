@@ -7,6 +7,7 @@ sequences, and to the left-eigenvector property at high-precision roots.
 """
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -156,6 +157,50 @@ def test_boundary_constants_past_the_float_range_are_a_value_error():
         with pytest.raises(ValueError, match=f"m = 1000 modes at gamma = {gamma} exceed the float range"):
             build_gi2(1000, gamma, "odd")
     assert np.isfinite(build_gi2(1000, 20.0, "odd").first_row).all()
+
+
+def test_boundary_constants_divide_first_where_only_the_product_overflows():
+    # at m = 8000 (2g - 1)(2g - 3) G_{n-2}(1) leaves the float range from gamma 60.578 on, K_n only where
+    # G_{n-2}(1) itself does, near 61.6; the largest K_n at 60.579 is 10^291.4
+    for gamma, parity in ((60.579, "even"), (60.579, "odd"), (61.0, "even")):
+        first = build_gi2(8000, gamma, parity).first_row
+        n = 2 * 7999 + Parity(parity).offset
+        with mp.workdps(30):
+            g = mp.mpf(gamma)
+            at1 = mp.gamma(2 * g + n - 2) / (mp.gamma(2 * g + 1) * mp.factorial(n - 2))  # G_{n-2}(1)
+            top = (2 * g - 1) * (2 * g - 3) * at1 / (n * (n * n - 1) * (n + 2))
+        assert abs(float(-first[-1] / top - 1)) < 4 * (n + 1) * 2.0**-53
+    with pytest.raises(ValueError, match="m = 8000 modes at gamma = 61.6 exceed the float range"):
+        build_gi2(8000, 61.6, "even")
+
+
+# sha256 prefixes of the bands (first_row, lo, dg, up, last) as the product-first K_n gave them, at
+# gammas the product-first form accepts; the last two per m are the largest it accepts
+_GI2_BITS = {
+    (17, -0.49, "even"): "108e33b6442a11a4",
+    (17, 2.4, "odd"): "f864b7e53cecb03e",
+    (17, 149.0, "even"): "3614a0e50a5f9391",
+    (600, 0.7, "odd"): "ddb36690ba222ea3",
+    (600, 60.5, "even"): "96dca4df093c09df",
+    (600, 137.73876595129383, "even"): "0b1d8664df67fd27",
+    (600, 137.67737910735187, "odd"): "d6e12f82d76c9d2f",
+    (1024, 0.0, "even"): "36af46ecb9ce0015",
+    (1024, 20.0, "odd"): "a78300be6f27695f",
+    (1024, 107.54690180820099, "even"): "8636caa2e9a1e4fb",
+    (1024, 107.52579854680931, "odd"): "6b331fefa9f551a9",
+    (8000, 2.4, "even"): "d8aa5949138e595a",
+    (8000, 60.5, "odd"): "7a10341c8941e880",
+    (8000, 60.57837845392608, "even"): "23b91b0528d65fcf",
+    (8000, 60.577615375627374, "odd"): "b874296c60f636e9",
+}
+
+
+@pytest.mark.parametrize("m, gamma, parity", list(_GI2_BITS))
+def test_bands_keep_their_bits_wherever_the_product_fits(m, gamma, parity):
+    tau = build_gi2(m, gamma, parity)
+    bands = (tau.first_row, tau.lo, tau.dg, tau.up, [tau.last])
+    digest = hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes() for a in bands))
+    assert digest.hexdigest()[:16] == _GI2_BITS[m, gamma, parity]
 
 
 def test_builder_validation():

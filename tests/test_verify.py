@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,19 +108,19 @@ def test_hb_equivalence_on_constructed_pair():
 
 
 def test_hb_random_suite_agrees_everywhere():
-    reps = hb_random_suite(cases=200, seed=20260813)
+    reps = hb_random_suite(seed=20260813)
     assert len(reps) == 1
     rep = reps[0]
     assert rep.passed
     assert rep.params["cases"] == 200
     assert rep.params["stable_cases"] == 100
-    again = hb_random_suite(cases=200, seed=20260813)
+    again = hb_random_suite(seed=20260813)
     assert again[0].params == rep.params
     assert again[0].margin == rep.margin
 
 
 def test_lemma_suites_pass():
-    reps = lemma_suite(cases=50, seed=20260813)
+    reps = lemma_suite(seed=20260813)
     names = {r.check for r in reps}
     assert "positive-pair-combination-real-roots" in names
     assert "positive-pair-product-real-negative-distinct" in names
@@ -137,7 +138,7 @@ def test_phi_poly_low_degree_and_variants():
 
 
 def test_phi_suite_all_stable():
-    reps = phi_suite(n_max=12)
+    reps = phi_suite()
     assert len(reps) == 3
     assert all(r.passed for r in reps)
 
@@ -152,7 +153,7 @@ def test_realness_suite_reduced_grid():
 
 
 def test_sharpness_suite_finds_complex_pairs():
-    reps = sharpness_suite(gammas=(2.6, 3.0), m=200)
+    reps = sharpness_suite()
     assert len(reps) == 2
     for rep in reps:
         assert rep.passed
@@ -160,7 +161,7 @@ def test_sharpness_suite_finds_complex_pairs():
 
 
 def test_jacobi_suite_boxes():
-    reps = jacobi_suite(n_max=15)
+    reps = jacobi_suite()
     assert len(reps) == 3
     assert all(r.passed for r in reps)
     grids = {r.params["grid"] for r in reps}
@@ -503,9 +504,36 @@ def test_built_coefficients_are_bitwise_the_per_polynomial_oracles(n, rows, data
 def test_sequence_stacks_are_the_floats_of_the_fractions():
     # exact polynomials give their floats from the integer pairs: the bits of float() of each Fraction
     gammas = (F(1, 2), F(3, 2), F(1, 3), F(12, 7), F(-3, 7), 0.7)
-    seqs = [charpoly_sequence(14, g, parity) for g in gammas for parity in Parity]
-    stacks, roots = _sequence_stacks(seqs, range(15))
+    cases = [(g, parity) for g in gammas for parity in Parity]
+    seqs = [charpoly_sequence(14, g, parity) for g, parity in cases]
+    stacks, roots = _sequence_stacks(cases, 14)
     for m, stack in enumerate(stacks):
         ref = np.array([[float(c) for c in seq[m].coeffs] for seq in seqs])
         assert stack.dtype == ref.dtype and stack.tobytes() == ref.tobytes(), m
-        assert roots[m].tobytes() == _sequence_stacks(seqs, [m])[1][0].tobytes()
+        assert roots[m].tobytes() == poly_roots_stacks([ref])[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "suite, gamma, message",
+    [
+        # a float gamma: coefficients, or their ratios to the smaller end one, overflow
+        (interlace_conjecture_suite, 1e14, "the odd characteristic polynomial p_11 at gamma = 100000000000000.0"),
+        (interlace_conjecture_suite, 5e12, "the odd characteristic polynomial p_12 at gamma = 5000000000000.0"),
+        (realness_suite, 1e13, "the odd characteristic polynomial p_12 at gamma = 10000000000000.0"),
+        # an exact gamma: float() of an exact coefficient overflows
+        (interlace_conjecture_suite, F(10**31), "the odd characteristic polynomial p_5 at gamma = 10" + "0" * 30),
+    ],
+)
+def test_polynomial_suites_past_the_float_range_name_gamma_and_degree(suite, gamma, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            suite(gammas=(0.5, gamma))
+    assert str(err.value) == message + " is past the float range"
+
+
+def test_polynomial_suites_below_the_float_range_run_without_warnings():
+    # the leading coefficients' product overflows at 1e12, which leaves its sign
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(interlace_conjecture_suite(gammas=(1e12,))) == 2
