@@ -12,14 +12,11 @@ ratio, so nothing cancels.  The first is G_n(1), which _endpoint_chain runs
 along one parity chain, the one source of the K_n of k_constants too.  A
 float gamma multiplies float ratios: each coefficient of p_j lies within
 about 2.5 (j + 1) units of roundoff of the exact one, and past m of about 75
-the largest overflow to inf.  With a fractions.Fraction family parameter
-every routine below runs in exact rational arithmetic; charpoly_sequence
-folds the ratios into reduced integer pairs without a gcd between two large
-integers, and output that needs no Fraction builds none.  The exact
-coefficients grow factorially, and with their digits the cost per operation.
-The paper's recurrence is the cross-check in tests/oracles.py.  Roots are
-computed in floating point from companion matrices (poly_roots, or
-poly_roots_batch for many polynomials at once).
+the largest overflow to inf.  A fractions.Fraction family parameter runs
+every routine below in exact rational arithmetic, in reduced integer pairs
+with no gcd between two large integers.  The paper's recurrence is the
+cross-check in tests/oracles.py.  Roots are computed in floating point from
+companion matrices (poly_roots, or poly_roots_batch for many at once).
 """
 
 from __future__ import annotations
@@ -132,39 +129,58 @@ def poly_roots_batch(polys) -> list:
     return out
 
 
-def k_constants(m: int, idx, parity, as_float: bool = False) -> list:
+def k_constants(m: int, idx, parity) -> list:
     """Boundary constants K_n of the first matrix row for the column degrees
     n = 2j + ip, j < m, of build_gi2 (ip the parity offset).
 
     n <= 2 have closed forms of their own; n >= 3 is
     K_n = (2g - 1)(2g - 3) G_{n-2}(1) / (n (n^2 - 1)(n + 2)) with G_{n-2}(1)
-    from _endpoint_chain, O(m) in all.  A float gamma forms them in one array
-    expression, the integer denominator exact before its one rounding, and
-    divides before it multiplies only where the product overflows; a
-    Fraction gamma forms each from the chain's reduced pair as it comes, so
-    only one pair is held.  Vanishes for n >= 3 at gamma in {1/2, 3/2}.
-    as_float=True returns floats: for a Fraction gamma the correctly rounded
-    quotient of the unreduced integers, float() of the reduced Fraction
-    without its gcd, which raises OverflowError past the float range (a
-    float gamma gives inf there).
+    from _endpoint_chain, O(m) in all.  A float gamma gives the floats of
+    _k_binary, inf past the float range; a Fraction gamma the exact K_n of
+    _k_exact.  Vanishes for n >= 3 at gamma in {1/2, 3/2}.
     """
     g = as_gegenbauer(idx).gamma
     ip = as_parity(parity).offset
-    n = 2 * np.arange(1, m) + ip  # n >= 2; K_2 is overwritten below
-    chain = _endpoint_chain(g, max(m - 1, 0), ip)  # G_{n-2}(1)
-    low = [_k_low(k, g) for k in range(ip, min(2 * m + ip, 3), 2)]
     if not isinstance(g, Fraction):
-        exact_n = n if 2 * m < 55000 else n.astype(object)  # so that n^4 is exact: below 2^63, or ints
-        with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, as in scalar arithmetic
-            head, den = (2 * g - 1) * (2 * g - 3), (exact_n * (n * n - 1) * (n + 2)).astype(float)
-            ks = head * chain / den
-            over = np.isinf(ks) & np.isfinite(chain)  # the product overflowed; K_n itself may fit
-            ks[over] = head * (chain[over] / den[over])
-        return low + ks[len(low) - 1 :].tolist()
-    P, Q, quotient = g.numerator, g.denominator, operator.truediv if as_float else Fraction
+        with np.errstate(over="ignore"):  # inf past the float range, as in scalar arithmetic
+            return np.ldexp(*_k_binary(m, g, ip)).tolist()
+    low = [_k_low(k, g) for k in range(ip, min(2 * m + ip, 3), 2)]
+    return low + [Fraction(_LowestTerms(next(_folded([(c, d)], a, b)))) for a, b, c, d in _k_exact(m, g, ip)]
+
+
+def _k_exact(m: int, g: Fraction, ip: int):
+    """The exact K_n, n >= 3, of k_constants for gamma = P/Q, one at a time,
+    as (a, b, c, d) with K_n = a c / (b d): a / b the chain's reduced
+    G_{n-2}(1), c / d = (2P - Q)(2P - 3Q) / (Q^2 n (n^2 - 1)(n + 2))."""
+    P, Q = g.numerator, g.denominator
     head = (2 * P - Q) * (2 * P - 3 * Q)
-    ks = [quotient(head * a, Q * Q * b * (k * (k * k - 1) * (k + 2))) for k, (a, b) in zip(n.tolist(), chain)]
-    return [float(k) for k in low] + ks[len(low) - 1 :] if as_float else low + ks[len(low) - 1 :]
+    for n, (a, b) in zip(range(ip + 2, 2 * m + ip, 2), _endpoint_chain(g, max(m - 1, 0), ip)):
+        if n >= 3:
+            yield a, b, head, Q * Q * (n * (n * n - 1) * (n + 2))
+
+
+def _k_binary(m: int, g, ip: int) -> tuple:
+    """k_constants' K_n as arrays (mantissa, exponent) with |mantissa| in
+    [1/2, 1) or 0, so no K_n leaves the float range: for a float gamma the
+    float expression of K_n on the chain's mantissas (the same bits wherever
+    K_n is finite), for a Fraction gamma each exact K_n rounded once."""
+    low = [float(_k_low(k, g)) for k in range(ip, min(2 * m + ip, 3), 2)]
+    vals, exp = np.empty(m), np.zeros(m, dtype=int)
+    if isinstance(g, Fraction):  # int / int rounds once; the shift by bit lengths keeps it in range
+        for j, (a, b, c, d) in enumerate(_k_exact(m, g, ip), len(low)):
+            num, den = a * c, b * d
+            exp[j] = e = abs(num).bit_length() - den.bit_length()
+            vals[j] = num / (den << e) if e > 0 else (num << -e) / den
+    else:
+        n = 2 * np.arange(1, m) + ip  # n >= 2; K_2 is overwritten below
+        vals[1:], exp[1:] = _endpoint_chain(g, max(m - 1, 0), ip)  # G_{n-2}(1)
+        exact_n = n if 2 * m < 55000 else n.astype(object)  # so that n^4 is exact: below 2^63, or ints
+        head, den = (2 * g - 1) * (2 * g - 3), (exact_n * (n * n - 1) * (n + 2)).astype(float)
+        with np.errstate(over="ignore", invalid="ignore"):  # the head is inf past gamma ~1e154
+            vals[1:] = head * vals[1:] / den
+    vals[: len(low)], exp[: len(low)] = low, 0
+    mant, up = np.frexp(vals)
+    return mant, exp + up
 
 
 def _k_low(n: int, g):
@@ -214,24 +230,25 @@ def _closed_form_factors(P, Q, m_max: int, ip: int) -> tuple:
     w_t = u_t u_{t+1}, f_t = t (t - 1) and low_k = u_{4k+1} u_{4k+3}, the head
     ratio is w_{n-2} / (f_n Q^2) and step k is f_{n-2k} w_{n+2k} / low_k, in
     which Q^2 cancels.  Every factor is positive for gamma > -1/2.  Returns
-    the arrays w, f and low, of Python integers for integers P and Q.
+    the arrays w, f and low, of Python integers for integers P and Q; for a
+    float P, w and low are inf from gamma ~1e154 on.
     """
     t = np.arange(4 * m_max + ip + 1, dtype=None if isinstance(P, float) else object)
     u = 2 * P + t * Q
     u[0] = Q
-    w = u[:-1] * u[1:]
-    f = t * (t - 1)
-    low = u[1 : 4 * m_max : 4] * u[3 : 4 * m_max + 2 : 4]
-    return w, f, low
+    with np.errstate(over="ignore"):
+        w = u[:-1] * u[1:]
+        low = u[1 : 4 * m_max : 4] * u[3 : 4 * m_max + 2 : 4]
+    return w, t * (t - 1), low
 
 
 def _endpoint_chain(g, count: int, ip: int):
     """G_n(1) for the count degrees n = ip, ip + 2, ... of one parity chain,
     from G_ip(1) = 1 by the head ratios w_{n-2} / (f_n Q^2) of
-    _closed_form_factors.  A float gamma gives an array, one np.cumprod of
-    the float ratios at (P, Q) = (g, 1), inf past the float range; a Fraction
-    gamma = P/Q yields reduced integer pairs (num, den) one at a time
-    (_folded), so a caller holds only what it keeps."""
+    _closed_form_factors: for a float gamma the arrays (mantissa, exponent)
+    of _binary_cumprod of the ratios at (P, Q) = (g, 1), for a Fraction
+    gamma = P/Q reduced integer pairs (num, den) one at a time (_folded), so
+    a caller holds only what it keeps."""
     exact = isinstance(g, Fraction)
     P, Q = (g.numerator, g.denominator) if exact else (float(g), 1)
     w, f, _ = _closed_form_factors(P, Q, max(count - 1, 0), ip)
@@ -240,13 +257,35 @@ def _endpoint_chain(g, count: int, ip: int):
         return _folded([(1, 1), *zip(w[n - 2], f[n] * Q * Q)][:count])
     ratios = np.ones(count)
     ratios[1:] = w[n - 2] / f[n]
-    with np.errstate(over="ignore"):  # large gamma and n: inf, as in scalar arithmetic
-        return np.cumprod(ratios)
+    return _binary_cumprod(ratios)
+
+
+def _binary_cumprod(ratios: np.ndarray) -> tuple:
+    """np.cumprod(ratios) of positive ratios as arrays (mantissa, exponent),
+    the mantissa in [1/2, 1): one np.cumprod per block, each started from the
+    np.frexp mantissa of the value before it and short enough (by the
+    ratios' exponents) to move by at most 1000 binades, so its products stay
+    normal.  Powers of two rescale exactly, so the mantissas are the plain
+    product's wherever that is a normal float."""
+    e = np.frexp(ratios)[1]  # a ratio in [2**(e - 1), 2**e) moves a product by at most max(e, 1 - e) binades
+    moved = np.cumsum(np.maximum(e, 1 - e))
+    vals, shift = ratios.copy(), np.zeros(ratios.size, dtype=int)
+    start, mant, exp = 0, 1.0, 0
+    while start < ratios.size:
+        stop = max(np.searchsorted(moved, (moved[start - 1] if start else 0) + 1000, "right"), start + 1)
+        vals[start] *= mant
+        np.cumprod(vals[start:stop], out=vals[start:stop])
+        shift[start:stop] = exp
+        mant, up = math.frexp(vals[stop - 1])
+        exp += up
+        start = stop
+    mant, up = np.frexp(vals)
+    return mant, up + shift
 
 
 def _folded(ratios, num: int = 1, den: int = 1):
-    """The running products num/den * a_1/b_1 * a_2/b_2 ... of positive
-    integer ratios as reduced pairs: each ratio is reduced by one small gcd
+    """The running products num/den * a_1/b_1 * a_2/b_2 ... of integer
+    ratios (b_i > 0) as reduced pairs: each ratio is reduced by one small gcd
     and cancelled crosswise as Fraction.__mul__ does, so no gcd is taken
     between two large integers."""
     for a, b in ratios:
@@ -263,16 +302,18 @@ def _charpoly_sequence_float(m_max: int, g: float, par: Parity) -> list:
     Row j of a lower-triangular table holds G_n(1) (_endpoint_chain) and the
     j step ratios of p_j; one cumulative product along the row gives p_j's
     coefficients, so a value overflows to inf only where its coefficient
-    does, and each lies within a few (j + 1) units of roundoff of the exact one.
+    does, and each lies within a few (j + 1) units of roundoff of the exact
+    one.  A step ratio inf / inf (gamma past ~1e154) is taken as inf.
     """
     ip = par.offset
     w, f, low = _closed_form_factors(g, 1, m_max, ip)
     n = 2 * np.arange(m_max + 1) + ip
     table = np.ones((m_max + 1, m_max + 1))
-    table[:, 0] = _endpoint_chain(g, m_max + 1, ip)
     j, k = np.tril_indices(m_max + 1, -1)
-    table[j, k + 1] = f[n[j] - 2 * k] * w[n[j] + 2 * k] / low[k]
-    with np.errstate(over="ignore"):  # past m ~ 75 the largest coefficients overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # past m ~ 75 the largest coefficients overflow
+        table[:, 0] = np.ldexp(*_endpoint_chain(g, m_max + 1, ip))
+        table[j, k + 1] = f[n[j] - 2 * k] * w[n[j] + 2 * k] / low[k]
+        table[np.isnan(table)] = np.inf
         coeffs = np.cumprod(table, axis=1)
     return [MuPolynomial(row[: i + 1].tolist()) for i, row in enumerate(coeffs)]
 

@@ -90,8 +90,9 @@ def _add_common(sp, bc=False):
 
 
 def _cmd_gi2(args) -> int:
-    tau = build_gi2(args.modes, GegenbauerIndex(args.gamma), Parity(args.parity))
-    M = tau.square() if args.square else tau.rectangular()
+    M = build_gi2(args.modes, GegenbauerIndex(args.gamma), Parity(args.parity)).rectangular()
+    if args.square:
+        M = M[: args.modes]
     return _emit(
         args,
         csv=lambda: matrix_to_csv(M),

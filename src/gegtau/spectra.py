@@ -12,7 +12,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg.cython_lapack
@@ -33,12 +33,10 @@ __all__ = [
 
 
 class _Scratch(np.ndarray):
-    """A matrix handed to dense_eigs to work in.
-
-    tau_spectrum and pencil_spectrum build their matrix only for its
-    eigenvalues and pass it as a view of this type (or of _Hessenberg):
-    dense_eigs may then overwrite it, so the solve makes no m x m copy.  Any
-    other array dense_eigs leaves as it was.
+    """A matrix handed to dense_eigs to work in: tau_spectrum and
+    pencil_spectrum build theirs only for its eigenvalues and pass it as a
+    view of this type (or of _Hessenberg), which dense_eigs may overwrite,
+    so the solve makes no m x m copy.  Any other array it leaves as it was.
     """
 
 
@@ -48,31 +46,21 @@ class _Hessenberg(_Scratch):
 
 
 def dense_eigs(a: np.ndarray, vectors: bool = False):
-    """Eigenvalues (and optionally right eigenvectors) of a square matrix.
+    """Eigenvalues (and optionally right eigenvectors) of a square matrix,
+    sorted by (real, imag) so repeated calls are deterministic.
 
-    The route follows what the caller knows, not what the matrix looks
-    like: tau_spectrum's square, passed as a _Hessenberg view, goes to
-    LAPACK's Hessenberg QR iteration dhseqr with no balancing and no
-    reduction step (_hessenberg_eigvals); any other matrix (the pencil
-    route's B^{-1} A among them) goes to LAPACK's general solver dgeev
+    The route follows what the caller knows: tau_spectrum's square, passed
+    as a _Hessenberg view, goes to LAPACK's Hessenberg QR iteration dhseqr
+    alone (_hessenberg_eigvals); any other matrix to LAPACK's dgeev
     (_general_eigvals), and every eigenvector request to numpy's.  Both
-    LAPACK routes call scipy's own LAPACK (_lapack) on a Fortran-ordered
-    work matrix with a padded leading dimension (tau_operator._work_matrix).
-    Output is sorted by (real, imag) so repeated calls are deterministic.
-    Raises numpy.linalg.LinAlgError on non-finite input or if the QR
-    iteration fails to converge.
-
-    dgeev rescales a matrix whose largest |entry| lies outside [2^-459,
-    2^459], and scipy's LAPACK (1.17) returns the rescaled matrix's
-    eigenvalues, so the dgeev route refuses such a matrix (LinAlgError).
-    No B^{-1} A of the accepted domain comes near (largest |entry| 15 to
-    1.7e19).  dhseqr rescales nothing, so the Hessenberg route takes any
-    finite matrix.
-
-    The input is never modified, unless it is a _Scratch view: then, if it
-    is a float64 matrix with unit row stride (Fortran-ordered, leading
-    dimension free), LAPACK works in it; any other input is copied into a
-    padded work matrix first.
+    LAPACK routes call scipy's own LAPACK (_lapack) on a Fortran-ordered work
+    matrix with a padded leading dimension (tau_operator._work_matrix).
+    numpy.linalg.LinAlgError on non-finite input, where the QR iteration
+    fails, and on the dgeev route for a largest |entry| outside [2^-459,
+    2^459], which dgeev would rescale (scipy 1.17 then returns the rescaled
+    matrix's eigenvalues; B^{-1} A reads 15 to 1.7e19).  The input is never
+    modified, unless it is a _Scratch view with unit row stride: then LAPACK
+    works in it; any other input is copied into a padded work matrix first.
     """
     hessenberg, overwrite_a = isinstance(a, _Hessenberg), isinstance(a, _Scratch)
     a = np.asarray(a, dtype=float)
@@ -173,17 +161,12 @@ def _general_eigvals(work: np.ndarray) -> np.ndarray:
 
 def _hessenberg_eigvals(work: np.ndarray) -> np.ndarray:
     """Eigenvalues of the upper Hessenberg work matrix by LAPACK dhseqr in
-    place, unsorted, with the bits of dgeevx with BALANC = 'N'.
-
-    dgeevx (eigenvalues only, no balancing) is dgehrd + dhseqr, after a
-    rescaling that the Hessenberg route leaves out (see dense_eigs).  On a
-    matrix that is already Hessenberg every reflector of dgehrd is the
-    identity, so dhseqr is all that is left to run.  It gets the workspace
-    dgeev hands it; dgeevx hands it n entries less, with the same bits.
-    Balancing, dgeev's first step, is left out on purpose: on
-    tau_spectrum's square it lost the low modes at large gamma (at m = 1024
-    and gamma 20 mode 5 was 2e-5 off the closed form, at m = 2000 and gamma
-    35-75 the first five modes up to 0.78).
+    place, unsorted, with the bits of dgeevx with BALANC = 'N': that is
+    dgehrd, whose reflectors are the identity on a Hessenberg matrix, and
+    dhseqr with dgeev's workspace (dgeevx hands it n entries less, with the
+    same bits).  Balancing is left out on purpose: on tau_spectrum's square
+    it lost the low modes at large gamma (at m = 1024 and gamma 20 mode 5
+    was 2e-5 off the closed form).
     """
     n = work.shape[0]
     # inside dgeev, dhseqr's workspace starts n entries into dgeev's own
@@ -356,22 +339,6 @@ _POWER_STEPS = 8  # deflated power iteration steps of the dominance check
 _EPS = 2.0**-53
 
 
-def _row_scaled(tau: TauMatrix) -> TauMatrix:
-    """diag(1/s) A diag(s) on the bands, each entry A[i, j] * s[j] / s[i] as
-    on the square, with s the powers of two that bring every first-row entry
-    above the binade of A[0, 0] down into it (s_j = 1 for the others, zeros
-    too, so gamma 1/2 and 3/2 keep A): the same eigenvalues, no rounding."""
-    e = np.frexp(tau.first_row)[1]
-    s = np.ldexp(1.0, np.where(tau.first_row == 0.0, 0, np.minimum(e[0] - e, 0)))
-    return replace(
-        tau,
-        first_row=tau.first_row * s / s[0],
-        lo=tau.lo * np.append(1.0, s[:-1]) / s,
-        dg=tau.dg * s / s,
-        up=tau.up * np.append(s[1:], 1.0) / s,
-    )
-
-
 def _shifted_eigs(tau: TauMatrix, k: int):
     """The k largest-|mu| eigenvalues of tau.square(), from the largest
     down, or None when a check fails and the next route should serve.
@@ -380,30 +347,21 @@ def _shifted_eigs(tau: TauMatrix, k: int):
     inverse iteration shifted to sigma_j = 1 / exact_spectrum's j-th value
     (TauMatrix.inverse_iteration, two O(m) band solves per vector from a
     fixed start) gives the j-th right and left vectors x_j, y_j, and
-    mu_j = y_j^T A x_j / y_j^T x_j with A x_j from TauMatrix.apply.  No
-    m x m array.  Where the first row's sum of squares overflows (it passes
-    1e154 at large gamma: 3.5e161 at m = 1024, gamma 50), so would ||A||_F
-    and the vectors; there the route works on the row-scaled bands
-    (_row_scaled): the same eigenvalues, and no rounding.  A mode that
+    mu_j = y_j^T A x_j / y_j^T x_j with A x_j from TauMatrix.apply.  A is the
+    row-scaled matrix TauMatrix holds, so ||A||_F and the vectors stay in
+    range at every gamma build_gi2 accepts.  No m x m array.  A mode that
     fails the checks below after _SHIFTED_STEPS steps is tried again with
-    one more step at a time, up to _SHIFTED_MAX_STEPS: at m = 128, gamma
-    10, k = 8 and m = 300, gamma 7, k = 14 the last mode's componentwise
-    bound reads 1.1e-8 after two steps and passes after three.  Accepted
-    only if
+    one more step at a time, up to _SHIFTED_MAX_STEPS.  Accepted only if
 
     - each backward residual ||A x_j - mu_j x_j|| is at most m u ||A||_F;
     - each mu_j lies within _SHIFTED_REL of sigma_j, so the modes are
       distinct and in order;
     - each componentwise first-order error bound |y_j|^T |r_j| / |y_j^T x_j|,
-      r_j = A x_j - mu_j x_j, is within _SHIFTED_REL of |mu_j|.  Relative to
-      |mu_j| it is eta kappa_c: the left-weighted backward error
-      |y|^T |r| / |y|^T (|A| + |mu| I) |x| times the componentwise condition
-      number |y|^T (|A| + |mu| I) |x| / (|mu| |y^T x|), whose |A| terms
-      cancel.  For unit x_j and y_j it is at most the normwise bound
-      ||r_j|| / |y_j^T x_j|, which the first row's huge ||A|| voids at large
-      gamma (6e56 at m = 1024, gamma 20, k = 1, where this bound is 4e-16).
-      It still refuses where the values are off: m = 4000, gamma 10,
-      k = 100 reads 1.3e7, with values 3.6e-5 from the closed form;
+      r_j = A x_j - mu_j x_j, is within _SHIFTED_REL of |mu_j|: eta kappa_c,
+      the left-weighted backward error times the componentwise condition
+      number, neither changed by a diagonal scaling of A.  It refuses where
+      the values are off: m = 4000, gamma 10, k = 100 reads 1.3e7, with
+      values 3.6e-5 from the closed form;
     - a deflated power iteration, _POWER_STEPS steps of
       (I - X (Y^T X)^{-1} Y^T) A from the same start, grows by less than
       |mu_k| in its last step: no other eigenvalue found that way is as
@@ -417,8 +375,6 @@ def _shifted_eigs(tau: TauMatrix, k: int):
     start = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     mu, X, Y = np.empty(k), np.empty((k, m)), np.empty((k, m))
     with np.errstate(all="ignore"):  # a NaN or inf fails the checks below
-        if not math.isfinite(tau.first_row @ tau.first_row):
-            tau = _row_scaled(tau)
         bands = (tau.first_row, tau.lo, tau.dg, tau.up)
         bound = m * _EPS * math.sqrt(sum(b @ b for b in bands))  # m u ||A||_F
         for j, s in enumerate(sigma):
@@ -446,42 +402,32 @@ def _shifted_eigs(tau: TauMatrix, k: int):
     return mu
 
 
-# ARPACK serves the count=k requests that _shifted_eigs refuses (large gamma
-# past its first few modes, see tau_spectrum), from m = 96 modes and for
-# k <= m / 8.
-# Measured on one BLAS thread against the dense route (both then balanced
-# the matrix by a Python replay of LAPACK dgebal), gamma 0.5 and 2.4: at
-# k = 1 it takes 0.4-0.6 of the dense time at m = 96, 0.2-0.5 at m = 128
-# and 0.01-0.06 at m = 1024; k = m / 8
-# stays below 0.8 from m = 96 on; the two cross near k = m / 4 (0.8-1.2 from
-# m = 96 to 1024); at m = 64 and below the dense solve is as fast or faster.
+# ARPACK serves the count=k requests that _shifted_eigs refuses, from m = 96
+# modes and for k <= m / 8.  On one BLAS thread against the dense route, at
+# gamma 0.5 and 2.4, k = 1 took 0.4-0.6 of the dense time at m = 96 and
+# 0.01-0.06 at m = 1024, and k = m / 8 below 0.8 from m = 96 on; at m = 64
+# and below the dense solve is as fast or faster.
 _ARPACK_MIN_M = 96
 
 
 def _arpack_eigs(tau: TauMatrix, k: int):
     """The k + 1 largest-|mu| eigenvalues of tau.square() in dense_eigs'
-    (real, imag) order, or None when the dense route should serve instead.
+    (real, imag) order, or None when the dense route should serve instead
+    (m < _ARPACK_MIN_M, k > m / _PARTIAL_MAX_SHARE, or ARPACK fails).
 
-    ARPACK's implicitly restarted Arnoldi iteration (which="LM", tol=0, so
-    to working precision) runs on the O(m) band matvec tau.apply and never
-    forms the m x m matrix.  The largest |mu| are the lowest modes.  The
-    operator is the dense route's, diag(1/s) A diag(s) with row 0 scaled
-    into one binade (_row_scaled): unscaled, the Ritz values at large gamma
-    (20 and 50, with k = m / 8) converged to points that are no eigenvalue
-    and missed the lowest mode (100% off at m = 1024, gamma 20, k = 128,
-    even parity).  One value beyond k keeps both members of a conjugate
-    pair cut at position k, so the caller's sort picks the one the dense
-    order puts first.  The starting vector is fixed, so repeated calls give
-    the same bits.  None comes back for m < _ARPACK_MIN_M or
-    k > m / _PARTIAL_MAX_SHARE, where the dense solve is cheaper, and when
-    ARPACK fails.
+    ARPACK's implicitly restarted Arnoldi iteration (which="LM", tol=0) runs
+    on the O(m) band matvec tau.apply of the row-scaled matrix and never
+    forms it: unscaled, the Ritz values at gamma 20 and 50 with k = m / 8
+    missed the lowest mode (100% off at m = 1024, gamma 20).  One value
+    beyond k keeps both members of a conjugate pair cut at position k, so
+    the caller's sort picks the one the dense order puts first.  A fixed
+    start gives the same bits on repeated calls.
     """
     m = tau.m
     if m < _ARPACK_MIN_M or _PARTIAL_MAX_SHARE * k > m:
         return None
     import scipy.sparse.linalg  # deferred: 35-70 ms and 2 MB that only partial spectra need
 
-    tau = _row_scaled(tau)
     op = scipy.sparse.linalg.LinearOperator((m, m), matvec=lambda f: tau.apply(f)[:m], dtype=float)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     try:
@@ -498,15 +444,13 @@ def tau_spectrum(
     """Spectrum of the m-mode discretization via the integration route.
 
     Dirichlet eigenvalues are reciprocals of the eigenvalues of the banded
-    square matrix.  Its first row is brought into one binade by a
-    power-of-two diagonal similarity on the bands (_row_scaled, exact), and
-    the square, upper Hessenberg (tridiagonal plus the first row), is handed
-    to dense_eigs as a _Hessenberg view: one LAPACK call, the Hessenberg QR
-    iteration dhseqr, with no balancing and no O(m^3) reduction, gives the
-    eigenvalues, bit for bit, of LAPACK dgeevx with BALANC = 'N' on that
-    matrix.  Balancing is left out on purpose (see _hessenberg_eigvals).
-    dhseqr works in that one matrix, built with a padded leading dimension
-    (TauMatrix.square).
+    square matrix, held row-scaled by build_gi2 (TauMatrix), so its entries
+    stay in the float range at every gamma below 2^53.  The square, upper
+    Hessenberg (tridiagonal plus the first row), is handed to dense_eigs as
+    a _Hessenberg view: one LAPACK call, the Hessenberg QR iteration dhseqr,
+    with no balancing (see _hessenberg_eigvals) and no O(m^3) reduction,
+    gives the eigenvalues, bit for bit, of LAPACK dgeevx with BALANC = 'N'
+    on that matrix, in which it works (TauMatrix.square).
 
     Neumann reduces by differentiating the eigenfunctions: even modes give
     a zero eigenvalue plus the odd Dirichlet spectrum with the family
@@ -519,15 +463,13 @@ def tau_spectrum(
 
     - k <= m / 8: inverse iteration shifted to the exact values, O(m) band
       solves with no m x m array (_shifted_eigs).  On one BLAS thread
-      count=1 takes 0.45-0.6 ms at m = 16-128 and 1-2 ms at m = 1024 (mostly
-      build_gi2), at gamma 0.5 and 20 alike; m = 1024 and k = 128 takes
-      32-34 ms.  Its componentwise trust test serves k = 1 and 2 from
-      m = 16 on, across a grid of gamma up to the float range (149 at
-      m = 128, 50 at m = 4000): count=1 takes 1.2 ms at m = 1024 and gamma
-      50 or 100, 3.5 ms at m = 4000 and gamma 50.  The largest k it serves
-      falls with gamma: m / 8 up to gamma 3, 56-66 at gamma 5 and
-      m >= 1024, 7-9 at gamma 10, 5-6 at gamma 20.  It refuses any request
-      with a conjugate pair among its modes;
+      count=1 takes 0.45-0.6 ms at m = 16-128 and 1-2 ms at m = 1024,
+      m = 1024 and k = 128 32-34 ms, and k = 3 at m = 8000 and gamma 1000
+      4-5 ms.  Its trust test serves k = 1 and 2 from m = 16 on, across a
+      grid of gamma up to 100 and at m = 16-4000 and gamma 150 to 9e15; the
+      largest k it serves falls with gamma: m / 8 up to gamma 3, 56-66 at
+      gamma 5 and m >= 1024, 7-9 at gamma 10, 5-6 at gamma 20.  It refuses
+      any request with a conjugate pair among its modes;
     - m >= 96 and k <= m / 8: ARPACK on the row-scaled O(m) matvec
       (_arpack_eigs);
     - anything else: the full dense spectrum, sliced.
@@ -557,7 +499,7 @@ def tau_spectrum(
     if mu is None and count is not None:
         mu = _arpack_eigs(tau, count)
     if mu is None:
-        mu = dense_eigs(_row_scaled(tau).square().view(_Hessenberg))
+        mu = dense_eigs(tau.square().view(_Hessenberg))
     if not mu.all():
         raise ValueError(f"the integration matrix at m = {m}, gamma = {gdx.gamma} has an exact zero eigenvalue")
     lam, mu = _sorted_by_magnitude(1.0 / mu, mu)
@@ -582,11 +524,10 @@ def _solve_structured(pencil: GeneralizedPencil) -> np.ndarray:
         if _lapack("dgtsv", m, m, dl[:-1], d, du[1:], X, _lda(X)) != 0:
             raise np.linalg.LinAlgError(f"variant {variant}: tridiagonal B is singular")
         return X
-    # diff-elim-first: B is its first row plus the subdiagonal h[1:], so
-    # rows 1..m-1 determine x_0..x_{m-2} directly; row 0 closes x_{m-1}.
-    # The closure row's gemv reads those rows in row-major order, whose
-    # rounding the outputs carry: they are staged that way in X's own
-    # buffer, and then written again into X's column-major place.
+    # diff-elim-first: B is its first row plus the subdiagonal h[1:], so rows
+    # 1..m-1 give x_0..x_{m-2} and row 0 closes x_{m-1}.  The closure gemv's
+    # rounding follows row-major order: the rows are staged that way in X's
+    # buffer, then written again into X's column-major place.
     brow = pencil.b_first_row()
     top = X.base[: (m - 1) * m].reshape(m - 1, m)
     pencil.write_a(top, rows=(1, m), over_h=True)
@@ -599,31 +540,25 @@ def _solve_structured(pencil: GeneralizedPencil) -> np.ndarray:
 
 
 def pencil_spectrum(pencil: GeneralizedPencil, tol_real: float = 1e-9) -> Spectrum:
-    """Spectrum of a generalized pencil A x = lambda B x via B^{-1} A.
-
-    B^{-1} A is written once into a padded work matrix (_solve_structured)
-    and handed to dense_eigs to work in as a _Scratch view: one LAPACK call,
-    dgeev, balances, reduces and iterates on it in place at the padded
-    leading dimension, so B^{-1} A is the only m x m array of the solve.
-
-    The integration route has no pencil form here: tau_spectrum takes the
-    eigenvalues of the banded matrix directly and inverts them afterwards.
+    """Spectrum of a generalized pencil A x = lambda B x via B^{-1} A, written
+    once into a padded work matrix (_solve_structured) that dgeev balances,
+    reduces and iterates on in place (dense_eigs, a _Scratch view): the only
+    m x m array of the solve.  ValueError where an entry of B^{-1} A is past
+    the float range: A carries the norms h_n, and its products overflow
+    before they do (m = 128: from gamma 718 for diff-elim-last, 733 for
+    galerkin-basis).
     """
     _check_tolerance("tol_real", tol_real)
-    lam = dense_eigs(_solve_structured(pencil).view(_Scratch))
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _solve_structured(pencil)
+    if not math.isfinite(max(X.max(), -X.min())):  # no m x m temporary
+        past = f"B^-1 A of m = {pencil.m} modes at gamma = {pencil.gamma}"
+        raise ValueError(f"{past} has entries past the float range")
+    lam = dense_eigs(X.view(_Scratch))
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = np.where(lam != 0, 1.0 / lam, np.inf)
     lam, mu = _sorted_by_magnitude(lam, mu)
-    return Spectrum(
-        lam,
-        mu,
-        pencil.m,
-        pencil.gamma,
-        pencil.parity,
-        bc="dirichlet",
-        source=pencil.variant,
-        tol_real=tol_real,
-    )
+    return Spectrum(lam, mu, pencil.m, pencil.gamma, pencil.parity, source=pencil.variant, tol_real=tol_real)
 
 
 def exact_spectrum(count: int, parity, bc: str = "dirichlet") -> np.ndarray:
@@ -681,10 +616,10 @@ def eigenfunction(j: int, m: int, idx, parity) -> EigenPair:
     boundary conditions hold by construction.
 
     The eigenvalue is tau_spectrum(count=j + 1)'s j-th, and the coefficients
-    of u'' are the O(m) TauMatrix.null_vector at its reciprocal: real for a
-    real eigenvalue.  No eigenvector matrix and no Ritz vectors are formed;
-    where shifted inverse iteration serves the count, its O(m) vectors of
-    modes 0..j are the only others."""
+    of u'' are the O(m) TauMatrix.null_vector at its reciprocal (real for a
+    real eigenvalue); it and apply's u are taken back from the row-scaled
+    basis by the powers of two s_j.  No eigenvector matrix and no Ritz
+    vectors are formed."""
     gdx = as_gegenbauer(idx)
     par = as_parity(parity)
     if not 0 <= j < m:
@@ -693,13 +628,8 @@ def eigenfunction(j: int, m: int, idx, parity) -> EigenPair:
     mu = spec.mu[j]
     tau = build_gi2(m, gdx, par)
     c = tau.null_vector(mu.real if mu.imag == 0 else mu)
-    u = tau.apply(c)
+    s = np.ldexp(1.0, tau.scale)
+    u = tau.apply(c) * np.append(s, s[-1])
+    c = c * s
     scale = u[np.argmax(np.abs(u))]
-    return EigenPair(
-        eigenvalue=complex(spec.eigenvalues[j]),
-        u_coeffs=u / scale,
-        d2u_coeffs=c / scale,
-        m=m,
-        gamma=float(gdx.gamma),
-        parity=par,
-    )
+    return EigenPair(complex(spec.eigenvalues[j]), u / scale, c / scale, m, float(gdx.gamma), par)

@@ -3,10 +3,10 @@
 Two families:
 
 * the integration form: a banded (tridiagonal plus a boundary first row)
-  matrix M acting on the parity-reduced coefficients of f = u''; the
-  rectangular extension of M maps f to the coefficients of the double
-  antiderivative that vanishes at both endpoints, and eigenvalues come from
-  the square part as reciprocals of its eigenvalues.
+  matrix M acting on the parity-reduced coefficients of f = u'', held
+  row-scaled; its rectangular extension maps f to the coefficients of the
+  double antiderivative that vanishes at both endpoints, and eigenvalues
+  are the reciprocals of those of the square part.
 
 * differentiation/Galerkin pencils (A, B) with A x = lambda B x obtained by
   eliminating one coefficient against the boundary condition or by building
@@ -19,12 +19,13 @@ matrices are built tile by tile where they are needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
 
-from .charpoly import k_constants
+from .charpoly import _k_binary
 from .orthopoly import (
     Parity,
     _one_minus_x2_bands,
@@ -55,13 +56,10 @@ def _check_modes(m: int) -> None:
 
 def _padded_lda(m: int) -> int:
     """Leading dimension of an m x m LAPACK work matrix: m rounded up to a
-    multiple of 8, plus 8 more when that is a multiple of 16.
-
-    A column is then an odd multiple of 64 bytes long.  At a power-of-two m
-    (the 8 KiB columns of m = 1024) every row walk of dgebal, dgehrd and
-    dhseqr would otherwise fall into the same few cache sets, which cost
-    dgeev on B^{-1} A a quarter of its time there.  The arithmetic is the
-    same, so are the bits.
+    multiple of 8, plus 8 more when that is a multiple of 16, so a column is
+    an odd multiple of 64 bytes and the row walks of a power-of-two m do not
+    fall into the same few cache sets (a quarter of dgeev's time on B^{-1} A
+    at m = 1024).  The arithmetic is the same, so are the bits.
     """
     lda = -(-m // 8) * 8
     return lda + 8 if lda % 16 == 0 else lda
@@ -77,17 +75,25 @@ def _work_matrix(m: int, zero: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TauMatrix:
-    """Banded integration operator for one parity class.
+    """Banded integration operator for one parity class, held row-scaled.
 
     Column j holds the j-th basis function of the parity class (degree
-    2j or 2j + 1).  The square part A is upper Hessenberg: a boundary row on
-    top of a tridiagonal block.  It is stored by rows:
+    2j or 2j + 1).  The square part A is upper Hessenberg: a boundary row of
+    K_n (past the float range at large gamma and m) on top of a tridiagonal
+    block.  Stored is S = diag(1/s) A diag(s), s_j = 2**scale[j] the powers
+    of two that bring every first-row entry above the binade of A[0, 0]
+    down into it (s_j = 1 for the others, zeros too; all of them up to gamma
+    5/2 at least): A's eigenvalues, and x is S's eigenvector when diag(s) x
+    is A's.  square, apply, null_vector and inverse_iteration act on S,
+    rectangular gives A.  By rows:
 
     first_row   length m, row 0 whole (the boundary row)
-    lo, dg, up  length m, A[i, i-1], A[i, i] and A[i, i+1] for rows i >= 1;
+    lo, dg, up  length m, S[i, i-1], S[i, i] and S[i, i+1] for rows i >= 1;
                 zero at i = 0 and where the entry falls outside the matrix
                 (up[m-1])
-    last        entry of the extra rectangular row, A[m, m-1]
+    scale       length m, the integer exponents of s (<= 0)
+    last        entry of the extra rectangular row, A[m, m-1] (that row
+                scaled by s_{m-1})
     """
 
     m: int
@@ -97,10 +103,11 @@ class TauMatrix:
     lo: np.ndarray
     dg: np.ndarray
     up: np.ndarray
+    scale: np.ndarray
     last: float
 
     def square(self) -> np.ndarray:
-        """Dense m x m matrix whose eigenvalues are the reciprocal spectrum.
+        """Dense m x m matrix S, whose eigenvalues are the reciprocal spectrum.
 
         Fortran-ordered with a padded leading dimension (_work_matrix), so
         LAPACK works in it without a copy.
@@ -115,14 +122,21 @@ class TauMatrix:
         return M
 
     def rectangular(self) -> np.ndarray:
-        """(m+1) x m extension whose action is the double integration."""
-        R = np.zeros((self.m + 1, self.m))
-        R[: self.m, :] = self.square()
-        R[self.m, self.m - 1] = self.last
+        """(m+1) x m extension of A, unscaled, whose action is the double
+        integration; ValueError where an entry is past the float range."""
+        m, e = self.m, self.scale
+        R = np.zeros((m + 1, m))
+        with np.errstate(over="ignore"):
+            R[:m] = np.ldexp(self.square(), e[:, None] - e)  # A[i, j] = S[i, j] s_i / s_j
+        R[m, m - 1] = self.last
+        if not np.isfinite(R).all():
+            past = f"the boundary constants K_n of m = {m} modes at gamma = {self.gamma}"
+            raise ValueError(f"{past} exceed the float range")
         return R
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """Rectangular action on a real or complex coefficient vector, O(m)."""
+        """Rectangular action of S, extended by the row last * f[m-1], on a
+        real or complex coefficient vector, O(m)."""
         f = np.asarray(f)
         f = f.astype(np.result_type(f, float), copy=False)
         if f.shape != (self.m,):
@@ -136,15 +150,15 @@ class TauMatrix:
         return u
 
     def null_vector(self, mu) -> np.ndarray:
-        """Solution x of rows 1..m-1 of (A - mu I) x = 0, O(m).
+        """Solution x of rows 1..m-1 of (S - mu I) x = 0, O(m).
 
         With x[m-1] = 1 each row i, from the last up, fixes x[i-1] through
         the nonzero subdiagonal entry lo[i] (Hyman's method).  At an
-        eigenvalue mu of A, row 0 holds as well and x is the right
-        eigenvector.  The entries grow upward (by far more than the float
-        range at m = 1000), so the part solved so far is rescaled whenever
-        it passes 2**500; the result has largest |entry| 1.  Real for a real
-        mu, complex for a complex one.
+        eigenvalue mu, row 0 holds as well and x is the right eigenvector of
+        S (diag(s) x is A's).  The entries grow upward (past the float range
+        at m = 1000), so the part solved so far is rescaled whenever it
+        passes 2**500; the result has largest |entry| 1.  Real for a real mu,
+        complex for a complex one.
         """
         lo, dg, up = self.lo.tolist(), self.dg.tolist(), self.up.tolist()
         x = np.zeros(self.m, dtype=complex if np.iscomplexobj(mu) else float)
@@ -162,18 +176,17 @@ class TauMatrix:
 
     def inverse_iteration(self, sigma: float, start: np.ndarray, steps: int):
         """Right and left unit vectors after `steps` steps of inverse
-        iteration with A - sigma I from start, O(m) each; sigma real, m >= 3
-        (scipy's dgttrf wrapper refuses order 2).
+        iteration with S - sigma I from start, O(m) each and no m x m array;
+        sigma real, m >= 3 (scipy's dgttrf wrapper refuses order 2).
 
-        A - sigma I is T + e_0 r^T, with T tridiagonal (the first two entries
-        of row 0 and the bands of rows 1..m-1, shifted) and r the first row
-        beyond column 1.  LAPACK dgttrf factors T once; a step solves with the
-        factors (dgttrs, transposed for the left vector) and adds the
-        Sherman-Morrison correction for r as (1 + r^T z) w - (r^T w) z, with
-        w = T^{-1} b and z = T^{-1} e_0.  That is the solution times
-        1 + r^T z, a factor that vanishes when sigma is an eigenvalue, where
-        the step returns z, the eigenvector, so nothing is divided by it.
-        No m x m array is formed.  LinAlgError if T is exactly singular.
+        S - sigma I is T + e_0 r^T, T tridiagonal (the first two entries of
+        row 0 and the bands of rows 1..m-1, shifted) and r the first row
+        beyond column 1.  LAPACK dgttrf factors T once; a step solves with
+        the factors (dgttrs, transposed for the left vector) and adds the
+        Sherman-Morrison correction (1 + r^T z) w - (r^T w) z, w = T^{-1} b
+        and z = T^{-1} e_0: the solution times 1 + r^T z, which vanishes at
+        an eigenvalue sigma, where the step returns the eigenvector z, so
+        nothing is divided by it.  LinAlgError if T is exactly singular.
         """
         if self.m < 3:
             raise ValueError(f"inverse iteration needs m >= 3, got {self.m}")
@@ -183,7 +196,7 @@ class TauMatrix:
         d[0], du[0] = top[0] - sigma, top[1]
         lu = lapack.dgttrf(self.lo[1:], d, du)
         if lu[-1] != 0:
-            raise np.linalg.LinAlgError(f"the tridiagonal part of A - {sigma!r} I is singular")
+            raise np.linalg.LinAlgError(f"the tridiagonal part of S - {sigma!r} I is singular")
 
         def solve(b, trans="N"):
             return lapack.dgttrs(*lu[:-1], b, trans=trans)[0]
@@ -267,9 +280,7 @@ class GeneralizedPencil:
                          ((s1[j] D2[:, j] + s2[j] D2[:, j+1])
                           + s0[j] D2[:, j-1]) h, the last term from j = 1
 
-        Each product and sum is rounded on its own: an emulated fused
-        multiply-add (TwoProduct and TwoSum) took 54 ms at m = 1024 on one
-        thread against 15-25 ms for this form.  With over_h, for the
+        Each product and sum is rounded on its own.  With over_h, for the
         elimination variants, row i is divided by h[i]: B is diag(h) for
         diff-elim-last, and h[i] is row i's subdiagonal entry of B for
         diff-elim-first.
@@ -301,38 +312,44 @@ class GeneralizedPencil:
 
 
 def build_gi2(m: int, idx, parity) -> TauMatrix:
-    """Assemble the banded double-integration operator.
+    """Assemble the banded double-integration operator, row-scaled (TauMatrix).
 
     The bands are reciprocals of quadratic polynomials in the mode degree;
     the first row carries the boundary constants (negated K values of
-    k_constants, O(m)).  Needs m >= 2 so the band structure exists, and
-    boundary constants inside the float range: K_n grows like G_{n-2}(1),
-    about (2 gamma)^n / n!, so large gamma and m raise ValueError.
+    k_constants, O(m)), which grow like G_{n-2}(1), about (2 gamma)^n / n!.
+    They come as (mantissa, exponent) pairs (charpoly._k_binary), the
+    scaling is read off the exponents and the scaled bands are written
+    directly: each entry is the unscaled one times a power of two, with its
+    bits wherever that is finite.  Needs m >= 2 so the band structure
+    exists.  ValueError from gamma = 2^53 on, where gamma + 1 rounds to
+    gamma and the bands lose their dependence on the degree.
     """
     _check_modes(m)
     gdx = as_gegenbauer(idx)
     g = float(gdx.gamma)
     par = as_parity(parity)
+    if g + 1.0 == g:
+        bands = f"at gamma = {gdx.gamma} the bands of m = {m} modes"
+        raise ValueError(f"{bands} lose their degree dependence (gamma + 1 rounds to gamma)")
     n = 2.0 * np.arange(1, m) + par.offset  # degrees of columns 1..m-1
     dm = 1.0 / (4.0 * (g + n + 1.0) * (g + n))  # A[j+1, j] of column j
     d0 = -1.0 / (2.0 * (g + n + 1.0) * (g + n - 1.0))  # A[j, j]
     dp = 1.0 / (4.0 * (g + n) * (g + n - 1.0))  # A[j-1, j]
     lo, dg, up = np.zeros(m), np.zeros(m), np.zeros(m)
     lo[2:], dg[1:], up[1:-1] = dm[:-1], d0, dp[1:]
-    try:  # K_n of the m column degrees
-        ks = np.array(k_constants(m, gdx, par, as_float=True))
-        finite = np.isfinite(ks).all()
-    except OverflowError:  # an exact K_n of a Fraction gamma past the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"the boundary constants K_n of m = {m} modes at gamma = {gdx.gamma} exceed the float range")
-    first = -ks
+    mant, exp = _k_binary(m, gdx.gamma, par.offset)  # K_n of the m column degrees
+    mant = -mant
     if par is Parity.EVEN:
         lo[1] = 1.0 / (2.0 * (g + 1.0))
     else:
-        first[1] = 1.0 / (4.0 * (g + 3.0) * (g + 2.0)) - ks[1]
         lo[1] = 1.0 / (4.0 * (g + 1.0) * (g + 2.0))
-    return TauMatrix(m=m, gamma=g, parity=par, first_row=first, lo=lo, dg=dg, up=up, last=dm[-1])
+        mant[1], exp[1] = math.frexp(1.0 / (4.0 * (g + 3.0) * (g + 2.0)) + math.ldexp(mant[1], int(exp[1])))
+    scale = np.where(mant == 0.0, 0, np.minimum(exp[0] - exp, 0))
+    step = np.diff(scale)
+    lo[1:] = np.ldexp(lo[1:], -step)  # S[i, i-1] = A[i, i-1] s_{i-1} / s_i
+    up[:-1] = np.ldexp(up[:-1], step)  # S[i, i+1] = A[i, i+1] s_{i+1} / s_i
+    first = np.ldexp(mant, exp + scale)
+    return TauMatrix(m=m, gamma=g, parity=par, first_row=first, lo=lo, dg=dg, up=up, scale=scale, last=dm[-1])
 
 
 def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> GeneralizedPencil:
@@ -351,8 +368,9 @@ def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> Generali
                       A diagonal (negative), B symmetric tridiagonal
 
     Only O(m) factors are computed here (see GeneralizedPencil), so the
-    build holds no m x m array.  ValueError when a norm h_n of the m modes
-    exceeds the float range (large gamma and m).
+    build holds no m x m array.  ValueError when a norm h_n or, for the
+    elimination variants, a G_n(1) (first: m = 128 from gamma 706) exceeds
+    the float range.
     """
     _check_modes(m)
     gdx = as_gegenbauer(idx)
@@ -366,6 +384,9 @@ def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> Generali
     factors = dict(variant=variant, m=m, gamma=g, parity=par, h=h)
     if variant in ("diff-elim-last", "diff-elim-first"):
         ends = np.array([float(v) for v in gegenbauer_at_one_upto(degrees[-1], gdx)[par.offset :: 2]])
+        if not np.isfinite(ends).all():
+            past = f"the endpoint values G_n(1) of m = {m} modes at gamma = {gdx.gamma}"
+            raise ValueError(f"{past} exceed the float range")
         return GeneralizedPencil(ends=ends, **factors)
     s_bands = _one_minus_x2_bands(m, g, par.offset)
     if variant == "galerkin-basis":

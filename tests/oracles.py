@@ -154,14 +154,15 @@ def gegenbauer_at_one_loop(nmax: int, g) -> list:
     return out
 
 
-def endpoint_chain_loop(count: int, g: float, ip: int) -> list:
+def endpoint_chain_loop(count: int, g, ip: int) -> list:
     """G_n(1) for n = ip, ip + 2, ... (count values) by one running product
     of the closed form's head ratios in plain scalar arithmetic:
-    val * (u_{n-2} u_{n-1} / (n (n - 1))) with u_t = 2g + t and u_0 = 1."""
-    val = 1.0
+    val * (u_{n-2} u_{n-1} / (n (n - 1))) with u_t = 2g + t and u_0 = 1.
+    Exact for Fraction g."""
+    val = g * 0 + 1
     out = [val] * min(count, 1)
     for n in range(ip + 2, ip + 2 * count, 2):
-        u = 1.0 if n == 2 else 2 * g + (n - 2)
+        u = g * 0 + 1 if n == 2 else 2 * g + (n - 2)
         val = val * (u * (2 * g + (n - 1)) / (n * (n - 1)))
         out.append(val)
     return out
@@ -182,16 +183,18 @@ def k_constants_loop(degrees, g: float) -> list:
     ]
 
 
-def gi2_bands_loop(m: int, g: float, ip: int) -> dict:
-    """The TauMatrix arrays of gegtau's build_gi2 (first_row, lo, dg, up,
-    last) for a float g, with the boundary constants of k_constants_loop."""
+def gi2_bands_loop(m: int, g, ip: int) -> dict:
+    """The unscaled bands of gegtau's build_gi2 (first_row, lo, dg, up,
+    last), with the boundary constants of k_constants_loop: for a Fraction g
+    the exact K_n rounded once, and the bands at float(g)."""
+    ks = [float(k) for k in k_constants_loop([ip] + [2 * j + ip for j in range(1, m)], g)]
+    g = float(g)
     n = 2.0 * np.arange(1, m) + ip
     dm = 1.0 / (4.0 * (g + n + 1.0) * (g + n))
     d0 = -1.0 / (2.0 * (g + n + 1.0) * (g + n - 1.0))
     dp = 1.0 / (4.0 * (g + n) * (g + n - 1.0))
     lo, dg, up = np.zeros(m), np.zeros(m), np.zeros(m)
     lo[2:], dg[1:], up[1:-1] = dm[:-1], d0, dp[1:]
-    ks = k_constants_loop([ip] + [2 * j + ip for j in range(1, m)], g)
     first = -np.array(ks)
     if ip == 0:
         lo[1] = 1.0 / (2.0 * (g + 1.0))
@@ -199,6 +202,41 @@ def gi2_bands_loop(m: int, g: float, ip: int) -> dict:
         first[1] = 1.0 / (4.0 * (g + 3.0) * (g + 2.0)) - ks[1]
         lo[1] = 1.0 / (4.0 * (g + 1.0) * (g + 2.0))
     return {"first_row": first, "lo": lo, "dg": dg, "up": up, "last": np.array([dm[-1]])}
+
+
+def row_scaled(bands: dict) -> dict:
+    """The bands of diag(1/s) A diag(s) and the exponents of s ('scale'),
+    from the unscaled bands of A (gi2_bands_loop's dict), with s the powers
+    of two that bring every first-row entry above the binade of A[0, 0]
+    down into it (s_j = 1 for the others, zeros too).  Each entry is
+    A[i, j] times the ratio s_j / s_i, a power of two formed first, so no
+    entry is rounded where it stays a normal float."""
+    first = bands["first_row"]
+    e = np.frexp(first)[1]
+    scale = np.where(first == 0.0, 0, np.minimum(e[0] - e, 0))
+    s = np.ldexp(1.0, scale)
+    return dict(
+        bands,
+        first_row=first * (s / s[0]),
+        lo=bands["lo"] * (np.append(1.0, s[:-1]) / s),
+        dg=bands["dg"] * (s / s),
+        up=bands["up"] * (np.append(s[1:], 1.0) / s),
+        scale=scale,
+    )
+
+
+def unscaled_bands(tau) -> dict:
+    """The bands of A (first_row, lo, dg, up, last) from a gegtau TauMatrix,
+    which holds diag(1/s) A diag(s) and the exponents of s: each entry
+    times s_i / s_j by np.ldexp, exact where the result is a normal float."""
+    step = np.diff(tau.scale)
+    return {
+        "first_row": np.ldexp(tau.first_row, -tau.scale),
+        "lo": np.ldexp(tau.lo, np.append(0, step)),
+        "dg": tau.dg,
+        "up": np.ldexp(tau.up, np.append(-step, 0)),
+        "last": np.array([tau.last]),
+    }
 
 
 def k_constant_recursive(n: int, g):

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from gegtau.charpoly import (
     MuPolynomial,
     _endpoint_chain,
+    _k_binary,
     charpoly_direct,
     charpoly_sequence,
     jacobi_char_poly,
@@ -173,16 +174,15 @@ def test_boundary_constants_integer_product_matches_the_fraction_routes():
 
 
 def test_float_boundary_constants_round_the_exact_ones():
-    # one correctly rounded int / int division per K_n: float() of each reduced Fraction, bit for bit
+    # build_gi2's Fraction route, one correctly rounded int / int division per K_n as a mantissa
+    # and an exponent: float() of each reduced Fraction, bit for bit
     for gamma in (F(12, 7), F(1, 2), F(-3, 7)):
         idx = GegenbauerIndex(gamma)
         for parity in Parity:
-            floats = k_constants(1001, idx, parity, as_float=True)
+            floats = np.ldexp(*_k_binary(1001, gamma, parity.offset)).tolist()
             assert all(type(k) is float for k in floats)
             expected = [float(k) for k in k_constants(1001, idx, parity)]
             assert np.array(floats).tobytes() == np.array(expected).tobytes()
-    floats = k_constants(25, GegenbauerIndex(0.7), Parity.ODD, as_float=True)
-    assert floats == k_constants(25, GegenbauerIndex(0.7), Parity.ODD)
 
 
 def test_exact_boundary_constants_hold_one_running_product():
@@ -190,7 +190,7 @@ def test_exact_boundary_constants_hold_one_running_product():
     # G_i(1) numerator and denominator to the end takes about 117 MB
     tracemalloc.start()
     try:
-        floats = k_constants(4000, F(12, 7), Parity.EVEN, as_float=True)
+        floats = _k_binary(4000, F(12, 7), Parity.EVEN.offset)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -200,7 +200,7 @@ def test_exact_boundary_constants_hold_one_running_product():
         for parity in Parity:
             full = k_constants(40, gamma, parity)
             assert [k_constants(m, gamma, parity) for m in range(41)] == [full[:m] for m in range(41)]
-            assert k_constants(40, gamma, parity, as_float=True) == [float(k) for k in full]
+            assert np.ldexp(*_k_binary(40, gamma, parity.offset)).tolist() == [float(k) for k in full]
 
 
 @settings(max_examples=20, deadline=None)
@@ -216,7 +216,7 @@ def test_float_endpoint_chain_and_boundary_constants_are_within_roundoff(gamma, 
     m, u = 201 - parity.offset, 2.0**-53
     degrees = [parity.degree(j) for j in range(m)]
     exact_at1 = oracles.gegenbauer_at_one_loop(400, F(gamma))
-    chain = _endpoint_chain(gamma, m, parity.offset)
+    chain = np.ldexp(*_endpoint_chain(gamma, m, parity.offset))
     for n, v in zip(degrees, chain):
         assert abs(F(v) - exact_at1[n]) <= 2 * (n + 1) * u * exact_at1[n]
     exact_ks = k_constants(m, F(gamma), parity)

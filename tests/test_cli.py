@@ -177,12 +177,12 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
     "argv, message",
     [
         (
-            ["eig", "--modes", "1000", "--count", "3", "--gamma", "150"],
+            ["gi2", "--modes", "1000", "--gamma", "150"],
             "the boundary constants K_n of m = 1000 modes at gamma = 150.0 exceed the float range",
         ),
         (
-            ["eig", "--modes", "1000", "--count", "3", "--gamma", "301/2"],
-            "the boundary constants K_n of m = 1000 modes at gamma = 301/2 exceed the float range",
+            ["gi2", "--modes", "1000", "--gamma", "301/2", "--coord"],
+            "the boundary constants K_n of m = 1000 modes at gamma = 150.5 exceed the float range",
         ),
         (
             ["gi2", "--modes", "600", "--gamma", "150", "--square"],
@@ -244,6 +244,36 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
             ["sweep-conditioning", "--m-grid", "16", "--variants", "diff-elim-first", "--gamma", "1e20"],
             "the norms h_n of m = 16 modes at gamma = 1e+20 exceed the float range",
         ),
+        (
+            ["charpoly", "--modes", "3", "--gamma", "1e200"],
+            "p_1 has coefficients past the float range; --exact computes them exactly",
+        ),
+        (
+            ["verify", "--suite", "theorems", "--gamma-grid=0,1e200"],
+            "the even characteristic polynomial p_1 at gamma = 1e+200 is past the float range",
+        ),
+        (
+            ["eig", "--modes", "128", "--variant", "diff-elim-last", "--gamma", "749.9"],
+            "the endpoint values G_n(1) of m = 128 modes at gamma = 749.9 exceed the float range",
+        ),
+        (
+            ["eig", "--modes", "128", "--variant", "galerkin-basis", "--gamma", "749.9"],
+            "B^-1 A of m = 128 modes at gamma = 749.9 has entries past the float range",
+        ),
+        (
+            ["eig", "--modes", "32", "--variant", "diff-elim-first", "--gamma", "1333521.4"],
+            "the endpoint values G_n(1) of m = 32 modes at gamma = 1333521.4 exceed the float range",
+        ),
+        (
+            ["eig", "--modes", "1000", "--count", "3", "--gamma", "9007199254740992"],
+            "at gamma = 9007199254740992.0 the bands of m = 1000 modes lose their degree dependence"
+            " (gamma + 1 rounds to gamma)",
+        ),
+        (
+            ["gi2", "--modes", "4", "--gamma", "18014398509481984/2", "--parity", "odd"],
+            "at gamma = 9007199254740992 the bands of m = 4 modes lose their degree dependence"
+            " (gamma + 1 rounds to gamma)",
+        ),
     ],
 )
 def test_values_past_the_float_range_are_one_line_usage_errors(capsys, argv, message):
@@ -256,6 +286,15 @@ def test_values_past_the_float_range_are_one_line_usage_errors(capsys, argv, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"gegtau {argv[0]}: error: {message}\n"
+
+
+@pytest.mark.parametrize("gamma", ["150", "301/2"])
+def test_boundary_constants_past_the_float_range_are_served_row_scaled(capsys, gamma):
+    # the unscaled K_n pass the float range here; the three modes come from the row-scaled bands
+    assert main(["eig", "--modes", "1000", "--count", "3", "--gamma", gamma, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert max(data["rel_err"]) <= 5e-14  # 3.2e-14 at 150, 1.7e-14 at 301/2
+    assert data["lambda_im"] == [0.0, 0.0, 0.0]
 
 
 def test_unwritable_verify_out_is_one_line_usage_error_after_the_report(capsys):

@@ -252,6 +252,24 @@ def test_tau_spectrum_bitwise_matches_unbalanced_route(m):
             np.testing.assert_array_equal(spec.mu, mu)
 
 
+@pytest.mark.parametrize("m, gamma", [(1024, 149.0), (1024, 300.0), (600, 1000.0), (512, 3000.0)])
+def test_dense_route_serves_boundary_constants_past_the_float_range(m, gamma):
+    # the unscaled K_n pass the float range in these cells; the row-scaled square still gives
+    # the first five modes within 3e-11 of the closed form, and the first ten are real
+    spec = tau_spectrum(m, gamma, Parity.EVEN)
+    err = _rel_err(spec.eigenvalues[:5], exact_spectrum(5, Parity.EVEN))
+    assert err.max() <= 3e-11, err
+    assert not spec.eigenvalues[:10].imag.any()
+
+
+def test_band_route_serves_boundary_constants_past_the_float_range(monkeypatch):
+    # m = 8000 at gamma 1000: no other route is asked, and k = 1-3 lie within 5e-15 of the closed form
+    for name in ("_arpack_eigs", "dense_eigs"):
+        monkeypatch.setattr(spectra, name, _refuse)
+    spec = tau_spectrum(8000, 1000.0, Parity.EVEN, count=3)
+    assert _rel_err(spec.eigenvalues, exact_spectrum(3, Parity.EVEN)).max() <= 5e-15
+
+
 @pytest.mark.parametrize("m, gamma", [(256, 20.0), (256, 50.0), (1024, 5.0), (1024, 20.0), (512, 100.0), (128, 149.0)])
 def test_dense_route_keeps_the_low_modes_at_large_gamma(m, gamma):
     # balanced as LAPACK dgebal balances it, the square lost these modes: mode 5 was 2e-5 off
@@ -366,21 +384,21 @@ def test_row_scaling_is_the_identity_where_the_boundary_constants_vanish():
     for gamma in (0.5, 1.5, Fraction(1, 2), Fraction(3, 2)):
         for parity in Parity:
             tau = build_gi2(64, gamma, parity)
-            scaled = spectra._row_scaled(tau)
-            for name in ("first_row", "lo", "dg", "up"):
-                assert getattr(scaled, name).tobytes() == getattr(tau, name).tobytes(), (gamma, parity, name)
-    # at gamma 50 the first row still comes down into the binade of A[0, 0]
+            assert not tau.scale.any(), (gamma, parity)
+            for name, band in oracles.gi2_bands_loop(64, gamma, parity.offset).items():
+                assert np.atleast_1d(getattr(tau, name)).tobytes() == band.tobytes(), (gamma, parity, name)
+    # at gamma 50 the first row of A passes the binade of A[0, 0], and the stored one comes down into it
     for parity in Parity:
-        row = build_gi2(64, 50.0, parity).first_row
-        scaled = spectra._row_scaled(build_gi2(64, 50.0, parity)).first_row
+        tau = build_gi2(64, 50.0, parity)
+        row = oracles.unscaled_bands(tau)["first_row"]
         assert (np.frexp(row)[1] > np.frexp(row)[1][0]).any()
-        assert (np.frexp(scaled)[1] <= np.frexp(scaled)[1][0]).all()
+        assert (np.frexp(tau.first_row)[1] <= np.frexp(tau.first_row)[1][0]).all()
 
 
 def test_dense_eigs_never_modifies_its_input():
     rng = np.random.default_rng(2)
-    tau = build_gi2(40, 1.8, Parity.EVEN)
-    for a in (tau.square(), spectra._row_scaled(tau).square(), rng.normal(size=(40, 40))):
+    squares = [build_gi2(40, gamma, Parity.EVEN).square() for gamma in (1.8, 50.0)]  # row scaling off and on
+    for a in (*squares, rng.normal(size=(40, 40))):
         for order in ("C", "F"):
             a = np.asarray(a, order=order)
             kept = a.copy()
@@ -740,6 +758,15 @@ def test_eigenfunction_from_ritz_vector_matches_dense(monkeypatch):
         np.testing.assert_allclose(pair.d2u_coeffs, dense.d2u_coeffs, rtol=0, atol=1e-10 * scale)
 
 
+def test_eigenfunction_comes_back_in_the_basis_functions_at_large_gamma():
+    # the row scaling reaches 2^-655 at m = 200 and gamma 150; taken back to the basis functions,
+    # u is still the lowest mode cos(pi x / 2), which vanishes at +-1
+    x = np.linspace(-1.0, 1.0, 9)
+    for gamma in (150.0, 1000.0):
+        u = eigenfunction(0, 200, gamma, Parity.EVEN).evaluate(x).real
+        np.testing.assert_allclose(u / u[4], np.cos(np.pi * x / 2), rtol=0, atol=1e-14)
+
+
 def test_eigenfunction_forms_no_other_eigenvector(monkeypatch):
     import scipy.sparse.linalg
 
@@ -764,12 +791,12 @@ def test_eigenfunction_forms_no_other_eigenvector(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", values_only)
     monkeypatch.setattr(spectra, "_shifted_eigs", recorded)
     # (7, 60) takes its eigenvalue from the dense route (k = 8 > m / 8), (0, 200)
-    # from shifted inverse iteration and (15, 400) at gamma 7, which that
-    # route refuses (its componentwise bound reads 1.4e-8 to 2.2e-8), from ARPACK
-    for j, m, gamma in ((7, 60, 0.5), (0, 200, 0.5), (15, 400, 7.0)):
+    # from shifted inverse iteration and (15, 1024) at gamma 7, which that
+    # route refuses (the componentwise bound of mode 15 reads 1.3e-8 after four steps), from ARPACK
+    for j, m, gamma in ((7, 60, 0.5), (0, 200, 0.5), (15, 1024, 7.0)):
         pair = eigenfunction(j, m, gamma, Parity.ODD)
         assert abs(pair.eigenvalue - exact_spectrum(j + 1, Parity.ODD)[j]) <= 1e-10 * abs(pair.eigenvalue)
-    assert served == [(60, 8, False), (200, 1, True), (400, 16, False)]
+    assert served == [(60, 8, False), (200, 1, True), (1024, 16, False)]
     assert calls == [17]
 
 

@@ -9,6 +9,7 @@ sequences, and to the left-eigenvector property at high-precision roots.
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -112,11 +113,11 @@ def _assert_same_bits(got, ref):
 @pytest.mark.parametrize("gamma", sorted({*DEFAULT_GAMMA_GRID, 1 / 3, 2.4, 7.3, 20.0}))
 def test_assembly_is_bitwise_the_scalar_loops(gamma):
     # endpoint values, boundary constants and every band, against the
-    # one-scalar-at-a-time products of tests/oracles.py
+    # one-scalar-at-a-time products of tests/oracles.py, row-scaled
     for parity in Parity:
         for m in (2, 3, 17, 1024, 5000):
             tau = build_gi2(m, gamma, parity)
-            for name, ref in oracles.gi2_bands_loop(m, gamma, parity.offset).items():
+            for name, ref in oracles.row_scaled(oracles.gi2_bands_loop(m, gamma, parity.offset)).items():
                 _assert_same_bits(np.atleast_1d(getattr(tau, name)), ref)
             degrees = [parity.degree(j) for j in range(m)]
             _assert_same_bits(k_constants(m, gamma, parity), oracles.k_constants_loop(degrees, gamma))
@@ -153,25 +154,67 @@ def test_fraction_gamma_rounds_the_exact_endpoint_values_once(gamma):
 
 
 def test_boundary_constants_past_the_float_range_are_a_value_error():
-    for gamma in (150.0, Fraction(301, 2)):  # the float overflows to inf, the exact quotient raises
-        with pytest.raises(ValueError, match=f"m = 1000 modes at gamma = {gamma} exceed the float range"):
-            build_gi2(1000, gamma, "odd")
-    assert np.isfinite(build_gi2(1000, 20.0, "odd").first_row).all()
+    # the row-scaled operator is built, and its first row comes down into the binade of A[0, 0];
+    # the unscaled matrix, whose K_n pass the float range, is the ValueError
+    for gamma in (150.0, Fraction(301, 2)):
+        tau = build_gi2(1000, gamma, "odd")
+        e = np.frexp(tau.first_row)[1]
+        assert (e <= e[0]).all() and tau.scale.min() < -1024
+        with pytest.raises(ValueError, match=f"m = 1000 modes at gamma = {float(gamma)} exceed the float range"):
+            tau.rectangular()
+    assert np.isfinite(build_gi2(1000, 20.0, "odd").rectangular()).all()
+
+
+def test_bands_lose_their_degree_dependence_from_two_to_the_53():
+    # gamma + 1 rounds to gamma from 2^53 on; one below, the bands are built, finite, and still
+    # differ from degree to degree (in their last bits)
+    for gamma in (2.0**53, Fraction(2**53), 1e16, 1e300):
+        for parity in Parity:
+            with pytest.raises(ValueError, match=re.escape(f"at gamma = {gamma} the bands of m = 8 modes lose their")):
+                build_gi2(8, gamma, parity)
+    for parity in Parity:
+        tau = build_gi2(8, 2.0**53 - 1, parity)
+        assert np.isfinite(tau.first_row).all() and np.isfinite(tau.lo).all()
+        assert np.unique(tau.dg[1:]).size > 1
 
 
 def test_boundary_constants_divide_first_where_only_the_product_overflows():
-    # at m = 8000 (2g - 1)(2g - 3) G_{n-2}(1) leaves the float range from gamma 60.578 on, K_n only where
-    # G_{n-2}(1) itself does, near 61.6; the largest K_n at 60.579 is 10^291.4
-    for gamma, parity in ((60.579, "even"), (60.579, "odd"), (61.0, "even")):
-        first = build_gi2(8000, gamma, parity).first_row
+    # at m = 8000 (2g - 1)(2g - 3) G_{n-2}(1) leaves the float range from gamma 60.578 on, and
+    # G_{n-2}(1) itself near 61.6; the largest K_n is 10^291.4 at 60.579 and 10^295.8 at 61.6.
+    # Taken as a mantissa and an exponent, K_n is finite wherever its value is
+    for gamma, parity in ((60.579, "even"), (60.579, "odd"), (61.0, "even"), (61.6, "even")):
+        top_k = k_constants(8000, gamma, parity)[-1]
         n = 2 * 7999 + Parity(parity).offset
         with mp.workdps(30):
             g = mp.mpf(gamma)
             at1 = mp.gamma(2 * g + n - 2) / (mp.gamma(2 * g + 1) * mp.factorial(n - 2))  # G_{n-2}(1)
             top = (2 * g - 1) * (2 * g - 3) * at1 / (n * (n * n - 1) * (n + 2))
-        assert abs(float(-first[-1] / top - 1)) < 4 * (n + 1) * 2.0**-53
-    with pytest.raises(ValueError, match="m = 8000 modes at gamma = 61.6 exceed the float range"):
-        build_gi2(8000, 61.6, "even")
+        assert abs(float(top_k / top - 1)) < 4 * (n + 1) * 2.0**-53
+    assert np.isfinite(build_gi2(8000, 61.6, "even").first_row).all()
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+def test_row_scaled_bands_keep_their_bits_wherever_the_unscaled_ones_fit(parity):
+    # m 3-3000 and gamma -0.49 to 150, float and Fraction: wherever the unscaled scalar-loop bands
+    # are finite (the parent's accepted cells but for its divide-first repair), the bands are
+    # bit for bit their row scaling by tests/oracles.py; elsewhere every entry is still finite
+    rng = np.random.default_rng(2026 + parity.offset)
+    compared = 0
+    for _ in range(40):
+        m = int(np.exp(rng.uniform(np.log(3), np.log(3000))))
+        gamma = float(rng.choice([rng.uniform(-0.49, 3.0), rng.uniform(3.0, 150.0)]))
+        if rng.uniform() < 0.25:
+            m, gamma = min(m, 400), Fraction(round(gamma * 8), 8)
+        tau = build_gi2(m, gamma, parity)
+        with np.errstate(over="ignore"):
+            ref = oracles.gi2_bands_loop(m, gamma, parity.offset)
+        if np.isfinite(ref["first_row"]).all():
+            for name, want in oracles.row_scaled(ref).items():
+                _assert_same_bits(np.atleast_1d(getattr(tau, name)), want)
+            compared += 1
+        for name in ("first_row", "lo", "dg", "up"):
+            assert np.isfinite(getattr(tau, name)).all(), (m, gamma, name)
+    assert compared >= 25
 
 
 # sha256 prefixes of the bands (first_row, lo, dg, up, last) as the product-first K_n gave them, at
@@ -197,8 +240,8 @@ _GI2_BITS = {
 
 @pytest.mark.parametrize("m, gamma, parity", list(_GI2_BITS))
 def test_bands_keep_their_bits_wherever_the_product_fits(m, gamma, parity):
-    tau = build_gi2(m, gamma, parity)
-    bands = (tau.first_row, tau.lo, tau.dg, tau.up, [tau.last])
+    # the unscaled bands, taken back from the row-scaled ones by powers of two
+    bands = oracles.unscaled_bands(build_gi2(m, gamma, parity)).values()
     digest = hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes() for a in bands))
     assert digest.hexdigest()[:16] == _GI2_BITS[m, gamma, parity]
 
