@@ -166,11 +166,8 @@ def _k_binary(m: int, g, ip: int) -> tuple:
     K_n is finite), for a Fraction gamma each exact K_n rounded once."""
     low = [float(_k_low(k, g)) for k in range(ip, min(2 * m + ip, 3), 2)]
     vals, exp = np.empty(m), np.zeros(m, dtype=int)
-    if isinstance(g, Fraction):  # int / int rounds once; the shift by bit lengths keeps it in range
-        for j, (a, b, c, d) in enumerate(_k_exact(m, g, ip), len(low)):
-            num, den = a * c, b * d
-            exp[j] = e = abs(num).bit_length() - den.bit_length()
-            vals[j] = num / (den << e) if e > 0 else (num << -e) / den
+    if isinstance(g, Fraction):
+        vals[len(low) :], exp[len(low) :] = _rounded_binary((a * c, b * d) for a, b, c, d in _k_exact(m, g, ip))
     else:
         n = 2 * np.arange(1, m) + ip  # n >= 2; K_2 is overwritten below
         vals[1:], exp[1:] = _endpoint_chain(g, max(m - 1, 0), ip)  # G_{n-2}(1)
@@ -260,27 +257,43 @@ def _endpoint_chain(g, count: int, ip: int):
     return _binary_cumprod(ratios)
 
 
+_CUMPROD_BLOCK = 1000
+
+
 def _binary_cumprod(ratios: np.ndarray) -> tuple:
     """np.cumprod(ratios) of positive ratios as arrays (mantissa, exponent),
-    the mantissa in [1/2, 1): one np.cumprod per block, each started from the
-    np.frexp mantissa of the value before it and short enough (by the
-    ratios' exponents) to move by at most 1000 binades, so its products stay
-    normal.  Powers of two rescale exactly, so the mantissas are the plain
-    product's wherever that is a normal float."""
-    e = np.frexp(ratios)[1]  # a ratio in [2**(e - 1), 2**e) moves a product by at most max(e, 1 - e) binades
-    moved = np.cumsum(np.maximum(e, 1 - e))
-    vals, shift = ratios.copy(), np.zeros(ratios.size, dtype=int)
-    start, mant, exp = 0, 1.0, 0
-    while start < ratios.size:
-        stop = max(np.searchsorted(moved, (moved[start - 1] if start else 0) + 1000, "right"), start + 1)
-        vals[start] *= mant
-        np.cumprod(vals[start:stop], out=vals[start:stop])
-        shift[start:stop] = exp
-        mant, up = math.frexp(vals[stop - 1])
-        exp += up
-        start = stop
+    the mantissa in [1/2, 1): the exponents of the ratios' np.frexp pairs add
+    up by np.cumsum, and their mantissas multiply by np.cumprod in blocks of
+    _CUMPROD_BLOCK, each started from the mantissa of the value before it,
+    so a product of at most 1001 factors in [1/2, 1) stays normal.  Powers
+    of two rescale exactly, so the mantissas are the plain product's wherever
+    that is a normal float."""
+    vals, exp = np.frexp(ratios)
+    exp = np.cumsum(exp)
+    carry, shift = 1.0, 0
+    for start in range(0, ratios.size, _CUMPROD_BLOCK):
+        block = vals[start : start + _CUMPROD_BLOCK]
+        block[0] *= carry
+        np.cumprod(block, out=block)
+        exp[start : start + _CUMPROD_BLOCK] += shift
+        carry, up = math.frexp(block[-1])
+        shift += up
     mant, up = np.frexp(vals)
-    return mant, up + shift
+    return mant, exp + up
+
+
+def _rounded_binary(pairs) -> tuple:
+    """Integer ratios num / den (den > 0) as arrays (mantissa, exponent),
+    |mantissa| in [1/2, 1) or 0: int / int is correctly rounded, and the
+    shift by the bit lengths keeps its quotient near 1, so each ratio is
+    rounded once, whatever its size."""
+    vals, exp = [], []
+    for num, den in pairs:
+        e = abs(num).bit_length() - den.bit_length()
+        vals.append(num / (den << e) if e > 0 else (num << -e) / den)
+        exp.append(e)
+    mant, up = np.frexp(np.array(vals, dtype=float))
+    return mant, np.array(exp, dtype=int) + up
 
 
 def _folded(ratios, num: int = 1, den: int = 1):

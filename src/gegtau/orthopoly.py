@@ -1,8 +1,8 @@
 """Gegenbauer and Jacobi polynomial kernel.
 
-Evaluation, endpoint values, weighted L2 norms, endpoint derivative values,
-and the connection matrices (differentiation, multiplication by x) that the
-operator builders are assembled from.
+Evaluation, endpoint values, endpoint derivative values, and the connection
+matrices (differentiation, multiplication by x) that the operator builders
+are assembled from.
 
 The Gegenbauer family used throughout is the rescaled one with
 
@@ -36,7 +36,6 @@ __all__ = [
     "gegenbauer_eval",
     "gegenbauer_at_one",
     "gegenbauer_at_one_upto",
-    "gegenbauer_norms",
     "apply_derivative",
     "jacobi_derivs_at_one",
 ]
@@ -158,39 +157,6 @@ def gegenbauer_at_one(n: int, idx):
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     return gegenbauer_at_one_upto(n, idx)[n]
-
-
-def gegenbauer_norms(degrees, idx) -> np.ndarray:
-    """Weighted L2 norms h_n = int_{-1}^{1} (1-x^2)^{g-1/2} G_n(x)^2 dx of
-    the given degrees.
-
-    n = 0 is special because G_0 = 1 rather than following the n >= 1
-    normalization; there h_0 is the total mass of the weight.  Uses lgamma
-    so large n and g stay in range (OverflowError past the float range).
-    Each h_n is one scalar expression, so its bits do not depend on the
-    other degrees.  Its log is a sum of lgamma terms that cancel, so h_n is
-    off by about 2^-53 times the sum of their magnitudes (within a factor of
-    2 of mpmath up to gamma 1e14).  Where that sum passes 2^27, from gamma
-    2.34e6 on at n >= 1, h_n may have lost half its bits, and OverflowError
-    is raised too.
-    """
-    g = float(as_gegenbauer(idx).gamma)
-    head = math.log(math.pi) - (1.0 + 2.0 * g) * math.log(2.0)
-    tail = 2.0 * math.lgamma(g + 1.0)
-    out = []
-    for n in map(int, degrees):
-        if n < 0:
-            raise ValueError(f"degree must be nonnegative, got {n}")
-        if n == 0:
-            a, b = math.lgamma(g + 0.5), math.lgamma(g + 1.0)
-            span = abs(a) + abs(b)
-        else:
-            a, b, c = math.lgamma(n + 2.0 * g), math.log(n + g), math.lgamma(n + 1.0)
-            span = abs(head) + abs(a) + abs(b) + abs(c) + abs(tail)
-        if span > 2.0**27:
-            raise OverflowError(f"the lgamma terms of h_{n} at gamma = {g} are too large to keep half its bits")
-        out.append(math.sqrt(math.pi) * math.exp(a - b) if n == 0 else math.exp(head + a - b - c - tail))
-    return np.array(out, dtype=float)
 
 
 def apply_derivative(coeffs, idx):

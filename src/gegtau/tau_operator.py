@@ -21,19 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg.lapack
 
-from .charpoly import _k_binary
+from .charpoly import _endpoint_chain, _k_binary, _rounded_binary
 from .orthopoly import (
+    GegenbauerIndex,
     Parity,
     _one_minus_x2_bands,
     _second_derivative_rows,
     as_gegenbauer,
     as_parity,
-    gegenbauer_at_one_upto,
-    gegenbauer_norms,
 )
 
 __all__ = [
@@ -52,6 +52,16 @@ DIFF_VARIANTS = ("diff-elim-last", "diff-elim-first", "galerkin-basis", "ierley-
 def _check_modes(m: int) -> None:
     if m < 2:
         raise ValueError(f"need at least 2 modes, got {m}")
+
+
+def _float_gamma(m: int, gdx: GegenbauerIndex) -> float:
+    """gamma as a float, or ValueError from 2^53 on, where gamma + 1 rounds
+    to gamma and the matrix entries lose their dependence on the degree."""
+    g = float(gdx.gamma)
+    if g + 1.0 == g:
+        lost = f"at gamma = {gdx.gamma} the matrices of m = {m} modes lose their degree dependence"
+        raise ValueError(f"{lost} (gamma + 1 rounds to gamma)")
+    return g
 
 
 def _padded_lda(m: int) -> int:
@@ -226,46 +236,36 @@ class GeneralizedPencil:
     """Recipe for the pair (A, B) of A x = lambda B x: O(m) factors and no
     m x m array.
 
-    h        weighted norms of the m test degrees; row i of A and B carries
-             h[i]
-    ends     G_n(1) of the m + 1 trial degrees (elimination variants)
+    Row i of A and of B is the Galerkin test against degree i without its
+    weighted norm h_i, which would multiply both rows alike: (A, B) is
+    (H^-1 A, H^-1 B) of the weighted pencil, with its eigenvalues and its
+    B^{-1} A.
+
+    ends     G_n(1) of the m + 1 trial degrees (elimination variants), all
+             times the one power of two that brings the last into [1/2, 1)
     s_bands  the (m + 1) x m block of multiplication by (1 - x^2) in
              scipy.linalg.solve_banded's (1, 1) layout (galerkin-basis,
-             ierley-legendre); B is its top m rows times h
-    a_diag   the diagonal of A (ierley-legendre)
+             ierley-legendre); B is its top m rows
+    a_diag   the diagonal of A, -(n + 1)(n + 2) (ierley-legendre)
 
     write_a writes A into a caller's array row tile by row tile from the
     closed form of the second-derivative block and these factors, with no
-    matrix product.  B is diag(h) for diff-elim-last, b_first_row() on top
-    of the subdiagonal h[1:] for diff-elim-first, and the tridiagonal
-    b_bands() for the two Galerkin variants.  The eigenvalue route
-    (spectra.pencil_spectrum) forms B^{-1} A from these alone; neither A nor
-    B is ever a dense m x m array of its own.
+    matrix product.  B is I for diff-elim-last, ends[1:] on top of a unit
+    subdiagonal for diff-elim-first (whose boundary row of A takes the
+    factor -ends[0]), and tridiagonal for the two Galerkin variants.  The
+    eigenvalue route (spectra.pencil_spectrum) forms B^{-1} A from these
+    alone; neither A nor B is ever a dense m x m array of its own.
     """
 
     variant: str
     m: int
     gamma: float
     parity: Parity
-    h: np.ndarray
     ends: np.ndarray | None = None
     s_bands: np.ndarray | None = None
     a_diag: np.ndarray | None = None
 
-    def b_bands(self) -> np.ndarray:
-        """Tridiagonal B in scipy.linalg.solve_banded's (1, 1) layout."""
-        s, h = self.s_bands, self.h
-        ab = np.zeros((3, self.m))
-        ab[0, 1:] = h[:-1] * s[0, 1:]
-        ab[1] = h * s[1]
-        ab[2, :-1] = h[1:] * s[2, :-1]
-        return ab
-
-    def b_first_row(self) -> np.ndarray:
-        """Row 0 of B for diff-elim-first: the boundary condition times h[0]."""
-        return -self.h[0] * self.ends[1:] / self.ends[0]
-
-    def write_a(self, out: np.ndarray, rows=None, over_h: bool = False) -> None:
+    def write_a(self, out: np.ndarray, rows=None) -> None:
         """Write rows start..stop-1 of A (rows = (start, stop), default all)
         into out, an array of shape (stop - start, m) in any memory order.
 
@@ -274,22 +274,20 @@ class GeneralizedPencil:
         the memory order of out nor the BLAS thread count changes a bit.
         The products come from their structure, in this fixed order:
 
-        diff-elim-last   a0 C with a0 = h D2 and C = [I; row], row =
-                         -G(1)[:m] / G_m(1):  a0[:, :m] + a0[:, m] row
-        galerkin-basis   (D2 S) h with S the tridiagonal (1 - x^2) block:
-                         ((s1[j] D2[:, j] + s2[j] D2[:, j+1])
-                          + s0[j] D2[:, j-1]) h, the last term from j = 1
+        diff-elim-last   D2 C with C = [I; row], row = -G(1)[:m] / G_m(1):
+                         D2[:, :m] + D2[:, m] row
+        diff-elim-first  D2[:, 1:], its row 0 times -G_0(1)
+        galerkin-basis   D2 S with S the tridiagonal (1 - x^2) block:
+                         (s1[j] D2[:, j] + s2[j] D2[:, j+1])
+                          + s0[j] D2[:, j-1], the last term from j = 1
 
-        Each product and sum is rounded on its own.  With over_h, for the
-        elimination variants, row i is divided by h[i]: B is diag(h) for
-        diff-elim-last, and h[i] is row i's subdiagonal entry of B for
-        diff-elim-first.
+        Each product and sum is rounded on its own.
         """
-        m, h, variant = self.m, self.h, self.variant
+        m, variant = self.m, self.variant
         start, stop = rows or (0, m)
         for r0 in range(start, stop, _TILE_ROWS):
             r1 = min(r0 + _TILE_ROWS, stop)
-            dest, hr = out[r0 - start : r1 - start], h[r0:r1, None]
+            dest = out[r0 - start : r1 - start]
             if variant == "ierley-legendre":
                 dest[...] = 0.0
                 dest[np.arange(r1 - r0), np.arange(r0, r1)] = self.a_diag[r0:r1]
@@ -300,15 +298,13 @@ class GeneralizedPencil:
                 prod = left[:, :m] * s1
                 prod += left[:, 1:] * s2
                 prod[:, 1:] += left[:, : m - 1] * s0[1:]
-                np.multiply(prod, hr, out=dest)
-                continue
-            left *= hr
-            if variant == "diff-elim-first":
+                np.copyto(dest, prod)
+            elif variant == "diff-elim-first":
                 np.copyto(dest, left[:, 1:])
+                if r0 == 0:
+                    dest[0] *= -self.ends[0]
             else:
                 np.add(left[:, :m], left[:, m:] * (-self.ends[:m] / self.ends[m]), out=dest)
-            if over_h:
-                dest /= hr
 
 
 def build_gi2(m: int, idx, parity) -> TauMatrix:
@@ -326,11 +322,8 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
     """
     _check_modes(m)
     gdx = as_gegenbauer(idx)
-    g = float(gdx.gamma)
+    g = _float_gamma(m, gdx)
     par = as_parity(parity)
-    if g + 1.0 == g:
-        bands = f"at gamma = {gdx.gamma} the bands of m = {m} modes"
-        raise ValueError(f"{bands} lose their degree dependence (gamma + 1 rounds to gamma)")
     n = 2.0 * np.arange(1, m) + par.offset  # degrees of columns 1..m-1
     dm = 1.0 / (4.0 * (g + n + 1.0) * (g + n))  # A[j+1, j] of column j
     d0 = -1.0 / (2.0 * (g + n + 1.0) * (g + n - 1.0))  # A[j, j]
@@ -353,50 +346,43 @@ def build_gi2(m: int, idx, parity) -> TauMatrix:
 
 
 def build_diff_pencil(m: int, idx, variant: str, parity=Parity.EVEN) -> GeneralizedPencil:
-    """Differentiation/Galerkin pencil for one parity class.
+    """Differentiation/Galerkin pencil for one parity class, without the
+    norm weights (see GeneralizedPencil).
 
     Variants:
 
     diff-elim-last    boundary condition eliminates the top coefficient;
-                      A full, B diagonal
+                      A full, B = I
     diff-elim-first   boundary condition eliminates the lowest coefficient;
                       A upper triangular, B first row plus subdiagonal
     galerkin-basis    bubble trial functions (1 - x^2) G_n; A upper
                       triangular, B tridiagonal
     ierley-legendre   same trial functions at gamma = 3/2 where they are
                       eigenfunctions of the weighted second derivative;
-                      A diagonal (negative), B symmetric tridiagonal
+                      A diagonal (negative), B tridiagonal
 
-    Only O(m) factors are computed here (see GeneralizedPencil), so the
-    build holds no m x m array.  ValueError when a norm h_n or, for the
-    elimination variants, a G_n(1) (first: m = 128 from gamma 706) exceeds
-    the float range.
+    Only O(m) factors are computed here, so the build holds no m x m array.
+    G_n(1) comes off charpoly._endpoint_chain as a mantissa and an exponent
+    (a Fraction gamma's exact values each rounded once), so no factor leaves
+    the float range.  ValueError from gamma = 2^53 on, as in build_gi2.
     """
     _check_modes(m)
     gdx = as_gegenbauer(idx)
-    g = float(gdx.gamma)
+    g = _float_gamma(m, gdx)
     par = as_parity(parity)
-    degrees = [par.degree(k) for k in range(m + 1)]
-    try:
-        h = gegenbauer_norms(degrees[:m], gdx)
-    except OverflowError:
-        raise ValueError(f"the norms h_n of m = {m} modes at gamma = {gdx.gamma} exceed the float range") from None
-    factors = dict(variant=variant, m=m, gamma=g, parity=par, h=h)
+    factors = dict(variant=variant, m=m, gamma=g, parity=par)
     if variant in ("diff-elim-last", "diff-elim-first"):
-        ends = np.array([float(v) for v in gegenbauer_at_one_upto(degrees[-1], gdx)[par.offset :: 2]])
-        if not np.isfinite(ends).all():
-            past = f"the endpoint values G_n(1) of m = {m} modes at gamma = {gdx.gamma}"
-            raise ValueError(f"{past} exceed the float range")
-        return GeneralizedPencil(ends=ends, **factors)
+        chain = _endpoint_chain(gdx.gamma, m + 1, par.offset)
+        mant, exp = _rounded_binary(chain) if isinstance(gdx.gamma, Fraction) else chain
+        return GeneralizedPencil(ends=np.ldexp(mant, exp - exp[-1]), **factors)
     s_bands = _one_minus_x2_bands(m, g, par.offset)
     if variant == "galerkin-basis":
         return GeneralizedPencil(s_bands=s_bands, **factors)
     if variant == "ierley-legendre":
         if abs(g - 1.5) > 1e-12:
             raise ValueError(f"ierley-legendre requires gamma = 3/2, got {g}")
-        nvec = np.array(degrees[:m], dtype=float)
-        a_diag = -(nvec + 1.0) * (nvec + 2.0) * h
-        return GeneralizedPencil(s_bands=s_bands, a_diag=a_diag, **factors)
+        n = 2.0 * np.arange(m) + par.offset
+        return GeneralizedPencil(s_bands=s_bands, a_diag=-(n + 1.0) * (n + 2.0), **factors)
     raise ValueError(f"unknown variant {variant!r}; expected one of {DIFF_VARIANTS}")
 
 

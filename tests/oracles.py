@@ -580,41 +580,40 @@ def pencil_a(pencil) -> np.ndarray:
 
 def pencil_b(pencil) -> np.ndarray:
     """B of a differentiation pencil as a dense matrix, from its O(m)
-    factors: diag(h), the first row b_first_row() over the subdiagonal
-    h[1:], or the tridiagonal b_bands()."""
-    m, h = pencil.m, pencil.h
+    factors: the identity, the first row ends[1:] over a unit subdiagonal,
+    or the top m rows of the (1 - x^2) block's bands."""
+    m = pencil.m
     kind = PENCIL_STRUCTURES[pencil.variant][1]
     if kind == "diagonal":
-        return np.diag(h)
+        return np.eye(m)
     B = np.zeros((m, m))
     i = np.arange(m)
     if kind == "first-row-subdiagonal":
-        B[0] = pencil.b_first_row()
-        B[i[1:], i[:-1]] = h[1:]
+        B[0] = pencil.ends[1:]
+        B[i[1:], i[:-1]] = 1.0
     else:
-        ab = pencil.b_bands()
+        ab = pencil.s_bands
         B[i[:-1], i[1:]], B[i, i], B[i[1:], i[:-1]] = ab[0, 1:], ab[1], ab[2, :-1]
     return B
 
 
 def solve_structured_row_major(pencil) -> np.ndarray:
-    """B^{-1} A of a pencil, C-ordered, in the operations and memory order
-    that fix the bits of the pencil route's eigenvalues: one division per
-    entry for a diagonal B, LAPACK's banded solve for a tridiagonal one, and
-    for a first row plus subdiagonal the subdiagonal divisions followed by
-    the closure row, one gemv on the row-major top block."""
+    """B^{-1} A of a pencil, C-ordered, in the operations that fix the bits
+    of the pencil route's eigenvalues: A itself for B = I, LAPACK's banded
+    solve for a tridiagonal B, and for a first row plus unit subdiagonal the
+    rows of A shifted up, closed by one gemv on a column-major copy of them."""
     A, B = pencil_a(pencil), pencil_b(pencil)
     b_structure = PENCIL_STRUCTURES[pencil.variant][1]
     m = B.shape[0]
     if b_structure == "diagonal":
-        return A / np.diag(B)[:, None]
+        return A
     if b_structure == "tridiagonal":
         ab = np.zeros((3, m))
         ab[0, 1:], ab[1, :], ab[2, :-1] = np.diag(B, 1), np.diag(B), np.diag(B, -1)
         return np.ascontiguousarray(scipy.linalg.solve_banded((1, 1), ab, A))
     X = np.zeros_like(A)
-    X[: m - 1, :] = A[1:, :] / np.diag(B, -1)[:, None]
-    X[m - 1, :] = (A[0, :] - B[0, : m - 1] @ X[: m - 1, :]) / B[0, m - 1]
+    X[: m - 1, :] = A[1:, :]
+    X[m - 1, :] = (A[0, :] - B[0, : m - 1] @ np.asfortranarray(X[: m - 1, :])) / B[0, m - 1]
     return X
 
 
@@ -697,21 +696,20 @@ def one_minus_x2_block(rows: int, cols: int, g: float, ip: int) -> np.ndarray:
     return full[ip : 2 * rows + ip : 2, ip : 2 * cols + ip : 2]
 
 
-def structured_pencil_a(variant: str, d2: np.ndarray, h: np.ndarray, ends=None, s_bands=None) -> np.ndarray:
+def structured_pencil_a(variant: str, d2: np.ndarray, ends=None, s_bands=None) -> np.ndarray:
     """A of diff-elim-last or galerkin-basis from the whole m x (m + 1)
     second-derivative block d2, in the fixed order of operations that the
-    pencil's row tiles use: a0[:, :m] + a0[:, m] row with a0 = h d2 and
-    row = -ends[:m] / ends[m], or ((s1 d2[:, j] + s2 d2[:, j+1]) +
-    s0 d2[:, j-1]) h from the bands (s0, s1, s2) of the (1 - x^2) block."""
+    pencil's row tiles use: d2[:, :m] + d2[:, m] row with
+    row = -ends[:m] / ends[m], or (s1 d2[:, j] + s2 d2[:, j+1]) +
+    s0 d2[:, j-1] from the bands (s0, s1, s2) of the (1 - x^2) block."""
     m = d2.shape[0]
     if variant == "diff-elim-last":
-        a0 = h[:, None] * d2
-        return a0[:, :m] + a0[:, m:] * (-ends[:m] / ends[m])
+        return d2[:, :m] + d2[:, m:] * (-ends[:m] / ends[m])
     assert variant == "galerkin-basis", variant
     s0, s1, s2 = s_bands
     prod = d2[:, :m] * s1 + d2[:, 1:] * s2
     prod[:, 1:] += d2[:, : m - 1] * s0[1:]
-    return prod * h[:, None]
+    return prod
 
 
 def reference_gi2(MG: int, g: float, ip: int) -> np.ndarray:

@@ -6,6 +6,7 @@ compared as text, exit codes via the returned status or SystemExit.
 
 import argparse
 import json
+import re
 import warnings
 from fractions import Fraction
 
@@ -193,16 +194,18 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
             "p_4 has coefficients past the float range; --format json writes them exactly",
         ),
         (
-            ["eig", "--modes", "300", "--variant", "diff-elim-last", "--gamma", "400"],
-            "the norms h_n of m = 300 modes at gamma = 400.0 exceed the float range",
+            ["eig", "--modes", "8", "--variant", "galerkin-basis", "--gamma", "9007199254740992"],
+            "at gamma = 9007199254740992.0 the matrices of m = 8 modes lose their degree dependence"
+            " (gamma + 1 rounds to gamma)",
         ),
         (
-            ["eig", "--modes", "200", "--variant", "diff-elim-first", "--gamma", "1000"],
-            "the norms h_n of m = 200 modes at gamma = 1000.0 exceed the float range",
+            ["eig", "--modes", "200", "--variant", "diff-elim-first", "--gamma", "18014398509481984/2"],
+            "at gamma = 9007199254740992 the matrices of m = 200 modes lose their degree dependence"
+            " (gamma + 1 rounds to gamma)",
         ),
         (
-            ["sweep-conditioning", "--m-grid", "16,300", "--variants", "galerkin-basis", "--gamma", "400"],
-            "the norms h_n of m = 300 modes at gamma = 400.0 exceed the float range",
+            ["sweep-conditioning", "--m-grid", "16,300", "--variants", "galerkin-basis", "--gamma", "1e300"],
+            "at gamma = 1e+300 the matrices of m = 16 modes lose their degree dependence (gamma + 1 rounds to gamma)",
         ),
         (
             ["charpoly", "--modes", "80", "--gamma", "0.7"],
@@ -238,11 +241,11 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
         ),
         (
             ["eig", "--modes", "8", "--variant", "galerkin-basis", "--gamma", "1e16"],
-            "the norms h_n of m = 8 modes at gamma = 1e+16 exceed the float range",
+            "at gamma = 1e+16 the matrices of m = 8 modes lose their degree dependence (gamma + 1 rounds to gamma)",
         ),
         (
             ["sweep-conditioning", "--m-grid", "16", "--variants", "diff-elim-first", "--gamma", "1e20"],
-            "the norms h_n of m = 16 modes at gamma = 1e+20 exceed the float range",
+            "at gamma = 1e+20 the matrices of m = 16 modes lose their degree dependence (gamma + 1 rounds to gamma)",
         ),
         (
             ["charpoly", "--modes", "3", "--gamma", "1e200"],
@@ -253,25 +256,25 @@ def test_invalid_parameter_is_one_line_usage_error(capsys, argv, message):
             "the even characteristic polynomial p_1 at gamma = 1e+200 is past the float range",
         ),
         (
-            ["eig", "--modes", "128", "--variant", "diff-elim-last", "--gamma", "749.9"],
-            "the endpoint values G_n(1) of m = 128 modes at gamma = 749.9 exceed the float range",
+            ["eig", "--modes", "128", "--variant", "diff-elim-last", "--gamma", "1e16"],
+            "at gamma = 1e+16 the matrices of m = 128 modes lose their degree dependence (gamma + 1 rounds to gamma)",
         ),
         (
-            ["eig", "--modes", "128", "--variant", "galerkin-basis", "--gamma", "749.9"],
-            "B^-1 A of m = 128 modes at gamma = 749.9 has entries past the float range",
+            ["sweep-conditioning", "--m-grid", "32", "--variants", "diff-elim-last,galerkin-basis", "--gamma", "2e16"],
+            "at gamma = 2e+16 the matrices of m = 32 modes lose their degree dependence (gamma + 1 rounds to gamma)",
         ),
         (
-            ["eig", "--modes", "32", "--variant", "diff-elim-first", "--gamma", "1333521.4"],
-            "the endpoint values G_n(1) of m = 32 modes at gamma = 1333521.4 exceed the float range",
+            ["eig", "--modes", "32", "--variant", "diff-elim-first", "--gamma", "1e300"],
+            "at gamma = 1e+300 the matrices of m = 32 modes lose their degree dependence (gamma + 1 rounds to gamma)",
         ),
         (
             ["eig", "--modes", "1000", "--count", "3", "--gamma", "9007199254740992"],
-            "at gamma = 9007199254740992.0 the bands of m = 1000 modes lose their degree dependence"
+            "at gamma = 9007199254740992.0 the matrices of m = 1000 modes lose their degree dependence"
             " (gamma + 1 rounds to gamma)",
         ),
         (
             ["gi2", "--modes", "4", "--gamma", "18014398509481984/2", "--parity", "odd"],
-            "at gamma = 9007199254740992 the bands of m = 4 modes lose their degree dependence"
+            "at gamma = 9007199254740992 the matrices of m = 4 modes lose their degree dependence"
             " (gamma + 1 rounds to gamma)",
         ),
     ],
@@ -286,6 +289,28 @@ def test_values_past_the_float_range_are_one_line_usage_errors(capsys, argv, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"gegtau {argv[0]}: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eig", "--modes", "300", "--variant", "diff-elim-last", "--gamma", "400"],
+        ["eig", "--modes", "200", "--variant", "diff-elim-first", "--gamma", "1000", "--format", "json"],
+        ["sweep-conditioning", "--m-grid", "16,300", "--variants", "galerkin-basis", "--gamma", "400"],
+        ["eig", "--modes", "128", "--variant", "diff-elim-last", "--gamma", "749.9", "--format", "json"],
+        ["eig", "--modes", "128", "--variant", "galerkin-basis", "--gamma", "749.9"],
+        ["eig", "--modes", "32", "--variant", "diff-elim-first", "--gamma", "1333521.4"],
+    ],
+)
+def test_pencils_past_the_float_range_of_the_norm_weights_are_served(capsys, argv):
+    # the pencils carry no norms h_n, and G_n(1) comes scaled by a power of two, so these cells,
+    # once refused, give finite output with no RuntimeWarning (the lowest modes need not be accurate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert not re.search("inf|nan", captured.out, re.IGNORECASE)
 
 
 @pytest.mark.parametrize("gamma", ["150", "301/2"])

@@ -344,6 +344,19 @@ def test_pencil_ierley_real_negative():
     assert np.all(lam.real < 0)
 
 
+@pytest.mark.parametrize("m", [32, 128, 300])
+@pytest.mark.parametrize("variant", DIFF_VARIANTS[:3])
+def test_pencil_spectra_are_finite_up_to_two_to_the_53(variant, m):
+    # no norm weights and G_n(1) scaled by a power of two: no factor leaves the float range at any
+    # gamma the builders accept (ierley-legendre lives at gamma 3/2 only)
+    for gamma in (400.0, 749.9, 1e4, 1333521.4, 1e10, 2.0**53 - 1):
+        for parity in Parity:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                spec = pencil_spectrum(build_diff_pencil(m, gamma, variant, parity))
+            assert np.isfinite(spec.eigenvalues).all(), (gamma, parity)
+
+
 @pytest.mark.parametrize("m", [2, 3, 17, 200])
 @pytest.mark.parametrize("variant", DIFF_VARIANTS)
 def test_pencil_spectrum_bitwise_matches_the_row_major_solve(variant, m):

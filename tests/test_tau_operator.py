@@ -25,7 +25,6 @@ from gegtau.orthopoly import (
     Parity,
     gegenbauer_at_one,
     gegenbauer_at_one_upto,
-    gegenbauer_norms,
 )
 from gegtau.spectra import dense_eigs, pencil_spectrum, tau_spectrum
 from gegtau.tau_operator import (
@@ -135,7 +134,8 @@ def test_float_boundary_constants_keep_exact_denominators_past_int64():
 
 @pytest.mark.parametrize("gamma", [Fraction(-3, 7), Fraction(1, 2), Fraction(12, 7), Fraction(16, 7)])
 def test_fraction_gamma_rounds_the_exact_endpoint_values_once(gamma):
-    # the first row is -float(exact K_n) and the pencils' ends are float(exact G_n(1))
+    # the first row is -float(exact K_n), and the pencils' ends times one power of two, that of
+    # the last, are float(exact G_n(1))
     m = 300
     for parity in Parity:
         degrees = [parity.degree(j) for j in range(m + 1)]
@@ -149,8 +149,11 @@ def test_fraction_gamma_rounds_the_exact_endpoint_values_once(gamma):
         first = build_gi2(m, gamma, parity).first_row
         keep = (np.arange(m) != 1) | (parity is Parity.EVEN)  # odd column 1 adds its own band entry
         _assert_same_bits(first[keep], [-float(k) for k in np.array(ks)[keep]])
+        exact = [float(at1[n]) for n in degrees]
         for variant in ("diff-elim-last", "diff-elim-first"):
-            _assert_same_bits(build_diff_pencil(m, gamma, variant, parity).ends, [float(at1[n]) for n in degrees])
+            ends = build_diff_pencil(m, gamma, variant, parity).ends
+            assert 0.5 <= ends[-1] < 1.0
+            _assert_same_bits(np.ldexp(ends, np.frexp(exact[-1])[1]), exact)
 
 
 def test_boundary_constants_past_the_float_range_are_a_value_error():
@@ -170,12 +173,25 @@ def test_bands_lose_their_degree_dependence_from_two_to_the_53():
     # differ from degree to degree (in their last bits)
     for gamma in (2.0**53, Fraction(2**53), 1e16, 1e300):
         for parity in Parity:
-            with pytest.raises(ValueError, match=re.escape(f"at gamma = {gamma} the bands of m = 8 modes lose their")):
+            with pytest.raises(ValueError, match=re.escape(f"at gamma = {gamma} the matrices of m = 8 modes lose their")):
                 build_gi2(8, gamma, parity)
     for parity in Parity:
         tau = build_gi2(8, 2.0**53 - 1, parity)
         assert np.isfinite(tau.first_row).all() and np.isfinite(tau.lo).all()
         assert np.unique(tau.dg[1:]).size > 1
+
+
+def test_pencils_refuse_gamma_from_two_to_the_53_as_the_integration_operator_does():
+    # the one refusal of both builders, with one message; one below, every pencil is built
+    for gamma in (2.0**53, Fraction(2**53), 1e20):
+        with pytest.raises(ValueError) as integration:
+            build_gi2(16, gamma, Parity.ODD)
+        for variant in DIFF_VARIANTS:
+            with pytest.raises(ValueError) as pencil:
+                build_diff_pencil(16, gamma, variant, Parity.ODD)
+            assert str(pencil.value) == str(integration.value)
+    for variant in DIFF_VARIANTS[:3]:
+        build_diff_pencil(16, 2.0**53 - 1, variant, Parity.ODD)
 
 
 def test_boundary_constants_divide_first_where_only_the_product_overflows():
@@ -479,12 +495,16 @@ def test_first_row_is_negated_boundary_constants(gamma, parity):
 
 
 def test_diff_elim_first_boundary_row_uses_endpoint_values():
+    # B's row 0 is G_n(1) of trial degrees 1..m and A's is -G_0(1) times that of D2, both times
+    # one power of two; the endpoint values lie within 1e-13 of the degree-by-degree product
     m, idx = 30, GegenbauerIndex(1.7)
     for parity in (Parity.EVEN, Parity.ODD):
         pen = build_diff_pencil(m, idx, "diff-elim-first", parity)
         gv = np.array([float(gegenbauer_at_one(parity.degree(k), idx)) for k in range(m + 1)])
-        h0 = gegenbauer_norms([parity.offset], idx)[0]
-        np.testing.assert_array_equal(oracles.pencil_b(pen)[0, :], -h0 * gv[1:] / gv[0])
+        scale = np.ldexp(1.0, -np.frexp(gv[-1])[1])
+        np.testing.assert_allclose(oracles.pencil_b(pen)[0, :], gv[1:] * scale, rtol=1e-13, atol=0)
+        d2 = oracles.second_derivative_block_masked(1, m + 1, 1.7, parity.offset)
+        np.testing.assert_array_equal(oracles.pencil_a(pen)[0, :], d2[0, 1:] * -pen.ends[0])
 
 
 def test_diff_pencil_structures():
@@ -575,25 +595,24 @@ _TILE_EDGE_SIZES = [2, 40, 47, 48, 49, 96, 97, 257]
 
 
 def _pencil_factors(m, gamma, parity):
-    """h, the m x (m + 1) second-derivative block and G_n(1) of the m + 1
-    trial degrees, each from its own route."""
-    idx = GegenbauerIndex(gamma)
-    degrees = [parity.degree(k) for k in range(m + 1)]
-    h = gegenbauer_norms(degrees[:m], idx)
+    """The m x (m + 1) second-derivative block and G_n(1) of the m + 1
+    trial degrees over that of the top one's binade, each from its own
+    route."""
     d2 = oracles.second_derivative_block_masked(m, m + 1, gamma, parity.offset)
-    ends = np.array([float(gegenbauer_at_one(n, idx)) for n in degrees])
-    return h, d2, ends
+    ends = np.array(oracles.endpoint_chain_loop(m + 1, gamma, parity.offset))
+    return d2, np.ldexp(ends, -np.frexp(ends[-1])[1])
 
 
 def test_pencil_blocks_are_the_fixed_order_expressions():
     # the row tiles and the structured products give the bits of the whole-matrix expressions
     cases = [(m, gamma, parity) for m in _TILE_EDGE_SIZES for gamma in (-0.49, 0.7, 2.4) for parity in Parity]
     for m, gamma, parity in cases + [(1024, 1.9, Parity.ODD)]:
-        h, d2, ends = _pencil_factors(m, gamma, parity)
-        last = oracles.structured_pencil_a("diff-elim-last", d2, h, ends=ends)
+        d2, ends = _pencil_factors(m, gamma, parity)
+        last = oracles.structured_pencil_a("diff-elim-last", d2, ends=ends)
         galerkin_pencil = build_diff_pencil(m, gamma, "galerkin-basis", parity)
-        galerkin = oracles.structured_pencil_a("galerkin-basis", d2, h, s_bands=galerkin_pencil.s_bands)
-        first = (h[:, None] * d2)[:, 1:]
+        galerkin = oracles.structured_pencil_a("galerkin-basis", d2, s_bands=galerkin_pencil.s_bands)
+        first = d2[:, 1:].copy()
+        first[0] *= -ends[0]
         for pencil, expect in (
             (build_diff_pencil(m, gamma, "diff-elim-last", parity), last),
             (build_diff_pencil(m, gamma, "diff-elim-first", parity), first),
@@ -603,20 +622,19 @@ def test_pencil_blocks_are_the_fixed_order_expressions():
 
 
 def test_pencil_products_are_within_four_eps_of_the_matrix_products():
-    # |A - a0 C| <= 4 eps |a0| |C| for diff-elim-last, |A - (D2 S) h| <= 4 eps (|D2| |S|) h for galerkin-basis
+    # |A - D2 C| <= 4 eps |D2| |C| for diff-elim-last, |A - D2 S| <= 4 eps |D2| |S| for galerkin-basis
     eps = np.finfo(float).eps
     for m, gamma, parity in [(40, -0.49, Parity.EVEN), (257, 0.7, Parity.ODD), (1024, 1.9, Parity.ODD)]:
-        h, d2, ends = _pencil_factors(m, gamma, parity)
-        a0 = h[:, None] * d2
+        d2, ends = _pencil_factors(m, gamma, parity)
         C = np.vstack([np.eye(m), -ends[:m] / ends[m]])
         A = oracles.pencil_a(build_diff_pencil(m, gamma, "diff-elim-last", parity))
-        assert np.all(np.abs(A - a0 @ C) <= 4 * eps * (np.abs(a0) @ np.abs(C))), (m, gamma)
+        assert np.all(np.abs(A - d2 @ C) <= 4 * eps * (np.abs(d2) @ np.abs(C))), (m, gamma)
         pencil = build_diff_pencil(m, gamma, "galerkin-basis", parity)
         S = np.zeros((m + 1, m))
         j = np.arange(m)
         S[j[1:] - 1, j[1:]], S[j, j], S[j + 1, j] = pencil.s_bands[0, 1:], pencil.s_bands[1], pencil.s_bands[2]
-        bound = 4 * eps * (np.abs(d2) @ np.abs(S)) * h[:, None]
-        assert np.all(np.abs(oracles.pencil_a(pencil) - (d2 @ S) * h[:, None]) <= bound), (m, gamma)
+        bound = 4 * eps * (np.abs(d2) @ np.abs(S))
+        assert np.all(np.abs(oracles.pencil_a(pencil) - d2 @ S) <= bound), (m, gamma)
 
 
 _SOLVE_HASHES = """
@@ -660,11 +678,9 @@ def test_ierley_variant_diagonal_scaling():
     pen = build_diff_pencil(4, 1.5, "ierley-legendre")
     A = oracles.pencil_a(pen)
     oracles.assert_structure(A, "diagonal", pen.variant)
-    # after stripping the orthogonality weights, A(k,k) is -(n+1)(n+2)
-    # with n = 2k for even modes
-    h = gegenbauer_norms([2 * k for k in range(4)], GegenbauerIndex(1.5))
+    # without the orthogonality weights, A(k,k) is -(n+1)(n+2) with n = 2k for even modes
     n = 2.0 * np.arange(4)
-    np.testing.assert_allclose(np.diag(A) / h, -(n + 1) * (n + 2), rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(np.diag(A), -(n + 1) * (n + 2))
     with pytest.raises(ValueError):
         build_diff_pencil(4, 0.0, "ierley-legendre")
     with pytest.raises(ValueError):
